@@ -17,6 +17,7 @@ from .bounds import (
 )
 from .coherence import (
     Assessment,
+    CertificateVerificationError,
     CoherenceLevel,
     CoherenceReport,
     DutchBook,
@@ -69,6 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Assessment",
     "AtomLimitError",
+    "CertificateVerificationError",
     "CoherenceLevel",
     "CoherenceReport",
     "CompoundConditional",

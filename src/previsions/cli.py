@@ -9,7 +9,8 @@ are JSON too, printed with sorted keys so identical inputs produce byte
 identical output.
 
 Exit codes: 0 coherent / success, 1 incoherent, 2 parse or validation
-errors.
+errors, 3 internal error (a failed self-check or any other fault of the
+program, reported as one line on standard error).
 """
 
 from __future__ import annotations
@@ -542,10 +543,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (DocumentError, ValueError) as exc:
-        # Validation failures, wherever they surface, are exit code 2;
-        # only 0 (coherent), 1 (incoherent) and 2 (error) ever escape.
+        # Validation failures, wherever they surface, are exit code 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Anything else is a fault of the program, never a verdict: only
+        # 0 (coherent), 1 (incoherent), 2 (error) and 3 (internal) escape.
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,6 +21,10 @@ When a level is unsolvable, a Farkas certificate of the failed system
 is turned into betting stakes witnessing the incoherence: with those
 stakes every possible net gain over the level's subfamily is strictly
 negative (a Dutch Book).
+
+Before a report is returned its certificates are checked exactly: every
+witness must be a probability vector reproducing the level's previsions,
+and every Dutch-Book gain must be strictly negative.
 """
 
 from __future__ import annotations
@@ -36,6 +40,14 @@ from .events import ConstituentPartition, constituents
 
 class IncoherentAssessmentError(ValueError):
     """An operation required a coherent assessment and did not get one."""
+
+
+class CertificateVerificationError(RuntimeError):
+    """A level's witness or Dutch Book failed its exact re-check.
+
+    This is a diagnostic guard: the solver's certificates are exact, so a
+    failure here indicates a bug rather than a legitimate outcome.
+    """
 
 
 class Assessment:
@@ -211,6 +223,10 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
     the members whose maximal conditioning mass is exactly zero, until
     that set is empty.  The zero-mass set is always a proper subset, so
     at most ``len(assessment)`` levels occur.
+
+    Every witness and Dutch Book is re-checked exactly before the report
+    is returned; :class:`CertificateVerificationError` is raised if one
+    fails.
     """
     indices = tuple(range(len(assessment)))
     levels: list[CoherenceLevel] = []
@@ -222,8 +238,13 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
             levels.append(CoherenceLevel(indices, False, None, None, ()))
             stakes = result.certificate[: len(indices)]
             gains = random_gain(sub, stakes)
+            if not all(g < 0 for g in gains):
+                raise CertificateVerificationError(
+                    f"Dutch Book on members {list(indices)} has a gain that is not negative"
+                )
             book = DutchBook(indices, tuple(stakes), gains)
             return CoherenceReport(False, tuple(levels), book)
+        _verify_witness(system, result.solution, indices)
         masses = upper_conditioning_masses(system)
         zero_mass = tuple(indices[j] for j, m in enumerate(masses) if m == 0)
         levels.append(CoherenceLevel(indices, True, result.solution, masses, zero_mass))
@@ -259,6 +280,28 @@ def random_gain(
             )
         )
     return tuple(gains)
+
+
+def _verify_witness(
+    system: LinearSystem, weights: Sequence[Fraction], indices: Sequence[int]
+) -> None:
+    """Check ``w >= 0``, ``sum(w) = 1`` and ``sum(w_h * point_h) = target``
+    exactly, skipping zero weights."""
+    total = Fraction(0)
+    sums = [Fraction(0)] * system.size
+    valid = len(weights) == len(system.points)
+    for weight, point in zip(weights, system.points):
+        if weight < 0:
+            valid = False
+        elif weight:
+            total += weight
+            for i, value in enumerate(point):
+                sums[i] += weight * value
+    if valid and total == 1 and tuple(sums) == system.target:
+        return
+    raise CertificateVerificationError(
+        f"witness on members {list(indices)} does not reproduce the previsions"
+    )
 
 
 def _solve(system: LinearSystem) -> lp.LPResult:

@@ -19,6 +19,12 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_ATOM_LIMIT = 20
 
+# Deepest formula the parser accepts, counting every operator and every
+# pair of parentheses on the way down.  Evaluation and rendering recurse
+# once per level, so deeper input is refused as a syntax error instead of
+# exhausting the interpreter's stack.
+MAX_EVENT_DEPTH = 200
+
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 Assignment = Mapping[str, bool]
@@ -333,57 +339,74 @@ def _require_same_universe(a: Event, b: Event) -> None:
 
 
 class _Parser:
+    """Recursive-descent parser; each rule returns the node and its depth."""
+
     def __init__(self, universe: Universe, text: str):
         self._universe = universe
         self._text = text
         self._pos = 0
 
     def parse(self) -> Event:
-        node = self._expr()
+        node, _ = self._expr(0)
         self._skip_space()
         if self._pos != len(self._text):
             raise EventSyntaxError("unexpected input", self._pos)
         return node
 
-    def _expr(self) -> Event:
-        node = self._term()
+    def _expr(self, nesting: int) -> tuple[Event, int]:
+        node, depth = self._term(nesting)
         while self._peek() == "|":
             self._pos += 1
-            node = node | self._term()
-        return node
+            right, right_depth = self._term(nesting)
+            node, depth = node | right, self._deeper(max(depth, right_depth))
+        return node, depth
 
-    def _term(self) -> Event:
-        node = self._factor()
+    def _term(self, nesting: int) -> tuple[Event, int]:
+        node, depth = self._factor(nesting)
         while self._peek() == "&":
             self._pos += 1
-            node = node & self._factor()
-        return node
+            right, right_depth = self._factor(nesting)
+            node, depth = node & right, self._deeper(max(depth, right_depth))
+        return node, depth
 
-    def _factor(self) -> Event:
+    def _factor(self, nesting: int) -> tuple[Event, int]:
         ch = self._peek()
         if ch is None:
             raise EventSyntaxError("unexpected end of input", self._pos)
+        if ch in "~(":
+            # ``nesting`` counts the negations and parentheses open here,
+            # which bounds the parser's own recursion.
+            self._deeper(nesting)
         if ch == "~":
             self._pos += 1
-            return ~self._factor()
+            node, depth = self._factor(nesting + 1)
+            return ~node, self._deeper(depth)
         if ch == "(":
             self._pos += 1
-            node = self._expr()
+            node, depth = self._expr(nesting + 1)
             if self._peek() != ")":
                 raise EventSyntaxError("expected ')'", self._pos)
             self._pos += 1
-            return node
+            return node, self._deeper(depth)
         if ch == "1":
             self._pos += 1
-            return self._universe.true()
+            return self._universe.true(), 0
         if ch == "0":
             self._pos += 1
-            return self._universe.false()
+            return self._universe.false(), 0
         match = _IDENT.match(self._text, self._pos)
         if match is None:
             raise EventSyntaxError("expected an atom, '~', '(', '1' or '0'", self._pos)
         self._pos = match.end()
-        return self._universe.atom(match.group())
+        return self._universe.atom(match.group()), 0
+
+    def _deeper(self, depth: int) -> int:
+        """``depth + 1``, or a syntax error past :data:`MAX_EVENT_DEPTH`."""
+        if depth >= MAX_EVENT_DEPTH:
+            raise EventSyntaxError(
+                f"formula is nested deeper than {MAX_EVENT_DEPTH} levels", self._pos
+            )
+        return depth + 1
 
     def _peek(self) -> str | None:
         self._skip_space()

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from previsions import lp
 from previsions.cli import (
     ATOM_CAP_ENV,
     AssessmentDocument,
@@ -120,6 +121,37 @@ class TestCheckCommand:
         path = write_doc(tmp_path, coherent_pair_payload())
         assert main(["check", path]) == 2
         assert "capped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "quantity", ["&".join(["A"] * 3000), "~" * 3000 + "A"], ids=["and-chain", "not-run"]
+    )
+    def test_deeply_nested_formula_is_input_error(self, tmp_path, capsys, quantity):
+        payload = coherent_pair_payload()
+        payload["members"][0]["quantity"] = quantity
+        path = write_doc(tmp_path, payload)
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert "member 0" in err and "nested deeper" in err
+
+    def test_failed_self_check_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        # A solver that returns a wrong witness trips the report's own
+        # verification, which must not read as a verdict.
+        solve = lp.solve
+
+        def wrong_witness(rows, rhs, objective=None, maximize=False):
+            result = solve(rows, rhs, objective, maximize)
+            if objective is None and result.feasible:
+                return lp.LPResult(lp.OPTIMAL, solution=(F(1),) + (F(0),) * (len(rows[0]) - 1))
+            return result
+
+        monkeypatch.setattr(lp, "solve", wrong_witness)
+        path = write_doc(tmp_path, coherent_pair_payload())
+        assert main(["check", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("internal error: CertificateVerificationError")
 
     def test_determinism(self, tmp_path, capsys):
         path = write_doc(tmp_path, incoherent_compound_payload())

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from previsions import lp
 from previsions.coherence import (
     Assessment,
+    CertificateVerificationError,
     build_system,
     check_coherence,
     random_gain,
@@ -372,3 +374,68 @@ def _random_assessment(rng, coherent_only=False):
         if not coherent_only or check_coherence(assessment).coherent:
             return assessment
     return None
+
+
+class TestCertificateVerification:
+    """Reports are checked before they are returned; a solver that hands
+    back a wrong witness or a wrong Farkas certificate is caught."""
+
+    def patch_solver(self, monkeypatch, perturb):
+        solve = lp.solve
+
+        def patched(rows, rhs, objective=None, maximize=False):
+            result = solve(rows, rhs, objective, maximize)
+            return perturb(result) if objective is None else result
+
+        monkeypatch.setattr(lp, "solve", patched)
+
+    def coherent_pair(self):
+        u, a, h, b, k = four_atoms()
+        return Assessment(
+            [conditional_event(a, h, F(7, 10)), conditional_event(b, k, F(3, 5))]
+        )
+
+    def incoherent_pair(self):
+        u, a, h, b, k = four_atoms()
+        return Assessment(
+            [conditional_event(a, u.true(), F(1, 2)), conditional_event(~a, u.true(), F(3, 5))]
+        )
+
+    def test_unperturbed_reports_pass(self):
+        assert check_coherence(self.coherent_pair()).coherent
+        assert not check_coherence(self.incoherent_pair()).coherent
+
+    @pytest.mark.parametrize(
+        "shift",
+        [
+            lambda w: (w[0] + F(1, 97),) + w[1:],  # total mass above one
+            lambda w: w[1:] + w[:1],  # right mass, wrong points
+            lambda w: tuple(-v for v in w),  # negative weights
+        ],
+    )
+    def test_perturbed_witness_is_refused(self, monkeypatch, shift):
+        def perturb(result):
+            if not result.feasible:
+                return result
+            return lp.LPResult(lp.OPTIMAL, solution=shift(result.solution))
+
+        self.patch_solver(monkeypatch, perturb)
+        with pytest.raises(CertificateVerificationError, match="witness"):
+            check_coherence(self.coherent_pair())
+
+    @pytest.mark.parametrize(
+        "shift",
+        [
+            lambda y: tuple(-v for v in y),  # every gain turns positive
+            lambda y: (F(0),) * len(y),  # every gain is zero
+        ],
+    )
+    def test_perturbed_certificate_is_refused(self, monkeypatch, shift):
+        def perturb(result):
+            if result.feasible:
+                return result
+            return lp.LPResult(lp.INFEASIBLE, certificate=shift(result.certificate))
+
+        self.patch_solver(monkeypatch, perturb)
+        with pytest.raises(CertificateVerificationError, match="Dutch Book"):
+            check_coherence(self.incoherent_pair())

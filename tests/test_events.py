@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from previsions.events import (
+    MAX_EVENT_DEPTH,
     AtomLimitError,
     EventSyntaxError,
     Universe,
@@ -86,6 +87,37 @@ class TestParsing:
         u = Universe()
         with pytest.raises(ValueError):
             u.atom("not an identifier")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "&".join(["A"] * (MAX_EVENT_DEPTH + 1)),
+            "|".join(["A"] * (MAX_EVENT_DEPTH + 1)),
+            "~" * MAX_EVENT_DEPTH + "A",
+            "(" * MAX_EVENT_DEPTH + "A" + ")" * MAX_EVENT_DEPTH,
+        ],
+        ids=["and-chain", "or-chain", "not-run", "parentheses"],
+    )
+    def test_deepest_accepted_formula_evaluates_and_renders(self, text):
+        e = Universe().parse(text)
+        assert e.evaluate({"A": True}) == (text.count("~") % 2 == 0)
+        rendered = e.to_text()
+        assert Universe().parse(rendered).to_text() == rendered
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "&".join(["A"] * (MAX_EVENT_DEPTH + 2)),
+            "|".join(["A"] * 3000),
+            "~" * 3000 + "A",
+            "(" * (MAX_EVENT_DEPTH + 1) + "A" + ")" * (MAX_EVENT_DEPTH + 1),
+            "~(" * MAX_EVENT_DEPTH + "A" + ")" * MAX_EVENT_DEPTH,
+        ],
+        ids=["and-chain", "or-chain", "not-run", "parentheses", "not-parentheses"],
+    )
+    def test_too_deep_formula_is_a_syntax_error(self, text):
+        with pytest.raises(EventSyntaxError, match="nested deeper"):
+            Universe().parse(text)
 
 
 class TestQueries:

@@ -1,0 +1,48 @@
+"""Golden CLI reports: exact stdout bytes and exit codes, pinned in files.
+
+Each ``tests/golden/<name>.json`` is an input document and
+``<name>.out`` the report the CLI printed for it when it was recorded.
+Unlike a two-runs-agree check, this catches a report that changes
+across versions of the code: a different witness, mass, Dutch Book or
+interval, or a different formatting of any of them.  The documents come
+from the benchmark's generators (random single-level families, 0/1
+multi-level families, ``extend`` families) plus hand-written compound
+and value-map cases.
+
+To re-record after an intended change of output, run the command in
+``CASES`` on the document and write its standard output to the ``.out``
+file.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from previsions.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "check-random-family": (["check"], 0),
+    "check-zero-mass-coherent": (["check"], 0),
+    "check-zero-mass-incoherent": (["check"], 1),
+    "check-compound-coherent": (["check"], 0),
+    "check-compound-dutch-book": (["check"], 1),
+    "check-value-map": (["check"], 0),
+    "extend-conjunction": (["extend", "--target", "conjunction:0,1"], 0),
+    "extend-disjunction": (["extend", "--target", "disjunction:0,1"], 0),
+    "extend-quasi-conjunction": (["extend", "--target", "quasi-conjunction:0,1"], 0),
+}
+
+
+def test_every_golden_file_has_a_case():
+    stems = {path.stem for path in GOLDEN.iterdir()}
+    assert stems == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes(name, capsys):
+    (command, *options), code = CASES[name]
+    assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
+    expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
