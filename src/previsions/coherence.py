@@ -237,7 +237,7 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
         if not result.feasible:
             levels.append(CoherenceLevel(indices, False, None, None, ()))
             stakes = result.certificate[: len(indices)]
-            gains = random_gain(sub, stakes)
+            gains = _gains(system, stakes)
             if not all(g < 0 for g in gains):
                 raise CertificateVerificationError(
                     f"Dutch Book on members {list(indices)} has a gain that is not negative"
@@ -270,16 +270,15 @@ def random_gain(
     stakes = [Fraction(s) for s in coefficients]
     if len(stakes) != len(assessment):
         raise ValueError("need exactly one coefficient per member")
-    system = build_system(assessment)
-    gains = []
-    for point in system.points:
-        gains.append(
-            sum(
-                s * (value - target)
-                for s, value, target in zip(stakes, point, system.target)
-            )
-        )
-    return tuple(gains)
+    return _gains(build_system(assessment), stakes)
+
+
+def _gains(system: LinearSystem, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Net gain of the stakes at each point of the system."""
+    return tuple(
+        sum(s * (value - target) for s, value, target in zip(stakes, point, system.target))
+        for point in system.points
+    )
 
 
 def _verify_witness(

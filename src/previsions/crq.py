@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .events import Assignment, Event, assignments, constituents
+from .events import Assignment, Event, constituents, split_conditioning, truth_tables, used_atoms
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -57,28 +57,15 @@ class ConditionalRandomQuantity:
         cells: Iterable[tuple[Event, Rational]],
         prevision: Rational | None = None,
     ):
-        if conditioning.is_impossible():
-            raise ImpossibleConditioningError("conditioning event is impossible")
         staged = [(event, Fraction(value)) for event, value in cells]
-        universe = conditioning.universe
-        names: set[str] = set(conditioning.atoms)
-        for event, _ in staged:
-            if event.universe is not universe:
-                raise ValueError("cells and conditioning use different universes")
-            names |= event.atoms
-        ordered = tuple(a for a in universe.atoms if a in names)
-
-        seen = [False] * len(staged)
-        for assignment in assignments(ordered):
-            if not conditioning.evaluate(assignment):
-                continue
-            hits = [j for j, (event, _) in enumerate(staged) if event.evaluate(assignment)]
-            if len(hits) != 1:
-                raise ValueError("cells must partition the conditioning event")
-            seen[hits[0]] = True
-
+        events = [conditioning, *(event for event, _ in staged)]
+        names = used_atoms(events)
+        given, *tables = truth_tables(events, names)
+        parts = split_conditioning(tables, given, names)
+        if not any(parts):
+            raise ImpossibleConditioningError("conditioning event is impossible")
         self._conditioning = conditioning
-        self._cells = tuple(cell for cell, used in zip(staged, seen) if used)
+        self._cells = tuple(cell for cell, part in zip(staged, parts) if part)
         self._prevision = None if prevision is None else Fraction(prevision)
 
     @property
@@ -118,10 +105,7 @@ class ConditionalRandomQuantity:
         have been set.
         """
         if self._conditioning.evaluate(assignment):
-            for event, value in self._cells:
-                if event.evaluate(assignment):
-                    return value
-            raise AssertionError("cells do not cover the conditioning event")
+            return next(value for event, value in self._cells if event.evaluate(assignment))
         if self._prevision is None:
             raise ValueError("prevision is not set")
         return self._prevision
@@ -194,18 +178,8 @@ def add(
     """
     if first.prevision is None or second.prevision is None:
         raise ValueError("both previsions must be set to add conditional quantities")
-    partition = constituents(
-        [
-            ([e for e, _ in first.cells], first.conditioning),
-            ([e for e, _ in second.cells], second.conditioning),
-        ]
-    )
-    cells = []
-    for block in partition.inside:
-        a_label, b_label = block.labels
-        a_value = first.prevision if a_label is None else first.cells[a_label][1]
-        b_value = second.prevision if b_label is None else second.cells[b_label][1]
-        cells.append((partition.region(block), a_value + b_value))
+    partition, paid = _joint_values(first, second)
+    cells = [(partition.region(block), a + b) for block, (a, b) in zip(partition.inside, paid)]
     return ConditionalRandomQuantity(
         first.conditioning | second.conditioning, cells, first.prevision + second.prevision
     )
@@ -224,8 +198,6 @@ def iterated(
     """
     if quantity.prevision is None:
         raise ValueError("prevision must be set before iterating the conditioning")
-    if new_condition.is_impossible():
-        raise ImpossibleConditioningError("conditioning event is impossible")
     old = quantity.conditioning
     cells = [(event & old & new_condition, value) for event, value in quantity.cells]
     cells.append((~old & new_condition, quantity.prevision))
@@ -238,18 +210,29 @@ def values_agree_on_union(
     """True when both quantities pay the same amount at every assignment
     where at least one conditioning event holds (previsions fill in where
     one quantity's own conditioning fails)."""
-    union = first.conditioning | second.conditioning
-    universe = union.universe
-    names: set[str] = set(union.atoms)
-    for source in (first, second):
-        for event, _ in source.cells:
-            names |= event.atoms
-    ordered = tuple(a for a in universe.atoms if a in names)
-    for assignment in assignments(ordered):
-        if union.evaluate(assignment):
-            if first.value_at(assignment) != second.value_at(assignment):
-                return False
-    return True
+    _, paid = _joint_values(first, second)
+    return all(a == b for a, b in paid)
+
+
+def _joint_values(first, second):
+    """The constituents of two quantities and, per inside block, the pair
+    of amounts they pay there (each prevision filling in outside its own
+    conditioning event)."""
+    pair = (first, second)
+    partition = constituents([([e for e, _ in q.cells], q.conditioning) for q in pair])
+    paid = [
+        tuple(_filled(q, label) for q, label in zip(pair, block.labels))
+        for block in partition.inside
+    ]
+    return partition, paid
+
+
+def _filled(quantity, label):
+    if label is not None:
+        return quantity.cells[label][1]
+    if quantity.prevision is None:
+        raise ValueError("prevision is not set")
+    return quantity.prevision
 
 
 def gn_inclusion(

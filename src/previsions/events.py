@@ -3,11 +3,13 @@
 Events are immutable formula trees over atoms, combined with ``&``,
 ``|`` and ``~`` (plus the sure and impossible constants), and parsed
 from a small textual grammar where ``~`` binds tighter than ``&``,
-which binds tighter than ``|``.  All semantic queries (implication,
-impossibility, equivalence, constituent enumeration) are decided by
-exhaustive evaluation over the total truth assignments of the atoms
-actually used.  The universe enforces a configurable atom cap so those
-enumerations stay bounded; at desk scale exactness beats cleverness.
+which binds tighter than ``|``.  Semantic queries (implication,
+impossibility, equivalence, constituent enumeration) compare truth
+tables: over ``n`` ordered atoms an event is the ``2**n``-bit integer
+whose bit ``i`` is its value at assignment ``i`` of :func:`assignments`,
+first atom most significant.  Tables are built without recursion, so
+formula depth is not limited by the interpreter's stack; the universe's
+atom cap bounds their width.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_ATOM_LIMIT = 20
 
 # Deepest formula the parser accepts, counting every operator and every
-# pair of parentheses on the way down.  Evaluation and rendering recurse
+# pair of parentheses on the way down.  Parsing and rendering recurse
 # once per level, so deeper input is refused as a syntax error instead of
 # exhausting the interpreter's stack.
 MAX_EVENT_DEPTH = 200
@@ -48,7 +50,7 @@ class Universe:
 
     Every event belongs to exactly one universe, and semantic queries may
     only combine events from the same universe.  The atom cap bounds the
-    2**k truth-table enumerations behind every query.
+    width of the ``2**k``-bit truth tables behind every query.
     """
 
     def __init__(self, atom_limit: int = DEFAULT_ATOM_LIMIT):
@@ -101,16 +103,22 @@ class Event:
     """A propositional formula over the atoms of one universe.
 
     Only semantic queries are exposed; two structurally different formulas
-    that evaluate identically are interchangeable everywhere.
+    that evaluate identically are interchangeable everywhere.  The
+    operands of a connective are held as a tuple in ``_args``.
     """
 
-    __slots__ = ("_universe", "_op", "_args", "_atoms")
+    __slots__ = ("_universe", "_op", "_args", "_atoms", "_need")
 
-    def __init__(self, universe: Universe, op: str, args, atoms: frozenset[str]):
+    def __init__(
+        self, universe: Universe, op: str, args, atoms: frozenset[str], need: int = 1
+    ):
         self._universe = universe
         self._op = op
         self._args = args
         self._atoms = atoms
+        # Ershov number: how many values evaluating the formula keeps alive
+        # at once when the operand of larger need goes first.
+        self._need = need
 
     @property
     def universe(self) -> Universe:
@@ -128,47 +136,37 @@ class Event:
         return self._combine("or", other)
 
     def __invert__(self) -> "Event":
-        return Event(self._universe, "not", self, self._atoms)
+        return Event(self._universe, "not", (self,), self._atoms, self._need)
 
     def _combine(self, op: str, other: "Event") -> "Event":
         if not isinstance(other, Event):
             return NotImplemented
         _require_same_universe(self, other)
-        return Event(self._universe, op, (self, other), self._atoms | other._atoms)
+        need = max(self._need, other._need) + (self._need == other._need)
+        return Event(self._universe, op, (self, other), self._atoms | other._atoms, need)
 
     def evaluate(self, assignment: Assignment) -> bool:
         """Truth value under a total assignment of the atoms used."""
-        op = self._op
-        if op == "atom":
-            return bool(assignment[self._args])
-        if op == "const":
-            return self._args
-        if op == "not":
-            return not self._args.evaluate(assignment)
-        left, right = self._args
-        if op == "and":
-            return left.evaluate(assignment) and right.evaluate(assignment)
-        return left.evaluate(assignment) or right.evaluate(assignment)
+        (value,) = _fold((self,), lambda name: int(bool(assignment[name])), 1)
+        return bool(value)
 
     def is_impossible(self) -> bool:
         """True when no assignment satisfies the formula."""
-        return not any(self.evaluate(a) for a in assignments(sorted(self._atoms)))
+        return not _tables(self)[0]
 
     def is_sure(self) -> bool:
         """True when every assignment satisfies the formula."""
-        return all(self.evaluate(a) for a in assignments(sorted(self._atoms)))
+        return (~self).is_impossible()
 
     def implies(self, other: "Event") -> bool:
         """True when no assignment makes this event true and ``other`` false."""
-        _require_same_universe(self, other)
-        names = _ordered_atoms(self._universe, (self, other))
-        return all(other.evaluate(a) for a in assignments(names) if self.evaluate(a))
+        mine, theirs = _tables(self, other)
+        return not mine & ~theirs
 
     def equivalent(self, other: "Event") -> bool:
         """True when both events evaluate identically on all assignments."""
-        _require_same_universe(self, other)
-        names = _ordered_atoms(self._universe, (self, other))
-        return all(self.evaluate(a) == other.evaluate(a) for a in assignments(names))
+        mine, theirs = _tables(self, other)
+        return mine == theirs
 
     def to_text(self) -> str:
         """Render as an expression the parser accepts."""
@@ -182,7 +180,7 @@ class Event:
         if op == "const":
             return "1" if self._args else "0"
         if op == "not":
-            return "~" + self._args._render(3)
+            return "~" + self._args[0]._render(3)
         left, right = self._args
         level = 2 if op == "and" else 1
         glue = " & " if op == "and" else " | "
@@ -214,11 +212,8 @@ def logically_independent(events: Sequence[Event]) -> bool:
     events = tuple(events)
     if not events:
         raise ValueError("need at least one event")
-    for e in events[1:]:
-        _require_same_universe(events[0], e)
-    names = _ordered_atoms(events[0].universe, events)
-    patterns = {tuple(e.evaluate(a) for e in events) for a in assignments(names)}
-    return len(patterns) == 2 ** len(events)
+    partition = constituents([([e, ~e], e.universe.true()) for e in events])
+    return len(partition.inside) == 2 ** len(events)
 
 
 @dataclass(frozen=True)
@@ -227,12 +222,19 @@ class Constituent:
 
     ``labels`` holds, per family member, the index of the member cell the
     block falls in, or None when the block lies outside that member's
-    conditioning event.  ``assignments`` lists the merged total truth
-    assignments, as boolean tuples over the partition's atom order.
+    conditioning event.  ``mask`` is the block's truth table over the
+    partition's ``width`` atoms (see :func:`truth_tables`).
     """
 
     labels: tuple[int | None, ...]
-    assignments: tuple[tuple[bool, ...], ...]
+    mask: int
+    width: int
+
+    @property
+    def assignments(self) -> tuple[tuple[bool, ...], ...]:
+        """The merged total truth assignments, as boolean tuples over the
+        partition's atom order, in increasing order."""
+        return tuple(_decode(i, self.width) for i in set_bits(self.mask))
 
 
 @dataclass(frozen=True)
@@ -272,52 +274,92 @@ def constituents(
     part where it holds and the part where it fails).  Every total
     assignment over the atoms used by the family is mapped to its vector
     of cell labels, and assignments with identical vectors are merged
-    into one constituent.
+    into one constituent: starting from one block of every assignment,
+    each member splits every block by its conditioning and its cells.
     """
-    normalized: list[tuple[tuple[Event, ...], Event]] = []
-    for cells, conditioning in family:
-        normalized.append((tuple(cells), conditioning))
-    if not normalized:
+    family = tuple((tuple(cells), conditioning) for cells, conditioning in family)
+    if not family:
         raise ValueError("family must be nonempty")
-    universe = normalized[0][1].universe
-    everything: list[Event] = []
-    for cells, conditioning in normalized:
-        for e in (*cells, conditioning):
-            _require_same_universe(normalized[0][1], e)
-            everything.append(e)
-        if conditioning.is_impossible():
+    events = [e for cells, conditioning in family for e in (conditioning, *cells)]
+    names = used_atoms(events)
+    tables = iter(truth_tables(events, names))
+    full = _full(len(names))
+    blocks = {(): full}
+    for cells, _ in family:
+        conditioning = next(tables)
+        if not conditioning:
             raise ValueError("conditioning event is impossible")
-    names = _ordered_atoms(universe, everything)
+        parts = split_conditioning([next(tables) for _ in cells], conditioning, names)
+        split: dict[tuple[int | None, ...], int] = {}
+        for labels, block in blocks.items():
+            for label, part in ((None, full ^ conditioning), *enumerate(parts)):
+                piece = block & part
+                if piece:
+                    split[labels + (label,)] = piece
+        blocks = split
 
-    groups: dict[tuple[int | None, ...], list[tuple[bool, ...]]] = {}
-    for bits in itertools.product((False, True), repeat=len(names)):
-        assignment = dict(zip(names, bits))
-        labels: list[int | None] = []
-        for cells, conditioning in normalized:
-            if not conditioning.evaluate(assignment):
-                labels.append(None)
-            else:
-                hits = [j for j, cell in enumerate(cells) if cell.evaluate(assignment)]
-                if len(hits) != 1:
-                    raise ValueError(
-                        "cells must partition the conditioning event "
-                        f"(assignment {assignment} matched {len(hits)} cells)"
-                    )
-                labels.append(hits[0])
-        groups.setdefault(tuple(labels), []).append(bits)
+    outside = blocks.pop((None,) * len(family), 0)
+    inside = [Constituent(labels, mask, len(names)) for labels, mask in blocks.items()]
+    # Bit order is assignment order, so a block's least set bit is its
+    # least assignment; sorting by it makes reports deterministic.
+    inside.sort(key=lambda block: block.mask & -block.mask)
+    outside = Constituent((None,) * len(family), outside, len(names)) if outside else None
+    return ConstituentPartition(names, outside, tuple(inside), family)
 
-    outside_key = (None,) * len(normalized)
-    outside_bits = groups.pop(outside_key, None)
-    outside = None
-    if outside_bits is not None:
-        outside = Constituent(outside_key, tuple(outside_bits))
-    # Enumeration order is increasing, so each group's first assignment is
-    # its least one; sorting by it makes reports deterministic.
-    inside = tuple(
-        Constituent(labels, tuple(bits))
-        for labels, bits in sorted(groups.items(), key=lambda kv: kv[1][0])
-    )
-    return ConstituentPartition(tuple(names), outside, inside, tuple(normalized))
+
+def split_conditioning(
+    cells: Sequence[int], conditioning: int, atoms: Sequence[str]
+) -> tuple[int, ...]:
+    """The part of ``conditioning`` inside each cell, as truth tables over
+    ``atoms``; ValueError, naming the least offending assignment, unless
+    the cells partition the conditioning event."""
+    parts = tuple(cell & conditioning for cell in cells)
+    covered = overlap = 0
+    for part in parts:
+        overlap |= covered & part
+        covered |= part
+    bad = overlap | (conditioning & ~covered)
+    if bad:
+        index = (bad & -bad).bit_length() - 1
+        assignment = dict(zip(atoms, _decode(index, len(atoms))))
+        hits = sum(part >> index & 1 for part in parts)
+        raise ValueError(
+            "cells must partition the conditioning event "
+            f"(assignment {assignment} matched {hits} cells)"
+        )
+    return parts
+
+
+def truth_tables(events: Sequence[Event], atoms: Sequence[str]) -> tuple[int, ...]:
+    """Each event's truth table over ``atoms``, which must include every
+    atom the events use (see the module docstring for the bit order)."""
+    width = len(atoms)
+    full = _full(width)
+    position = {name: k for k, name in enumerate(atoms)}
+
+    def atom(name: str) -> int:
+        # ``half`` assignments with the atom false, then ``half`` with it
+        # true, repeated across the table.
+        half = 1 << (width - 1 - position[name])
+        period = (1 << half) - 1 << half
+        return period * (full // ((1 << 2 * half) - 1))
+
+    return _fold(events, atom, full)
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, increasing."""
+    return (i for i, bit in enumerate(reversed(format(mask, "b"))) if bit == "1")
+
+
+def used_atoms(events: Iterable[Event]) -> tuple[str, ...]:
+    """The atoms the events use, in their universe's registration order."""
+    events = tuple(events)
+    used: set[str] = set()
+    for e in events:
+        _require_same_universe(events[0], e)
+        used |= e.atoms
+    return tuple(name for name in events[0].universe.atoms if name in used)
 
 
 def assignments(names: Sequence[str]) -> Iterator[dict[str, bool]]:
@@ -326,11 +368,68 @@ def assignments(names: Sequence[str]) -> Iterator[dict[str, bool]]:
         yield dict(zip(names, bits))
 
 
-def _ordered_atoms(universe: Universe, events: Iterable[Event]) -> tuple[str, ...]:
-    used: set[str] = set()
-    for e in events:
-        used |= e.atoms
-    return tuple(name for name in universe.atoms if name in used)
+def _fold(roots: Sequence[Event], atom: Callable[[str], int], full: int) -> tuple[int, ...]:
+    """The roots' values when atoms take the integers ``atom(name)``, the
+    sure event is ``full`` and the connectives act bitwise.
+
+    Each shared subformula is evaluated once, after its operands, and its
+    value is dropped once every parent has read it.  The operand of larger
+    ``_need`` is evaluated first, so a long chain holds a few values at a
+    time, whichever side it grows on.
+    """
+    reads: dict[int, int] = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in reads:
+            reads[id(node)] += 1
+        else:
+            reads[id(node)] = 1
+            if node._op in ("not", "and", "or"):
+                stack.extend(node._args)
+    values: dict[int, int] = {}
+    pending = [(node, False) for node in roots]
+    while pending:
+        node, ready = pending.pop()
+        key, op, args = id(node), node._op, node._args
+        if key in values:
+            continue
+        if op == "atom":
+            values[key] = atom(args)
+        elif op == "const":
+            values[key] = full if args else 0
+        elif not ready:
+            pending.append((node, True))
+            if len(args) == 2 and args[0]._need > args[1]._need:
+                pending += ((args[1], False), (args[0], False))
+            else:
+                pending += ((child, False) for child in args)
+        else:
+            if op == "not":
+                values[key] = full ^ values[id(args[0])]
+            elif op == "and":
+                values[key] = values[id(args[0])] & values[id(args[1])]
+            else:
+                values[key] = values[id(args[0])] | values[id(args[1])]
+            for child in args:
+                reads[id(child)] -= 1
+                if not reads[id(child)]:
+                    del values[id(child)]
+    return tuple(values[id(node)] for node in roots)
+
+
+def _tables(*events: Event) -> tuple[int, ...]:
+    return truth_tables(events, used_atoms(events))
+
+
+def _full(width: int) -> int:
+    """The truth table of the sure event over ``width`` atoms."""
+    return (1 << (1 << width)) - 1
+
+
+def _decode(index: int, width: int) -> tuple[bool, ...]:
+    """Assignment ``index`` over ``width`` atoms, first atom most significant."""
+    return tuple(bool(index >> (width - 1 - k) & 1) for k in range(width))
 
 
 def _require_same_universe(a: Event, b: Event) -> None:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .crq import Rational
-from .events import Event, Universe, assignments
+from .events import Event, Universe, assignments, set_bits, truth_tables
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -84,12 +84,11 @@ class JointDistribution:
         return self._atoms
 
     def probability(self, event: Event) -> Fraction:
-        """Exact probability of an event."""
-        total = _ZERO
-        for key, mass in self._table.items():
-            if mass and event.evaluate(dict(zip(self._atoms, key))):
-                total += mass
-        return total
+        """Exact probability of an event: the total mass of the assignments
+        its truth table over :attr:`atoms` selects."""
+        (table,) = truth_tables((event,), self._atoms)
+        masses = list(self._table.values())
+        return sum((masses[i] for i in set_bits(table)), _ZERO)
 
     def conditional_probability(self, event: Event, given: Event) -> Fraction:
         """Exact conditional probability; the condition must have positive mass."""

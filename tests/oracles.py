@@ -12,6 +12,12 @@ masses that drive the recursive coherence re-check.
 Row construction is also re-derived from scratch: assignments are
 grouped by their per-member (inside, value) signature rather than by
 the library's cell labels.
+
+Event semantics have a per-assignment reference too: the ``brute_*``
+event queries below enumerate every total assignment, as the library
+did before it moved to truth tables.  They take events as predicates
+(callables from an assignment mapping to a truth value), so a test can
+pass semantics written independently of the library.
 """
 
 from __future__ import annotations
@@ -164,3 +170,89 @@ def brute_coherent(assessment: Assessment) -> bool:
         if not zero_mass:
             return True
         indices = tuple(zero_mass)
+
+
+# -- event semantics by enumeration --------------------------------------------
+
+
+def truth_assignments(names):
+    """Every total assignment over ``names``, False before True, first
+    name slowest."""
+    for bits in itertools.product((False, True), repeat=len(names)):
+        yield dict(zip(names, bits))
+
+
+def brute_is_impossible(event, names):
+    return not any(event(a) for a in truth_assignments(names))
+
+
+def brute_is_sure(event, names):
+    return all(event(a) for a in truth_assignments(names))
+
+
+def brute_implies(first, second, names):
+    return all(second(a) for a in truth_assignments(names) if first(a))
+
+
+def brute_equivalent(first, second, names):
+    return all(first(a) == second(a) for a in truth_assignments(names))
+
+
+def brute_logically_independent(events, names):
+    patterns = {tuple(e(a) for e in events) for a in truth_assignments(names)}
+    return len(patterns) == 2 ** len(events)
+
+
+def brute_constituents(family, names):
+    """``(outside, inside)`` of the partition a family of ``(cells,
+    conditioning)`` predicates generates over ``names``.
+
+    ``outside`` is the bool tuples of the assignments outside every
+    conditioning (None if there are none); ``inside`` lists ``(labels,
+    assignments)`` per block, ordered by least assignment.  Raises
+    ValueError for an impossible conditioning or cells that do not
+    partition their conditioning, naming the first offending assignment.
+    """
+    for _, conditioning in family:
+        if brute_is_impossible(conditioning, names):
+            raise ValueError("conditioning event is impossible")
+    groups = {}
+    for bits in itertools.product((False, True), repeat=len(names)):
+        assignment = dict(zip(names, bits))
+        labels = []
+        for cells, conditioning in family:
+            if not conditioning(assignment):
+                labels.append(None)
+                continue
+            hits = [j for j, cell in enumerate(cells) if cell(assignment)]
+            if len(hits) != 1:
+                raise ValueError(
+                    "cells must partition the conditioning event "
+                    f"(assignment {assignment} matched {len(hits)} cells)"
+                )
+            labels.append(hits[0])
+        groups.setdefault(tuple(labels), []).append(bits)
+    outside = groups.pop((None,) * len(family), None)
+    inside = sorted(groups.items(), key=lambda item: item[1][0])
+    return (
+        None if outside is None else tuple(outside),
+        [(labels, tuple(bits)) for labels, bits in inside],
+    )
+
+
+def brute_value(quantity, assignment):
+    """Amount a ``(conditioning, [(cell, value)], prevision)`` quantity of
+    predicates pays at an assignment."""
+    conditioning, cells, prevision = quantity
+    if not conditioning(assignment):
+        return prevision
+    return next(value for cell, value in cells if cell(assignment))
+
+
+def brute_values_agree(first, second, names):
+    """Whether two such quantities pay alike wherever either conditioning holds."""
+    return all(
+        brute_value(first, a) == brute_value(second, a)
+        for a in truth_assignments(names)
+        if first[0](a) or second[0](a)
+    )

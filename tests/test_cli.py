@@ -116,6 +116,25 @@ class TestCheckCommand:
         path = write_doc(tmp_path, payload)
         assert main(["check", path]) == 0
 
+    @pytest.mark.parametrize(
+        "cells, matched",
+        [
+            ({"V": "1", "V | H": "2"}, "{'V': True, 'H': True} matched 2 cells"),
+            ({"V": "2"}, "{'V': False, 'H': True} matched 0 cells"),
+        ],
+        ids=["overlapping", "not-covering"],
+    )
+    def test_value_map_cells_must_partition_given(self, tmp_path, capsys, cells, matched):
+        payload = {
+            "atoms": ["V", "H"],
+            "members": [{"quantity": cells, "given": "H", "prevision": "1/2"}],
+        }
+        path = write_doc(tmp_path, payload)
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert "member 0: cells must partition the conditioning event" in err
+        assert matched in err
+
     def test_atom_cap_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(ATOM_CAP_ENV, "2")
         path = write_doc(tmp_path, coherent_pair_payload())

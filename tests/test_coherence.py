@@ -254,6 +254,29 @@ class TestRandomGain:
         with pytest.raises(ValueError):
             random_gain(assessment, [1, 2])
 
+    def test_dutch_book_reuses_the_level_system(self, monkeypatch):
+        # Level 1 puts all mass outside H; level 2 prices A|H twice,
+        # differently, and fails.  Each level builds its system once.
+        from previsions import coherence
+
+        u, a, h, b, k = four_atoms()
+        members = [conditional_event(h, u.true())] + [conditional_event(a, h)] * 2
+        assessment = Assessment(members, [F(0), F(1, 2), F(1, 3)])
+        calls = []
+
+        def counting(sub):
+            calls.append(len(sub))
+            return build_system(sub)
+
+        monkeypatch.setattr(coherence, "build_system", counting)
+        report = check_coherence(assessment)
+        assert not report.coherent
+        assert len(report.levels) == 2
+        assert calls == [3, 2]
+        assert report.dutch_book.gains == random_gain(
+            assessment.sub(report.dutch_book.members), report.dutch_book.coefficients
+        )
+
     def test_grid_of_stakes_never_uniform_sign_when_coherent(self):
         u, a, h, b, k = four_atoms()
         members = [conditional_event(a, h), conditional_event(b, k)]

@@ -1,8 +1,11 @@
 import itertools
+import tracemalloc
+from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from previsions.crq import ConditionalRandomQuantity, conditional_event, values_agree_on_union
 from previsions.events import (
     MAX_EVENT_DEPTH,
     AtomLimitError,
@@ -13,6 +16,17 @@ from previsions.events import (
     implies,
     is_impossible,
     logically_independent,
+)
+
+from oracles import (
+    brute_constituents,
+    brute_equivalent,
+    brute_implies,
+    brute_is_impossible,
+    brute_is_sure,
+    brute_logically_independent,
+    brute_values_agree,
+    truth_assignments,
 )
 
 
@@ -157,6 +171,40 @@ class TestQueries:
     def test_independence_needs_events(self):
         with pytest.raises(ValueError):
             logically_independent([])
+
+    def test_deep_chain_built_through_the_api(self):
+        # The parser refuses this depth; the API builds it, and every
+        # query walks it without recursion.
+        u, (a,) = fresh("A")
+        e = a
+        for _ in range(3000):
+            e = e & a
+        assert e.evaluate({"A": True}) and not e.evaluate({"A": False})
+        assert not e.is_impossible() and not e.is_sure()
+        assert e.implies(a) and a.implies(e)
+        part = constituents([([e, ~e], u.true())])
+        assert [(c.labels, c.assignments) for c in part.inside] == [
+            ((1,), ((False,),)),
+            ((0,), ((True,),)),
+        ]
+        assert conditional_event(e, a, F(1, 2)).restricted_values == (1,)
+
+    @pytest.mark.parametrize("grow_left", [True, False], ids=["left", "right"])
+    def test_long_chain_holds_few_tables(self, grow_left):
+        # Each table over 16 atoms takes 8 KiB; keeping every table of
+        # this 9000-node chain alive would take over 70 MiB.
+        u, atoms = fresh(*(f"X{i}" for i in range(16)))
+        e = atoms[0]
+        for i in range(3000):
+            step = atoms[i % 16] & ~atoms[(i + 1) % 16]
+            e = (e | step) if grow_left else (step | e)
+        tracemalloc.start()
+        try:
+            assert not e.is_impossible()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 # Random formula trees over at most three atoms, for semantic properties.
@@ -325,3 +373,134 @@ class TestConstituents:
             (True, False),
             (True, True),
         ]
+
+
+# Differential tests of the truth tables against per-assignment enumeration.
+
+
+@st.composite
+def formula_pools(draw):
+    """A pool of ``(event, predicate)`` pairs over one to six atoms.
+
+    The pool starts with the atoms, in a drawn registration order, and
+    both constants; each further entry combines earlier ones, so later
+    formulas share subformulas.  Each predicate computes its event's truth
+    value directly from an assignment, independently of the library.
+    """
+    names = draw(st.permutations([f"X{i}" for i in range(draw(st.integers(1, 6)))]))
+    u = Universe()
+    pool = [(u.atom(n), lambda a, n=n: a[n]) for n in names]
+    pool += [(u.true(), lambda a: True), (u.false(), lambda a: False)]
+    for _ in range(draw(st.integers(0, 14))):
+        op = draw(st.sampled_from(("not", "and", "or")))
+        e, p = draw(st.sampled_from(pool))
+        f, q = draw(st.sampled_from(pool))
+        if op == "not":
+            pool.append((~e, lambda a, p=p: not p(a)))
+        elif op == "and":
+            pool.append((e & f, lambda a, p=p, q=q: p(a) and q(a)))
+        else:
+            pool.append((e | f, lambda a, p=p, q=q: p(a) or q(a)))
+    return pool
+
+
+@st.composite
+def members(draw, pool):
+    """``(cells, conditioning)`` as events and as predicates: a conditional
+    event, a complementary pair, or cells drawn at random (which rarely
+    partition the conditioning)."""
+    h, ph = draw(st.sampled_from(pool))
+    kind = draw(st.sampled_from(("conditional", "pair", "any")))
+    e, p = draw(st.sampled_from(pool))
+    if kind == "conditional":
+        cells = [(e & h, lambda a: p(a) and ph(a)), (~e & h, lambda a: not p(a) and ph(a))]
+    elif kind == "pair":
+        cells = [(e, p), (~e, lambda a: not p(a))]
+    else:
+        cells = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    return ([c for c, _ in cells], h), ([q for _, q in cells], ph)
+
+
+def names_of(*events):
+    used = set().union(*(e.atoms for e in events))
+    return tuple(n for n in events[0].universe.atoms if n in used)
+
+
+DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestTruthTablesAgainstEnumeration:
+    @DIFFERENTIAL
+    @given(st.data())
+    def test_queries(self, data):
+        pool = data.draw(formula_pools())
+        (a, p), (b, q) = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        names = names_of(a, b)
+        for assignment in truth_assignments(names):
+            assert a.evaluate(assignment) == p(assignment)
+        assert a.is_impossible() == brute_is_impossible(p, names)
+        assert a.is_sure() == brute_is_sure(p, names)
+        assert a.implies(b) == brute_implies(p, q, names)
+        assert a.equivalent(b) == brute_equivalent(p, q, names)
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        events = [e for e, _ in picks]
+        assert logically_independent(events) == brute_logically_independent(
+            [p for _, p in picks], names_of(*events)
+        )
+
+    @DIFFERENTIAL
+    @given(st.data())
+    def test_constituents(self, data):
+        pool = data.draw(formula_pools())
+        drawn = data.draw(st.lists(members(pool), min_size=1, max_size=3))
+        family = [events for events, _ in drawn]
+        names = names_of(*(e for cells, h in family for e in (h, *cells)))
+        try:
+            outside, inside = brute_constituents([preds for _, preds in drawn], names)
+        except ValueError as expected:
+            with pytest.raises(ValueError) as raised:
+                constituents(family)
+            if len(family) == 1:
+                assert str(raised.value) == str(expected)
+            return
+        part = constituents(family)
+        assert part.atoms == names
+        if outside is None:
+            assert part.outside is None
+        else:
+            assert part.outside.labels == (None,) * len(family)
+            assert part.outside.assignments == outside
+        assert [(c.labels, c.assignments) for c in part.inside] == inside
+
+    @DIFFERENTIAL
+    @given(st.data())
+    def test_quantity_cells(self, data):
+        pool = data.draw(formula_pools())
+        (cells, h), (predicates, ph) = data.draw(members(pool))
+        names = names_of(h, *cells)
+        valued = [(cell, F(j)) for j, cell in enumerate(cells)]
+        try:
+            _, inside = brute_constituents([(predicates, ph)], names)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ConditionalRandomQuantity(h, valued)
+            return
+        kept = sorted(labels[0] for labels, _ in inside)
+        assert ConditionalRandomQuantity(h, valued).restricted_values == tuple(kept)
+
+    @DIFFERENTIAL
+    @given(st.data())
+    def test_values_agree_on_union(self, data):
+        pool = data.draw(formula_pools())
+        events, quantities, references = [], [], []
+        for _ in range(2):
+            (e, p), (h, ph) = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+            if brute_is_impossible(ph, names_of(h)):
+                return
+            prevision = data.draw(st.sampled_from((F(0), F(1, 2), F(1))))
+            events += [e, h]
+            quantities.append(conditional_event(e, h, prevision))
+            cells = [(lambda a, p=p: p(a), F(1)), (lambda a, p=p: not p(a), F(0))]
+            references.append((ph, cells, prevision))
+        expected = brute_values_agree(*references, names_of(*events))
+        assert values_agree_on_union(*quantities) == expected
