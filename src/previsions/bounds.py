@@ -5,7 +5,8 @@ is fully determined by the base previsions, the coherent previsions for
 the target form a closed interval.  It is computed exactly: the target
 coordinate is minimized and maximized over the solution polytope of the
 extended feasibility system, and both endpoints are re-verified with
-the full recursive coherence check before being returned.
+the full recursive coherence check before being returned.  The base
+itself is checked in full only when an endpoint fails its re-check.
 
 The classic two-event bounds (conjunction, disjunction, quasi
 conjunction) are also available in closed form; for logically
@@ -56,12 +57,14 @@ def extension_interval(
     event; its values then appear as plain coordinates of the extended
     system and the prevision bounds are a linear minimum and maximum over
     the base solution polytope.  Both endpoints are verified coherent.
+
+    An incoherent base raises :class:`IncoherentAssessmentError`.  It is
+    not checked upfront: an infeasible base system shows it, and
+    otherwise the endpoint re-checks fail, since every subfamily of a
+    coherent family is coherent; only then is the base checked alone.
     """
     if isinstance(target, CompoundConditional):
         target = target.realized
-    if not check_coherence(base).coherent:
-        raise IncoherentAssessmentError("base assessment is incoherent")
-
     members = base.members + (target,)
     extended = Assessment(members, base.previsions + (_ZERO,))
     system = build_system(extended)
@@ -78,13 +81,15 @@ def extension_interval(
     base_rows = rows[:n] + [rows[-1]]
     base_rhs = rhs[:n] + [rhs[-1]]
     low = lp.solve(base_rows, base_rhs, objective, maximize=False)
+    if not low.feasible:
+        raise IncoherentAssessmentError("base assessment is incoherent")
     high = lp.solve(base_rows, base_rhs, objective, maximize=True)
-    if not (low.feasible and high.feasible):  # pragma: no cover - base is coherent
-        raise AssertionError("extended system must be feasible")
 
     for endpoint in (low.objective, high.objective):
         verdict = check_coherence(Assessment(members, base.previsions + (endpoint,)))
         if not verdict.coherent:
+            if not check_coherence(base).coherent:
+                raise IncoherentAssessmentError("base assessment is incoherent")
             raise ExtensionVerificationError(
                 f"endpoint {endpoint} failed the coherence re-check"
             )

@@ -16,6 +16,7 @@ program, reported as one line on standard error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -64,10 +65,6 @@ def parse_rational(text: Any) -> Fraction:
         raise DocumentError(f"malformed rational {text!r}") from None
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True)
 class MemberSpec:
     """One family member as written in a document."""
@@ -114,7 +111,7 @@ class AssessmentDocument:
                 raise DocumentError(f"member {i} is missing {missing}") from None
             if isinstance(quantity, Mapping):
                 quantity = {
-                    str(cell): format_rational(parse_rational(value))
+                    str(cell): str(parse_rational(value))
                     for cell, value in quantity.items()
                 }
                 if not quantity:
@@ -213,134 +210,45 @@ def build_compound(
     return compound
 
 
-@dataclass(frozen=True)
-class TraceLevelDocument:
-    members: tuple[int, ...]
-    solvable: bool
-    zero_mass: tuple[int, ...]
-    witness: tuple[Fraction, ...] | None
-    masses: tuple[Fraction, ...] | None
+def report_payload(
+    report: CoherenceReport,
+    interval: bounds.ExtensionInterval | None = None,
+    diagnostics: Sequence[str] = (),
+) -> dict[str, Any]:
+    """The JSON object of a coherence report and an optional interval."""
 
+    def rationals(values):
+        return None if values is None else [str(v) for v in values]
 
-@dataclass(frozen=True)
-class IntervalDocument:
-    lower: Fraction
-    upper: Fraction
-    endpoints_verified: bool
-
-
-@dataclass(frozen=True)
-class DutchBookDocument:
-    members: tuple[int, ...]
-    coefficients: tuple[Fraction, ...]
-    gains: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class ReportDocument:
-    """Serializable mirror of a coherence report plus optional interval."""
-
-    verdict: str
-    trace: tuple[TraceLevelDocument, ...] = ()
-    dutch_book: DutchBookDocument | None = None
-    interval: IntervalDocument | None = None
-    diagnostics: tuple[str, ...] = ()
-
-    @classmethod
-    def from_report(
-        cls,
-        report: CoherenceReport,
-        interval: IntervalDocument | None = None,
-        diagnostics: Sequence[str] = (),
-    ) -> "ReportDocument":
-        trace = tuple(
-            TraceLevelDocument(
-                level.members, level.solvable, level.zero_mass, level.witness, level.masses
-            )
+    book = report.dutch_book
+    return {
+        "verdict": "coherent" if report.coherent else "incoherent",
+        "trace": [
+            {
+                "members": list(level.members),
+                "solvable": level.solvable,
+                "zero_mass": list(level.zero_mass),
+                "witness": rationals(level.witness),
+                "masses": rationals(level.masses),
+            }
             for level in report.levels
-        )
-        book = None
-        if report.dutch_book is not None:
-            book = DutchBookDocument(
-                report.dutch_book.members,
-                report.dutch_book.coefficients,
-                report.dutch_book.gains,
-            )
-        verdict = "coherent" if report.coherent else "incoherent"
-        return cls(verdict, trace, book, interval, tuple(diagnostics))
-
-    def to_payload(self) -> dict[str, Any]:
-        def rationals(values):
-            return None if values is None else [format_rational(v) for v in values]
-
-        payload: dict[str, Any] = {
-            "verdict": self.verdict,
-            "trace": [
-                {
-                    "members": list(level.members),
-                    "solvable": level.solvable,
-                    "zero_mass": list(level.zero_mass),
-                    "witness": rationals(level.witness),
-                    "masses": rationals(level.masses),
-                }
-                for level in self.trace
-            ],
-            "dutch_book": None,
-            "interval": None,
-            "diagnostics": list(self.diagnostics),
-        }
-        if self.dutch_book is not None:
-            payload["dutch_book"] = {
-                "members": list(self.dutch_book.members),
-                "coefficients": rationals(self.dutch_book.coefficients),
-                "gains": rationals(self.dutch_book.gains),
-            }
-        if self.interval is not None:
-            payload["interval"] = {
-                "lower": format_rational(self.interval.lower),
-                "upper": format_rational(self.interval.upper),
-                "endpoints_verified": self.interval.endpoints_verified,
-            }
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "ReportDocument":
-        def rationals(values):
-            return None if values is None else tuple(parse_rational(v) for v in values)
-
-        trace = tuple(
-            TraceLevelDocument(
-                tuple(level["members"]),
-                bool(level["solvable"]),
-                tuple(level["zero_mass"]),
-                rationals(level["witness"]),
-                rationals(level["masses"]),
-            )
-            for level in payload.get("trace", [])
-        )
-        book = None
-        raw_book = payload.get("dutch_book")
-        if raw_book is not None:
-            book = DutchBookDocument(
-                tuple(raw_book["members"]),
-                rationals(raw_book["coefficients"]),
-                rationals(raw_book["gains"]),
-            )
-        interval = None
-        raw_interval = payload.get("interval")
-        if raw_interval is not None:
-            interval = IntervalDocument(
-                parse_rational(raw_interval["lower"]),
-                parse_rational(raw_interval["upper"]),
-                bool(raw_interval["endpoints_verified"]),
-            )
-        return cls(
-            payload["verdict"],
-            trace,
-            book,
-            interval,
-            tuple(payload.get("diagnostics", [])),
-        )
+        ],
+        "dutch_book": None
+        if book is None
+        else {
+            "members": list(book.members),
+            "coefficients": rationals(book.coefficients),
+            "gains": rationals(book.gains),
+        },
+        "interval": None
+        if interval is None
+        else {
+            "lower": str(interval.lower),
+            "upper": str(interval.upper),
+            "endpoints_verified": interval.attained,
+        },
+        "diagnostics": list(diagnostics),
+    }
 
 
 def _emit(payload: Mapping[str, Any]) -> None:
@@ -361,7 +269,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 raise DocumentError("compounds need previsions for checking")
             family.append(build_compound(members, spec))
         report = check_coherence(Assessment(family))
-    _emit(ReportDocument.from_report(report).to_payload())
+    _emit(report_payload(report))
     return 0 if report.coherent else 1
 
 
@@ -371,21 +279,11 @@ def cmd_extend(args: argparse.Namespace) -> int:
     base = Assessment(members)
     report = check_coherence(base)
     if not report.coherent:
-        _emit(
-            ReportDocument.from_report(
-                report, diagnostics=("base assessment is incoherent",)
-            ).to_payload()
-        )
+        _emit(report_payload(report, diagnostics=("base assessment is incoherent",)))
         return 1
     spec = _parse_target(args.target, len(members))
     target = build_compound(members, spec)
-    interval = bounds.extension_interval(base, target)
-    _emit(
-        ReportDocument.from_report(
-            report,
-            interval=IntervalDocument(interval.lower, interval.upper, interval.attained),
-        ).to_payload()
-    )
+    _emit(report_payload(report, bounds.extension_interval(base, target)))
     return 0
 
 
@@ -405,7 +303,7 @@ def cmd_conjoin(args: argparse.Namespace) -> int:
         "operands": [args.i, args.j],
         "given": compound.realized.conditioning.to_text(),
         "cases": [
-            {"on": event.to_text(), "value": format_rational(value)}
+            {"on": event.to_text(), "value": str(value)}
             for event, value in compound.realized.cells
         ],
     }
@@ -465,7 +363,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "std_error": estimate.std_error,
             "indeterminate_fraction": estimate.indeterminate_fraction,
             "trials": estimate.trials,
-            "exact": format_rational(pac / pa),
+            "exact": str(pac / pa),
             "seed": args.seed,
         }
     )
@@ -491,7 +389,9 @@ def _parse_target(text: str, member_count: int) -> CompoundSpec:
     return CompoundSpec(kind, (i, j), None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and then shared."""
     parser = argparse.ArgumentParser(
         prog="previsions",
         description="Coherence checking and extension bounds for conditional "
@@ -538,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DocumentError, ValueError) as exc:

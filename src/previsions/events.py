@@ -7,9 +7,9 @@ which binds tighter than ``|``.  Semantic queries (implication,
 impossibility, equivalence, constituent enumeration) compare truth
 tables: over ``n`` ordered atoms an event is the ``2**n``-bit integer
 whose bit ``i`` is its value at assignment ``i`` of :func:`assignments`,
-first atom most significant.  Tables are built without recursion, so
-formula depth is not limited by the interpreter's stack; the universe's
-atom cap bounds their width.
+first atom most significant.  Tables and text are built without
+recursion, so formula depth is not limited by the interpreter's stack;
+the universe's atom cap bounds the tables' width.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 DEFAULT_ATOM_LIMIT = 20
 
 # Deepest formula the parser accepts, counting every operator and every
-# pair of parentheses on the way down.  Parsing and rendering recurse
-# once per level, so deeper input is refused as a syntax error instead of
-# exhausting the interpreter's stack.
+# pair of parentheses on the way down.  Parsing recurses once per level,
+# so deeper input is refused as a syntax error instead of exhausting the
+# interpreter's stack.
 MAX_EVENT_DEPTH = 200
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -170,24 +170,34 @@ class Event:
 
     def to_text(self) -> str:
         """Render as an expression the parser accepts."""
-        return self._render(1)
-
-    def _render(self, context: int) -> str:
         # Precedence levels: or=1, and=2, not=3, atoms and constants=4.
-        op = self._op
-        if op == "atom":
-            return self._args
-        if op == "const":
-            return "1" if self._args else "0"
-        if op == "not":
-            return "~" + self._args[0]._render(3)
-        left, right = self._args
-        level = 2 if op == "and" else 1
-        glue = " & " if op == "and" else " | "
-        text = left._render(level) + glue + right._render(level)
-        if level < context:
-            return "(" + text + ")"
-        return text
+        # Pending pieces, text or (event, context) pairs, sit on an
+        # explicit stack, so formula depth is not limited by recursion.
+        out = []
+        pending: list = [(self, 1)]
+        while pending:
+            piece = pending.pop()
+            if isinstance(piece, str):
+                out.append(piece)
+                continue
+            event, context = piece
+            op = event._op
+            if op == "atom":
+                out.append(event._args)
+            elif op == "const":
+                out.append("1" if event._args else "0")
+            elif op == "not":
+                out.append("~")
+                pending.append((event._args[0], 3))
+            else:
+                left, right = event._args
+                level = 2 if op == "and" else 1
+                glue = " & " if op == "and" else " | "
+                pieces = [(left, level), glue, (right, level)]
+                if level < context:
+                    pieces = ["(", *pieces, ")"]
+                pending.extend(reversed(pieces))
+        return "".join(out)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Event({self.to_text()!r})"

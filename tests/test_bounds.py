@@ -90,6 +90,41 @@ class TestExtensionInterval:
         with pytest.raises(IncoherentAssessmentError):
             extension_interval(Assessment(members), quasi_conjunction(first, second))
 
+    def test_base_incoherent_only_at_a_deeper_level_rejected(self):
+        # Level 1 puts all mass outside H and is solvable; level 2 prices
+        # A|H twice, differently, and fails.  The base rows of the
+        # extended system are feasible, so the endpoint re-checks catch it.
+        u = Universe()
+        a, h = u.atom("A"), u.atom("H")
+        members = [
+            conditional_event(h, u.true(), F(0)),
+            conditional_event(a, h, F(1, 2)),
+            conditional_event(a, h, F(1, 3)),
+        ]
+        base = Assessment(members)
+        report = check_coherence(base)
+        assert report.levels[0].solvable and not report.coherent
+        with pytest.raises(IncoherentAssessmentError):
+            extension_interval(base, conjunction(members[0], members[1]))
+
+    def test_coherent_base_costs_two_checks(self, monkeypatch):
+        # Only the two endpoint re-checks run; the base is not checked.
+        from previsions import bounds
+
+        calls = []
+
+        def counting(assessment):
+            calls.append(len(assessment))
+            return check_coherence(assessment)
+
+        monkeypatch.setattr(bounds, "check_coherence", counting)
+        first, second = pair(F(7, 10), F(3, 5))
+        interval = extension_interval(
+            Assessment([first, second]), conjunction(first, second)
+        )
+        assert (interval.lower, interval.upper) == (F(3, 10), F(3, 5))
+        assert calls == [3, 3]
+
     def test_uncovered_target_conditioning_rejected(self):
         # The target must be conditioned on something covering the base
         # conditionings, otherwise its unknown prevision enters the system.

@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import brute_coherent
 from previsions import lp
+from previsions.coherence import Assessment
+from previsions.crq import conditional_event
+from previsions.events import Universe
 from previsions.cli import (
     ATOM_CAP_ENV,
     AssessmentDocument,
     DocumentError,
-    IntervalDocument,
-    ReportDocument,
-    TraceLevelDocument,
     main,
     parse_rational,
 )
@@ -290,30 +296,6 @@ class TestSimulateCommand:
 
 
 class TestReportRoundTrip:
-    def test_lossless(self):
-        doc = ReportDocument(
-            verdict="coherent",
-            trace=(
-                TraceLevelDocument(
-                    members=(0, 1),
-                    solvable=True,
-                    zero_mass=(1,),
-                    witness=(F(1, 3), F(2, 3)),
-                    masses=(F(1), F(0)),
-                ),
-                TraceLevelDocument(
-                    members=(1,),
-                    solvable=True,
-                    zero_mass=(),
-                    witness=(F(1),),
-                    masses=(F(1),),
-                ),
-            ),
-            interval=IntervalDocument(F(3, 10), F(3, 5), True),
-        )
-        payload = json.loads(json.dumps(doc.to_payload()))
-        assert ReportDocument.from_payload(payload) == doc
-
     def test_document_parsing_round_trip(self, tmp_path):
         payload = incoherent_compound_payload()
         path = write_doc(tmp_path, payload)
@@ -335,3 +317,52 @@ class TestReportRoundTrip:
         ):
             with pytest.raises(DocumentError):
                 AssessmentDocument.from_payload(broken)
+
+
+@st.composite
+def check_documents(draw):
+    """``check`` documents over 2-4 atoms, heavy in zero-mass members:
+    mostly 0/1 previsions on conditionings that often nest."""
+    atoms = ["A", "B", "C", "D"][: draw(st.integers(2, 4))]
+
+    def literals(count):
+        names = draw(st.lists(st.sampled_from(atoms), min_size=count, max_size=count, unique=True))
+        return [name if draw(st.booleans()) else "~" + name for name in names]
+
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        glue = draw(st.sampled_from([" & ", " | ", ""]))
+        quantity = glue.join(literals(2)) if glue else literals(1)[0]
+        glue = draw(st.sampled_from([" & ", " | "]))
+        given = glue.join(literals(draw(st.integers(0, min(3, len(atoms)))))) or "1"
+        prevision = draw(st.sampled_from(["0", "1", "0", "1", "1/2", "1/3", "2/3"]))
+        members.append({"quantity": quantity, "given": given, "prevision": prevision})
+    return {"atoms": atoms, "members": members}
+
+
+class TestCheckAgainstOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(document=check_documents())
+    def test_verdict_and_trace(self, document):
+        universe = Universe()
+        members = [
+            conditional_event(
+                universe.parse(m["quantity"]), universe.parse(m["given"]), F(m["prevision"])
+            )
+            for m in document["members"]
+        ]
+        expected = brute_coherent(Assessment(members))
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+            path = Path(tmp) / "assessment.json"
+            path.write_text(json.dumps(document))
+            code = main(["check", str(path)])
+        assert code == (0 if expected else 1)
+        payload = json.loads(out.getvalue())
+        assert payload["verdict"] == ("coherent" if expected else "incoherent")
+        trace = payload["trace"]
+        assert trace[0]["members"] == list(range(len(members)))
+        for level, following in zip(trace, trace[1:] + [None]):
+            assert set(level["zero_mass"]) <= set(level["members"])
+            if following is not None:
+                assert following["members"] == level["zero_mass"]

@@ -190,6 +190,22 @@ class TestQueries:
         assert conditional_event(e, a, F(1, 2)).restricted_values == (1,)
 
     @pytest.mark.parametrize("grow_left", [True, False], ids=["left", "right"])
+    def test_deep_chain_renders(self, grow_left):
+        # Rendering walks API-built chains without recursion too.
+        u, (a, b) = fresh("A", "B")
+        flat = nested = a
+        for _ in range(3000):
+            flat = (flat & b) if grow_left else (b & flat)
+            nested = ~(nested | b) if grow_left else ~(b | nested)
+        if grow_left:
+            assert flat.to_text() == "A" + " & B" * 3000
+            assert nested.to_text() == "~(" * 3000 + "A" + " | B)" * 3000
+        else:
+            assert flat.to_text() == "B & " * 3000 + "A"
+            assert nested.to_text() == "~(B | " * 3000 + "A" + ")" * 3000
+        assert repr(nested) == f"Event({nested.to_text()!r})"
+
+    @pytest.mark.parametrize("grow_left", [True, False], ids=["left", "right"])
     def test_long_chain_holds_few_tables(self, grow_left):
         # Each table over 16 atoms takes 8 KiB; keeping every table of
         # this 9000-node chain alive would take over 70 MiB.
