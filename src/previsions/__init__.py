@@ -1,10 +1,10 @@
 """Coherence tools for conditional prevision assessments.
 
 Exact-rational checking of finite conditional probability and prevision
-assessments, compound conditionals (conjunction, negation, disjunction,
-quasi conjunction, iterated conditioning) realized as conditional
-random quantities, coherent-extension intervals for them, and seeded
-Monte Carlo cross-checks.
+assessments, compounds of conditional events (conjunction, negation,
+disjunction, quasi conjunction, iterated conditioning), which are
+conditional random quantities themselves, coherent-extension intervals
+for them, and seeded Monte Carlo cross-checks.
 """
 
 from .bounds import (
@@ -30,7 +30,6 @@ from .coherence import (
     upper_conditioning_masses,
 )
 from .crq import (
-    CompoundConditional,
     ConditionalRandomQuantity,
     ImpossibleConditioningError,
     add,
@@ -39,7 +38,7 @@ from .crq import (
     disjunction,
     gn_inclusion,
     iterated,
-    negate_conjunction,
+    negation,
     quasi_conjunction,
     scale,
     values_agree_on_union,
@@ -73,7 +72,6 @@ __all__ = [
     "CertificateVerificationError",
     "CoherenceLevel",
     "CoherenceReport",
-    "CompoundConditional",
     "ConditionalRandomQuantity",
     "Constituent",
     "ConstituentPartition",
@@ -105,7 +103,7 @@ __all__ = [
     "is_impossible",
     "iterated",
     "logically_independent",
-    "negate_conjunction",
+    "negation",
     "quasi_conjunction",
     "quasi_conjunction_bounds",
     "random_gain",

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import lp
 from .coherence import Assessment, IncoherentAssessmentError, build_system, check_coherence
-from .crq import CompoundConditional, ConditionalRandomQuantity, Rational
+from .crq import ConditionalRandomQuantity, Rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -49,7 +49,7 @@ class ExtensionInterval:
 
 def extension_interval(
     base: Assessment,
-    target: ConditionalRandomQuantity | CompoundConditional,
+    target: ConditionalRandomQuantity,
 ) -> ExtensionInterval:
     """Exact interval of previsions coherently extendable to ``target``.
 
@@ -63,8 +63,6 @@ def extension_interval(
     otherwise the endpoint re-checks fail, since every subfamily of a
     coherent family is coherent; only then is the base checked alone.
     """
-    if isinstance(target, CompoundConditional):
-        target = target.realized
     members = base.members + (target,)
     extended = Assessment(members, base.previsions + (_ZERO,))
     system = build_system(extended)

@@ -31,7 +31,7 @@ from .coherence import (
     IncoherentAssessmentError,
     check_coherence,
 )
-from .crq import CompoundConditional, ConditionalRandomQuantity
+from .crq import ConditionalRandomQuantity
 from .events import (
     DEFAULT_ATOM_LIMIT,
     AtomLimitError,
@@ -45,9 +45,7 @@ ATOM_CAP_ENV = "PREVISIONS_ATOM_CAP"
 _COMPOUND_BUILDERS = {
     "conjunction": crq.conjunction,
     "disjunction": crq.disjunction,
-    "quasi-conjunction": lambda a, b: CompoundConditional(
-        crq.QUASI_CONJUNCTION, (a, b), crq.quasi_conjunction(a, b)
-    ),
+    "quasi-conjunction": crq.quasi_conjunction,
 }
 
 
@@ -69,7 +67,7 @@ def parse_rational(text: Any) -> Fraction:
 class MemberSpec:
     """One family member as written in a document."""
 
-    quantity: str | dict[str, str]
+    quantity: str | dict[str, Fraction]
     given: str
     prevision: Fraction
 
@@ -111,8 +109,7 @@ class AssessmentDocument:
                 raise DocumentError(f"member {i} is missing {missing}") from None
             if isinstance(quantity, Mapping):
                 quantity = {
-                    str(cell): str(parse_rational(value))
-                    for cell, value in quantity.items()
+                    str(cell): parse_rational(value) for cell, value in quantity.items()
                 }
                 if not quantity:
                     raise DocumentError(f"member {i} has an empty value map")
@@ -188,7 +185,7 @@ def realize(document: AssessmentDocument) -> tuple[Universe, list[ConditionalRan
                     )
                 else:
                     cells = [
-                        (universe.parse(cell), parse_rational(value))
+                        (universe.parse(cell), value)
                         for cell, value in spec.quantity.items()
                     ]
                     member = ConditionalRandomQuantity(given, cells, spec.prevision)
@@ -202,7 +199,7 @@ def realize(document: AssessmentDocument) -> tuple[Universe, list[ConditionalRan
 
 def build_compound(
     members: Sequence[ConditionalRandomQuantity], spec: CompoundSpec
-) -> CompoundConditional:
+) -> ConditionalRandomQuantity:
     i, j = spec.operands
     compound = _COMPOUND_BUILDERS[spec.kind](members[i], members[j])
     if spec.prevision is not None:
@@ -258,15 +255,14 @@ def _emit(payload: Mapping[str, Any]) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     document = AssessmentDocument.load(args.file)
     _, members = realize(document)
-    base = Assessment(members)
-    report = check_coherence(base)
+    if any(spec.prevision is None for spec in document.compounds):
+        raise DocumentError("compounds need previsions for checking")
+    report = check_coherence(Assessment(members))
     if report.coherent and document.compounds:
         # Any member pair of a coherent assessment is coherent, so the
         # compound constructors cannot be refused previsions here.
         family = list(members)
         for spec in document.compounds:
-            if spec.prevision is None:
-                raise DocumentError("compounds need previsions for checking")
             family.append(build_compound(members, spec))
         report = check_coherence(Assessment(family))
     _emit(report_payload(report))
@@ -276,12 +272,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_extend(args: argparse.Namespace) -> int:
     document = AssessmentDocument.load(args.file)
     _, members = realize(document)
+    spec = _parse_target(args.target, len(members))
     base = Assessment(members)
     report = check_coherence(base)
     if not report.coherent:
         _emit(report_payload(report, diagnostics=("base assessment is incoherent",)))
         return 1
-    spec = _parse_target(args.target, len(members))
     target = build_compound(members, spec)
     _emit(report_payload(report, bounds.extension_interval(base, target)))
     return 0
@@ -299,12 +295,11 @@ def cmd_conjoin(args: argparse.Namespace) -> int:
         _emit({"verdict": "incoherent", "detail": "operand previsions are incoherent"})
         return 1
     payload = {
-        "kind": compound.kind,
+        "kind": "conjunction",
         "operands": [args.i, args.j],
-        "given": compound.realized.conditioning.to_text(),
+        "given": compound.conditioning.to_text(),
         "cases": [
-            {"on": event.to_text(), "value": str(value)}
-            for event, value in compound.realized.cells
+            {"on": event.to_text(), "value": str(value)} for event, value in compound.cells
         ],
     }
     _emit(payload)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import lp
-from .crq import CompoundConditional, ConditionalRandomQuantity, Rational
+from .crq import ConditionalRandomQuantity, Rational
 from .events import ConstituentPartition, constituents
 
 
@@ -53,21 +53,18 @@ class CertificateVerificationError(RuntimeError):
 class Assessment:
     """An ordered family of conditional random quantities with previsions.
 
-    Members may be given as quantities or as compound conditionals (their
-    realized quantity is used).  Previsions can be passed explicitly or
-    taken from the members' prevision slots.
+    Previsions can be passed explicitly or taken from the members'
+    prevision slots.
     """
 
     __slots__ = ("_members", "_previsions")
 
     def __init__(
         self,
-        members: Iterable[ConditionalRandomQuantity | CompoundConditional],
+        members: Iterable[ConditionalRandomQuantity],
         previsions: Sequence[Rational] | None = None,
     ):
-        resolved = tuple(
-            m.realized if isinstance(m, CompoundConditional) else m for m in members
-        )
+        resolved = tuple(members)
         if not resolved:
             raise ValueError("family must be nonempty")
         if previsions is None:

@@ -9,16 +9,17 @@ object behaves like the unconditional amount ``quantity*H + mu*(1-H)``.
 Conditional events are the {0,1}-valued special case, with the assessed
 probability playing the role of the third value.
 
-The compound constructions (conjunction, its negation, disjunction,
-quasi conjunction, iterated conditioning) are built as exact value maps
-over the joint constituents.  Apart from the quasi conjunction they are
+The compounds of two conditional events are conditional random
+quantities too, built as exact value maps over the joint constituents:
+the conjunction has its own case table, :func:`negation` is one minus a
+quantity, and the disjunction is the negated conjunction of the negated
+operands (De Morgan).  Apart from the quasi conjunction they are
 generally *random quantities* rather than events: their values include
 the operand previsions themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -28,11 +29,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Rational = Fraction | int | str
-
-CONJUNCTION = "conjunction"
-NEGATED_CONJUNCTION = "negation-of-conjunction"
-DISJUNCTION = "disjunction"
-QUASI_CONJUNCTION = "quasi-conjunction"
 
 
 class ImpossibleConditioningError(ValueError):
@@ -116,38 +112,6 @@ class ConditionalRandomQuantity:
             f"ConditionalRandomQuantity({{{parts}}} | {self._conditioning.to_text()},"
             f" prevision={self._prevision})"
         )
-
-
-@dataclass(frozen=True)
-class CompoundConditional:
-    """A compound of two conditional events, realized as a value map.
-
-    ``operands`` keeps the two conditional events with their assessed
-    previsions (needed to fill the voided branches of the realized map);
-    ``realized`` is the resulting quantity, conditioned on the disjunction
-    of the operand conditioning events.
-    """
-
-    kind: str
-    operands: tuple[ConditionalRandomQuantity, ConditionalRandomQuantity]
-    realized: ConditionalRandomQuantity
-
-    @property
-    def x(self) -> Fraction:
-        """Prevision assessed on the first operand."""
-        return self.operands[0].prevision
-
-    @property
-    def y(self) -> Fraction:
-        """Prevision assessed on the second operand."""
-        return self.operands[1].prevision
-
-    @property
-    def prevision(self) -> Fraction | None:
-        return self.realized.prevision
-
-    def with_prevision(self, prevision: Rational) -> "CompoundConditional":
-        return CompoundConditional(self.kind, self.operands, self.realized.with_prevision(prevision))
 
 
 def conditional_event(
@@ -253,7 +217,7 @@ def gn_inclusion(
 
 def conjunction(
     first: ConditionalRandomQuantity, second: ConditionalRandomQuantity
-) -> CompoundConditional:
+) -> ConditionalRandomQuantity:
     """Conjunction of two conditional events as a conditional random quantity.
 
     Realized on the disjunction of the conditioning events with value 1
@@ -263,53 +227,41 @@ def conjunction(
     operands, restricted to the disjunction.  The operand assessment must
     be coherent.
     """
-    (a_true, a_cond), (b_true, b_cond), (x, y) = _compound_operands(first, second)
+    x, y = first.prevision, second.prevision
+    if x is None or y is None:
+        raise ValueError("both operand previsions must be set")
+    a_true, a_cond = _event_parts(first)
+    b_true, b_cond = _event_parts(second)
+    _require_coherent_operands(first, second)
     cells = [
         (a_true & b_true, _ONE),
         ((a_cond & ~a_true) | (b_cond & ~b_true), _ZERO),
         (~a_cond & b_true, x),
         (a_true & ~b_cond, y),
     ]
-    realized = ConditionalRandomQuantity(a_cond | b_cond, cells)
-    return CompoundConditional(CONJUNCTION, (first, second), realized)
+    return ConditionalRandomQuantity(a_cond | b_cond, cells)
 
 
-def negate_conjunction(compound: CompoundConditional) -> CompoundConditional:
-    """One minus the compound, pointwise; an involution."""
-    if compound.kind not in (CONJUNCTION, NEGATED_CONJUNCTION):
-        raise ValueError(f"cannot negate a compound of kind {compound.kind!r}")
-    flipped = [(event, _ONE - value) for event, value in compound.realized.cells]
-    prevision = compound.realized.prevision
-    realized = ConditionalRandomQuantity(
-        compound.realized.conditioning,
-        flipped,
-        None if prevision is None else _ONE - prevision,
-    )
-    kind = NEGATED_CONJUNCTION if compound.kind == CONJUNCTION else CONJUNCTION
-    return CompoundConditional(kind, compound.operands, realized)
+def negation(quantity: ConditionalRandomQuantity) -> ConditionalRandomQuantity:
+    """One minus the quantity, pointwise and in the prevision; an involution."""
+    cells = [(event, _ONE - value) for event, value in quantity.cells]
+    prevision = None if quantity.prevision is None else _ONE - quantity.prevision
+    return ConditionalRandomQuantity(quantity.conditioning, cells, prevision)
 
 
 def disjunction(
     first: ConditionalRandomQuantity, second: ConditionalRandomQuantity
-) -> CompoundConditional:
-    """Disjunction of two conditional events, via De Morgan duality.
+) -> ConditionalRandomQuantity:
+    """Disjunction of two conditional events, by De Morgan's law: the
+    negation of the conjunction of the negated operands.
 
     Realized on the disjunction of the conditioning events with value 1
     where either event holds inside its conditioning, 0 where both fail,
-    and the operand previsions where exactly one bet is void.  The
-    operand assessment must be coherent.
+    and the operand previsions where exactly one bet is void; the
+    pointwise maximum of the filled-in operands.  The operand assessment
+    must be coherent.
     """
-    (a_true, a_cond), (b_true, b_cond), (x, y) = _compound_operands(first, second)
-    a_false = a_cond & ~a_true
-    b_false = b_cond & ~b_true
-    cells = [
-        (a_true | b_true, _ONE),
-        (a_false & b_false, _ZERO),
-        (~a_cond & b_false, x),
-        (a_false & ~b_cond, y),
-    ]
-    realized = ConditionalRandomQuantity(a_cond | b_cond, cells)
-    return CompoundConditional(DISJUNCTION, (first, second), realized)
+    return negation(conjunction(negation(first), negation(second)))
 
 
 def quasi_conjunction(
@@ -339,21 +291,9 @@ def _event_parts(quantity: ConditionalRandomQuantity) -> tuple[Event, Event]:
     return ones, conditioning
 
 
-def _compound_operands(first, second):
-    if first.prevision is None or second.prevision is None:
-        raise ValueError("both operand previsions must be set")
-    a = _event_parts(first)
-    b = _event_parts(second)
-    _require_coherent_operands(first, second)
-    return a, b, (first.prevision, second.prevision)
-
-
 def _require_coherent_operands(first, second) -> None:
     from . import coherence
 
     report = coherence.check_coherence(coherence.Assessment((first, second)))
     if not report.coherent:
-        raise coherence.IncoherentAssessmentError(
-            "operand previsions "
-            f"({first.prevision}, {second.prevision}) are not coherent"
-        )
+        raise coherence.IncoherentAssessmentError("operand previsions are not coherent")

@@ -34,7 +34,7 @@ _ONE = Fraction(1)
 class JointDistribution:
     """An exact probability for every total truth assignment."""
 
-    __slots__ = ("_universe", "_atoms", "_table")
+    __slots__ = ("_universe", "_atoms", "_masses")
 
     def __init__(
         self,
@@ -42,20 +42,19 @@ class JointDistribution:
         probabilities: Mapping[tuple[bool, ...], Rational],
     ):
         atoms = universe.atoms
-        table: dict[tuple[bool, ...], Fraction] = {}
-        total = _ZERO
+        masses = []
         for bits in assignments(atoms):
-            key = tuple(bits[a] for a in atoms)
-            mass = Fraction(probabilities.get(key, 0))
+            mass = Fraction(probabilities.get(tuple(bits[a] for a in atoms), 0))
             if mass < 0:
                 raise ValueError("probabilities must be nonnegative")
-            table[key] = mass
-            total += mass
+            masses.append(mass)
+        total = sum(masses, _ZERO)
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self._universe = universe
         self._atoms = atoms
-        self._table = table
+        # One mass per assignment, in the bit order of the truth tables.
+        self._masses = tuple(masses)
 
     @classmethod
     def independent(
@@ -87,8 +86,7 @@ class JointDistribution:
         """Exact probability of an event: the total mass of the assignments
         its truth table over :attr:`atoms` selects."""
         (table,) = truth_tables((event,), self._atoms)
-        masses = list(self._table.values())
-        return sum((masses[i] for i in set_bits(table)), _ZERO)
+        return sum((self._masses[i] for i in set_bits(table)), _ZERO)
 
     def conditional_probability(self, event: Event, given: Event) -> Fraction:
         """Exact conditional probability; the condition must have positive mass."""
@@ -99,14 +97,12 @@ class JointDistribution:
 
     def _sampler(self) -> tuple[list[float], list[dict[str, bool]]]:
         """Cumulative thresholds and outcomes, in fixed assignment order."""
-        outcomes = []
         thresholds = []
         running = _ZERO
-        for key, mass in self._table.items():
-            outcomes.append(dict(zip(self._atoms, key)))
+        for mass in self._masses:
             running += mass
             thresholds.append(float(running))
-        return thresholds[:-1], outcomes
+        return thresholds[:-1], list(assignments(self._atoms))
 
 
 @dataclass(frozen=True)

@@ -128,16 +128,16 @@ def test_criterion_04_logical_dependency_special_cases():
     smaller = conditional_event(a & b, h, F(1, 3))
     larger = conditional_event(a, h, F(1, 2))
     compound = conjunction(smaller, larger)
-    assert values_agree_on_union(compound.realized, iterated(smaller, h))
-    assert values_agree_on_union(compound.realized.with_prevision(F(1, 3)), smaller)
+    assert values_agree_on_union(compound, iterated(smaller, h))
+    assert values_agree_on_union(compound.with_prevision(F(1, 3)), smaller)
 
     u = Universe()
     a, h, d = u.atom("A"), u.atom("H"), u.atom("D")
     narrow = conditional_event(a, h, F(2, 5))
     wide = conditional_event(a | ~h, h | d, F(1, 2))
     compound = conjunction(narrow, wide)
-    assert values_agree_on_union(compound.realized, iterated(narrow, h | d))
-    assert values_agree_on_union(compound.realized.with_prevision(F(2, 5)), narrow)
+    assert values_agree_on_union(compound, iterated(narrow, h | d))
+    assert values_agree_on_union(compound.with_prevision(F(2, 5)), narrow)
     _passed(4, "incompatible, nested and included operand cases all collapse")
 
 

@@ -144,7 +144,7 @@ class TestExtensionInterval:
         for i in range(5):
             z = interval.lower + i * step
             extended = Assessment(
-                list(base.members) + [compound.realized], list(base.previsions) + [z]
+                list(base.members) + [compound], list(base.previsions) + [z]
             )
             assert check_coherence(extended).coherent
 
@@ -155,7 +155,7 @@ class TestExtensionInterval:
         interval = extension_interval(base, compound)
         for z in (interval.lower - F(1, 100), interval.upper + F(1, 100)):
             extended = Assessment(
-                list(base.members) + [compound.realized], list(base.previsions) + [z]
+                list(base.members) + [compound], list(base.previsions) + [z]
             )
             assert not check_coherence(extended).coherent
 

@@ -233,6 +233,35 @@ class TestExtendCommand:
         assert main(["extend", path, "--target", "conjunction:0,9"]) == 2
 
 
+def incoherent_pair_payload():
+    return {
+        "atoms": ["A", "H"],
+        "members": [
+            {"quantity": "A", "given": "H", "prevision": "1/4"},
+            {"quantity": "A", "given": "H", "prevision": "3/4"},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "members", [coherent_pair_payload, incoherent_pair_payload], ids=["coherent", "incoherent"]
+)
+class TestMalformedCommandBeforeCheck:
+    """A malformed command is an input error whatever the members' verdict."""
+
+    def test_compound_without_prevision(self, tmp_path, capsys, members):
+        payload = members()
+        payload["compounds"] = [{"kind": "conjunction", "operands": [0, 1]}]
+        assert main(["check", write_doc(tmp_path, payload)]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("target", ["nonsense", "conjunction:0,9"])
+    def test_bad_target(self, tmp_path, capsys, members, target):
+        path = write_doc(tmp_path, members())
+        assert main(["extend", path, "--target", target]) == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestConjoinCommand:
     def test_case_table(self, tmp_path, capsys):
         path = write_doc(tmp_path, coherent_pair_payload())

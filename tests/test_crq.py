@@ -1,11 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import brute_value, truth_assignments
 from previsions.coherence import Assessment, IncoherentAssessmentError, check_coherence
 from previsions.crq import (
-    CONJUNCTION,
-    NEGATED_CONJUNCTION,
     ConditionalRandomQuantity,
     ImpossibleConditioningError,
     add,
@@ -14,7 +14,7 @@ from previsions.crq import (
     disjunction,
     gn_inclusion,
     iterated,
-    negate_conjunction,
+    negation,
     quasi_conjunction,
     scale,
     values_agree_on_union,
@@ -190,26 +190,25 @@ class TestConjunction:
         compound = conjunction(
             conditional_event(a, h, F(1, 2)), conditional_event(b, h, F(1, 3))
         )
-        assert values_agree_on_union(compound.realized, conditional_event(a & b, h))
+        assert values_agree_on_union(compound, conditional_event(a & b, h))
 
     def test_case_table(self):
         u, a, h, b, k = four_atoms()
         x, y = F(1, 2), F(1, 3)
         compound = conjunction(conditional_event(a, h, x), conditional_event(b, k, y))
-        realized = compound.realized
-        assert realized.value_at({"A": True, "H": True, "B": True, "K": True}) == 1
-        assert realized.value_at({"A": False, "H": True, "B": True, "K": True}) == 0
-        assert realized.value_at({"A": True, "H": True, "B": False, "K": True}) == 0
-        assert realized.value_at({"A": True, "H": False, "B": True, "K": True}) == x
-        assert realized.value_at({"A": True, "H": True, "B": True, "K": False}) == y
+        assert compound.value_at({"A": True, "H": True, "B": True, "K": True}) == 1
+        assert compound.value_at({"A": False, "H": True, "B": True, "K": True}) == 0
+        assert compound.value_at({"A": True, "H": True, "B": False, "K": True}) == 0
+        assert compound.value_at({"A": True, "H": False, "B": True, "K": True}) == x
+        assert compound.value_at({"A": True, "H": True, "B": True, "K": False}) == y
 
     def test_value_set_law(self):
         u, a, h, b, k = four_atoms()
         x, y, z = F(2, 7), F(3, 5), F(1, 5)
         compound = conjunction(conditional_event(a, h, x), conditional_event(b, k, y))
-        assert set(compound.realized.restricted_values) <= {F(0), F(1), x, y}
+        assert set(compound.restricted_values) <= {F(0), F(1), x, y}
         assessed = compound.with_prevision(z)
-        full = set(assessed.realized.restricted_values) | {assessed.prevision}
+        full = set(assessed.restricted_values) | {assessed.prevision}
         assert full <= {F(0), F(1), x, y, z}
 
     def test_commutativity(self):
@@ -217,7 +216,7 @@ class TestConjunction:
         x, y = F(1, 4), F(2, 3)
         one = conjunction(conditional_event(a, h, x), conditional_event(b, k, y))
         two = conjunction(conditional_event(b, k, y), conditional_event(a, h, x))
-        assert values_agree_on_union(one.realized, two.realized)
+        assert values_agree_on_union(one, two)
 
     def test_product_identity(self):
         u, a, h, b, k = four_atoms()
@@ -227,7 +226,7 @@ class TestConjunction:
         for assignment in assignments(("A", "H", "B", "K")):
             if (h | k).evaluate(assignment):
                 product = first.value_at(assignment) * second.value_at(assignment)
-                assert compound.realized.value_at(assignment) == product
+                assert compound.value_at(assignment) == product
 
     def test_certain_operands_give_quasi_conjunction(self):
         u, a, h, b, k = four_atoms()
@@ -235,7 +234,7 @@ class TestConjunction:
         second = conditional_event(b, k, 1)
         compound = conjunction(first, second)
         assert values_agree_on_union(
-            compound.realized, quasi_conjunction(first, second)
+            compound, quasi_conjunction(first, second)
         )
 
     def test_goodman_nguyen_absorption(self):
@@ -244,9 +243,9 @@ class TestConjunction:
         larger = conditional_event(a, h, F(1, 2))
         assert gn_inclusion(smaller, larger)
         compound = conjunction(smaller, larger)
-        assert values_agree_on_union(compound.realized, iterated(smaller, h))
+        assert values_agree_on_union(compound, iterated(smaller, h))
         flipped = conjunction(larger, smaller)
-        assert values_agree_on_union(flipped.realized, iterated(smaller, h))
+        assert values_agree_on_union(flipped, iterated(smaller, h))
 
     def test_absorption_without_inclusion(self):
         # The converse fails: a conjunction can equal its first operand even
@@ -256,14 +255,15 @@ class TestConjunction:
         other = conditional_event(b, k, F(1, 2))
         assert not gn_inclusion(void_event, other)
         compound = conjunction(void_event, other)
-        assert values_agree_on_union(compound.realized, iterated(void_event, h | k))
+        assert values_agree_on_union(compound, iterated(void_event, h | k))
 
     def test_incoherent_operands_rejected(self):
         u, a, h, b, k = four_atoms()
-        with pytest.raises(IncoherentAssessmentError):
-            conjunction(
-                conditional_event(a, h, F(1, 4)), conditional_event(a, h, F(3, 4))
-            )
+        for compound in (conjunction, disjunction):
+            with pytest.raises(IncoherentAssessmentError):
+                compound(
+                    conditional_event(a, h, F(1, 4)), conditional_event(a, h, F(3, 4))
+                )
 
     def test_operands_need_previsions(self):
         u, a, h, b, k = four_atoms()
@@ -282,13 +282,12 @@ class TestNegationAndDisjunction:
         u, a, h, b, k = four_atoms()
         x, y = F(1, 2), F(1, 3)
         compound = conjunction(conditional_event(a, h, x), conditional_event(b, k, y))
-        negated = negate_conjunction(compound)
-        assert negated.kind == NEGATED_CONJUNCTION
+        negated = negation(compound)
         for assignment in assignments(("A", "H", "B", "K")):
             if (h | k).evaluate(assignment):
                 assert (
-                    negated.realized.value_at(assignment)
-                    == 1 - compound.realized.value_at(assignment)
+                    negated.value_at(assignment)
+                    == 1 - compound.value_at(assignment)
                 )
 
     def test_double_negation(self):
@@ -296,53 +295,39 @@ class TestNegationAndDisjunction:
         compound = conjunction(
             conditional_event(a, h, F(1, 2)), conditional_event(b, k, F(1, 3))
         ).with_prevision(F(1, 4))
-        back = negate_conjunction(negate_conjunction(compound))
-        assert back.kind == CONJUNCTION
-        assert values_agree_on_union(back.realized, compound.realized)
+        back = negation(negation(compound))
+        assert values_agree_on_union(back, compound)
         assert back.prevision == compound.prevision
 
     def test_negation_of_certain_quasi_conjunction(self):
         u, a, h, b, k = four_atoms()
         first = conditional_event(a, h, 1)
         second = conditional_event(b, k, 1)
-        negated = negate_conjunction(conjunction(first, second))
+        negated = negation(conjunction(first, second))
         quasi = quasi_conjunction(first, second)
         for assignment in assignments(("A", "H", "B", "K")):
             if (h | k).evaluate(assignment):
                 assert (
-                    negated.realized.value_at(assignment)
+                    negated.value_at(assignment)
                     == 1 - quasi.value_at(assignment)
                 )
-
-    def test_negation_kind_guard(self):
-        u, a, h, b, k = four_atoms()
-        first = conditional_event(a, h, F(1, 2))
-        second = conditional_event(b, k, F(1, 2))
-        from previsions.crq import CompoundConditional, QUASI_CONJUNCTION
-
-        wrapped = CompoundConditional(
-            QUASI_CONJUNCTION, (first, second), quasi_conjunction(first, second)
-        )
-        with pytest.raises(ValueError):
-            negate_conjunction(wrapped)
 
     def test_disjunction_case_table(self):
         u, a, h, b, k = four_atoms()
         x, y = F(1, 2), F(1, 3)
         compound = disjunction(conditional_event(a, h, x), conditional_event(b, k, y))
-        realized = compound.realized
-        assert realized.value_at({"A": True, "H": True, "B": False, "K": True}) == 1
-        assert realized.value_at({"A": False, "H": True, "B": True, "K": True}) == 1
-        assert realized.value_at({"A": False, "H": True, "B": False, "K": True}) == 0
-        assert realized.value_at({"A": True, "H": False, "B": False, "K": True}) == x
-        assert realized.value_at({"A": False, "H": True, "B": True, "K": False}) == y
+        assert compound.value_at({"A": True, "H": True, "B": False, "K": True}) == 1
+        assert compound.value_at({"A": False, "H": True, "B": True, "K": True}) == 1
+        assert compound.value_at({"A": False, "H": True, "B": False, "K": True}) == 0
+        assert compound.value_at({"A": True, "H": False, "B": False, "K": True}) == x
+        assert compound.value_at({"A": False, "H": True, "B": True, "K": False}) == y
 
     def test_sum_rule_pointwise(self):
         u, a, h, b, k = four_atoms()
         first = conditional_event(a, h, F(2, 5))
         second = conditional_event(b, k, F(3, 7))
-        conj = conjunction(first, second).realized
-        disj = disjunction(first, second).realized
+        conj = conjunction(first, second)
+        disj = disjunction(first, second)
         for assignment in assignments(("A", "H", "B", "K")):
             if (h | k).evaluate(assignment):
                 assert conj.value_at(assignment) + disj.value_at(assignment) == (
@@ -353,25 +338,87 @@ class TestNegationAndDisjunction:
         u, a, h, b, k = four_atoms()
         x, y = F(2, 5), F(3, 7)
         direct = disjunction(conditional_event(a, h, x), conditional_event(b, k, y))
-        dual = negate_conjunction(
+        dual = negation(
             conjunction(
                 conditional_event(~a, h, 1 - x), conditional_event(~b, k, 1 - y)
             )
         )
-        assert values_agree_on_union(direct.realized, dual.realized)
+        assert values_agree_on_union(direct, dual)
 
     def test_common_conditioning_disjunction(self):
         u, a, h, b, k = four_atoms()
         compound = disjunction(
             conditional_event(a, h, F(1, 2)), conditional_event(b, h, F(1, 3))
         )
-        assert values_agree_on_union(compound.realized, conditional_event(a | b, h))
+        assert values_agree_on_union(compound, conditional_event(a | b, h))
 
     def test_disjunction_with_zero_previsions(self):
         u, a, h, b, k = four_atoms()
         compound = disjunction(conditional_event(a, h, 0), conditional_event(b, k, 0))
         indicator = conditional_event((a & h) | (b & k), h | k)
-        assert values_agree_on_union(compound.realized, indicator)
+        assert values_agree_on_union(compound, indicator)
+
+
+@st.composite
+def dependent_operands(draw):
+    """Two conditional events over 2-4 shared atoms, priced coherently.
+
+    Formulas come from a pool that starts with the atoms and grows by
+    combining earlier entries, so the operands share atoms and
+    subformulas; the second conditioning often nests inside the first.
+    Each operand is drawn with its reference ``(conditioning, cells,
+    prevision)`` of predicates for :func:`oracles.brute_value`.  Previsions
+    are exact conditional probabilities under one distribution that is
+    positive at every assignment, so the pair is coherent.
+    """
+    names = ("A", "B", "C", "D")[: draw(st.integers(2, 4))]
+    u = Universe()
+    pool = [(u.atom(n), lambda a, n=n: a[n]) for n in names]
+    for _ in range(draw(st.integers(2, 8))):
+        op = draw(st.sampled_from(("not", "and", "or")))
+        (e, p), (f, q) = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if op == "not":
+            pool.append((~e, lambda a, p=p: not p(a)))
+        elif op == "and":
+            pool.append((e & f, lambda a, p=p, q=q: p(a) and q(a)))
+        else:
+            pool.append((e | f, lambda a, p=p, q=q: p(a) or q(a)))
+    weights = [draw(st.integers(1, 5)) for _ in range(2 ** len(names))]
+
+    def mass(predicate):
+        return sum(w for w, a in zip(weights, truth_assignments(names)) if predicate(a))
+
+    operands = []
+    for _ in range(2):
+        (e, p), (h, ph) = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if operands and draw(st.booleans()):
+            outer, (outer_ph, _, _) = operands[0]
+            h, ph = outer.conditioning & h, lambda a, f=outer_ph, g=ph: f(a) and g(a)
+        assume(mass(ph) > 0)
+        x = F(mass(lambda a: p(a) and ph(a)), mass(ph))
+        cells = [(lambda a, p=p: p(a), F(1)), (lambda a, p=p: not p(a), F(0))]
+        operands.append((conditional_event(e, h, x), (ph, cells, x)))
+    return names, operands
+
+
+class TestCompoundsOnDependentOperands:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(dependent_operands())
+    def test_pointwise_definitions(self, drawn):
+        names, ((first, first_ref), (second, second_ref)) = drawn
+        conj = conjunction(first, second)
+        disj = disjunction(first, second)
+        for assignment in truth_assignments(names):
+            x = brute_value(first_ref, assignment)
+            y = brute_value(second_ref, assignment)
+            assert negation(first).value_at(assignment) == 1 - x
+            inside = first_ref[0](assignment) or second_ref[0](assignment)
+            assert conj.conditioning.evaluate(assignment) == inside
+            assert disj.conditioning.evaluate(assignment) == inside
+            if inside:
+                assert conj.value_at(assignment) == min(x, y)
+                assert disj.value_at(assignment) == max(x, y)
+                assert negation(conj).value_at(assignment) == 1 - min(x, y)
 
 
 class TestQuasiConjunction:
