@@ -26,7 +26,6 @@ from .coherence import (
     build_system,
     check_coherence,
     random_gain,
-    solve_feasibility,
     upper_conditioning_masses,
 )
 from .crq import (
@@ -51,8 +50,6 @@ from .events import (
     EventSyntaxError,
     Universe,
     constituents,
-    implies,
-    is_impossible,
     logically_independent,
 )
 from .simulate import (
@@ -99,8 +96,6 @@ __all__ = [
     "finite_n_fixed_point",
     "frechet_conjunction_bounds",
     "gn_inclusion",
-    "implies",
-    "is_impossible",
     "iterated",
     "logically_independent",
     "negation",
@@ -110,7 +105,6 @@ __all__ = [
     "scale",
     "simulate_conditional",
     "simulate_conjunction",
-    "solve_feasibility",
     "upper_conditioning_masses",
     "values_agree_on_union",
 ]

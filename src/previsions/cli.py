@@ -57,8 +57,13 @@ def parse_rational(text: Any) -> Fraction:
     """Parse "p/q" or a finite decimal string into an exact rational."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise DocumentError(f"expected a rational string, got {text!r}")
+    source = str(text)
     try:
-        return Fraction(str(text))
+        # Exponent notation is refused: a ten-character "1e-3000000"
+        # expands to a million-digit denominator that no check finishes with.
+        if "e" in source.lower():
+            raise ValueError(source)
+        return Fraction(source)
     except (ValueError, ZeroDivisionError):
         raise DocumentError(f"malformed rational {text!r}") from None
 

@@ -185,16 +185,6 @@ def build_system(assessment: Assessment) -> LinearSystem:
     return LinearSystem(tuple(points), assessment.previsions, tuple(membership), partition)
 
 
-def solve_feasibility(system: LinearSystem) -> tuple[Fraction, ...] | None:
-    """A nonnegative unit-mass weighting reproducing the target, or None.
-
-    The weights are one exact solution; the solution set is generally a
-    polytope.
-    """
-    result = _solve(system)
-    return result.solution if result.feasible else None
-
-
 def upper_conditioning_masses(system: LinearSystem) -> tuple[Fraction, ...]:
     """For each member, the largest total mass its conditioning event can
     carry over all solutions of the system (one exact LP per member)."""

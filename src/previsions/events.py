@@ -6,15 +6,15 @@ from a small textual grammar where ``~`` binds tighter than ``&``,
 which binds tighter than ``|``.  Semantic queries (implication,
 impossibility, equivalence, constituent enumeration) compare truth
 tables: over ``n`` ordered atoms an event is the ``2**n``-bit integer
-whose bit ``i`` is its value at assignment ``i`` of :func:`assignments`,
-first atom most significant.  Tables and text are built without
-recursion, so formula depth is not limited by the interpreter's stack;
-the universe's atom cap bounds the tables' width.
+whose bit ``i`` is its value at assignment ``i`` in
+``itertools.product((False, True), repeat=n)`` order, first atom most
+significant.  Tables and text are built without recursion, so formula
+depth is not limited by the interpreter's stack; the universe's atom
+cap bounds the tables' width.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -203,16 +203,6 @@ class Event:
         return f"Event({self.to_text()!r})"
 
 
-def implies(a: Event, b: Event) -> bool:
-    """Functional form of :meth:`Event.implies`."""
-    return a.implies(b)
-
-
-def is_impossible(a: Event) -> bool:
-    """Functional form of :meth:`Event.is_impossible`."""
-    return a.is_impossible()
-
-
 def logically_independent(events: Sequence[Event]) -> bool:
     """True when the events generate all ``2**n`` sign patterns.
 
@@ -268,10 +258,6 @@ class ConstituentPartition:
             else:
                 acc = acc & (conditioning & cells[label])
         return acc
-
-    def assignment_maps(self, constituent: Constituent) -> list[dict[str, bool]]:
-        """The constituent's assignments as name-to-truth mappings."""
-        return [dict(zip(self.atoms, bits)) for bits in constituent.assignments]
 
 
 def constituents(
@@ -370,12 +356,6 @@ def used_atoms(events: Iterable[Event]) -> tuple[str, ...]:
         _require_same_universe(events[0], e)
         used |= e.atoms
     return tuple(name for name in events[0].universe.atoms if name in used)
-
-
-def assignments(names: Sequence[str]) -> Iterator[dict[str, bool]]:
-    """All total truth assignments over ``names``, False before True."""
-    for bits in itertools.product((False, True), repeat=len(names)):
-        yield dict(zip(names, bits))
 
 
 def _fold(roots: Sequence[Event], atom: Callable[[str], int], full: int) -> tuple[int, ...]:

@@ -4,11 +4,13 @@ A conditional "if A then C" can be scored by drawing independent copies
 of the world until the antecedent first comes true and reading off the
 consequent there.  These simulators implement that scheme with a hard
 truncation length (trials that never see the antecedent are counted as
-indeterminate and excluded from the mean), both for a single
-conditional and for the conjunction of two conditionals, where the
-voided branches are filled with the exact conditional probabilities of
-the underlying distribution.  A fixed-point identity shows the
-truncation length does not bias the single-conditional target.
+indeterminate and excluded from the mean).  Both estimators sample one
+conditional random quantity: the conditional event itself, or the
+:func:`~previsions.crq.conjunction` of two conditional events priced by
+the exact conditional probabilities of the underlying distribution.
+Each draw stops on the truth table of the quantity's conditioning and
+scores the value of the cell it falls in.  A fixed-point identity shows
+the truncation length does not bias the single-conditional target.
 
 Sampling uses Python's ``random.Random`` (Mersenne Twister), so a seed
 pins down every estimate bit for bit.  Only the world sequence is
@@ -17,6 +19,7 @@ stochastic; all probabilities entering the values are exact rationals.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from bisect import bisect_right
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .crq import Rational
-from .events import Event, Universe, assignments, set_bits, truth_tables
+from .crq import ConditionalRandomQuantity, Rational, conditional_event, conjunction
+from .events import Event, Universe, set_bits, truth_tables
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -43,8 +46,8 @@ class JointDistribution:
     ):
         atoms = universe.atoms
         masses = []
-        for bits in assignments(atoms):
-            mass = Fraction(probabilities.get(tuple(bits[a] for a in atoms), 0))
+        for bits in itertools.product((False, True), repeat=len(atoms)):
+            mass = Fraction(probabilities.get(bits, 0))
             if mass < 0:
                 raise ValueError("probabilities must be nonnegative")
             masses.append(mass)
@@ -62,16 +65,16 @@ class JointDistribution:
     ) -> "JointDistribution":
         """Product measure with the given per-atom probabilities."""
         atoms = universe.atoms
-        probs = {name: Fraction(marginals[name]) for name in atoms}
-        for name, p in probs.items():
+        probs = [Fraction(marginals[name]) for name in atoms]
+        for name, p in zip(atoms, probs):
             if not _ZERO <= p <= _ONE:
                 raise ValueError(f"marginal for {name} is outside [0, 1]")
         table = {}
-        for bits in assignments(atoms):
+        for bits in itertools.product((False, True), repeat=len(atoms)):
             mass = _ONE
-            for name in atoms:
-                mass *= probs[name] if bits[name] else _ONE - probs[name]
-            table[tuple(bits[a] for a in atoms)] = mass
+            for p, bit in zip(probs, bits):
+                mass *= p if bit else _ONE - p
+            table[bits] = mass
         return cls(universe, table)
 
     @property
@@ -94,15 +97,6 @@ class JointDistribution:
         if denom == 0:
             raise ValueError("conditioning event has probability zero")
         return self.probability(event & given) / denom
-
-    def _sampler(self) -> tuple[list[float], list[dict[str, bool]]]:
-        """Cumulative thresholds and outcomes, in fixed assignment order."""
-        thresholds = []
-        running = _ZERO
-        for mass in self._masses:
-            running += mass
-            thresholds.append(float(running))
-        return thresholds[:-1], list(assignments(self._atoms))
 
 
 @dataclass(frozen=True)
@@ -136,13 +130,8 @@ def simulate_conditional(
     _check_run_params(trials, max_len)
     if dist.probability(antecedent) == 0:
         raise ValueError("antecedent has probability zero")
-    thresholds, outcomes = dist._sampler()
-    ant = [antecedent.evaluate(w) for w in outcomes]
-    values = [
-        1.0 if consequent.evaluate(w) else 0.0 for w in outcomes
-    ]
-    rng = random.Random(seed)
-    return _run(rng, thresholds, ant, values, trials, max_len)
+    quantity = conditional_event(consequent, antecedent)
+    return _sample(dist, quantity, trials, max_len, seed)
 
 
 def simulate_conjunction(
@@ -158,33 +147,15 @@ def simulate_conjunction(
     """Estimate the conjoined conditionals' prevision by sampling.
 
     Each trial draws worlds until either antecedent holds, then scores
-    the usual case table there: 1 when both conditionals come true, 0
-    when either is falsified, and the exact conditional probability of
-    the voided conditional when only one is decided.
+    the conjunction's case table there: 1 when both conditionals come
+    true, 0 when either is falsified, and the exact conditional
+    probability of the voided conditional when only one is decided.
     """
     _check_run_params(trials, max_len)
-    stop_event = first_antecedent | second_antecedent
-    if dist.probability(stop_event) == 0:
-        raise ValueError("the disjunction of the antecedents has probability zero")
-    first_given = float(dist.conditional_probability(first_consequent, first_antecedent))
-    second_given = float(dist.conditional_probability(second_consequent, second_antecedent))
-
-    thresholds, outcomes = dist._sampler()
-    stop = [stop_event.evaluate(w) for w in outcomes]
-    values = []
-    for w in outcomes:
-        a, b = first_antecedent.evaluate(w), first_consequent.evaluate(w)
-        c, d = second_antecedent.evaluate(w), second_consequent.evaluate(w)
-        if (a and not b) or (c and not d):
-            values.append(0.0)
-        elif a and c:
-            values.append(1.0)
-        elif a:
-            values.append(second_given)
-        else:
-            values.append(first_given)
-    rng = random.Random(seed)
-    return _run(rng, thresholds, stop, values, trials, max_len)
+    quantity = _conjunction(
+        dist, first_antecedent, first_consequent, second_antecedent, second_consequent
+    )
+    return _sample(dist, quantity, trials, max_len, seed)
 
 
 def conjunction_prevision(
@@ -196,21 +167,18 @@ def conjunction_prevision(
 ) -> Fraction:
     """Exact prevision of the conjoined conditionals under ``dist``.
 
-    Averages the case table over the worlds where either antecedent
-    holds, with exact conditional probabilities filling the voided
+    The expectation of the conjunction given the disjunction of the
+    antecedents, with exact conditional probabilities filling the voided
     branches; the simulation estimates this number.
     """
-    a, b = first_antecedent, first_consequent
-    c, d = second_antecedent, second_consequent
-    denom = dist.probability(a | c)
-    if denom == 0:
-        raise ValueError("the disjunction of the antecedents has probability zero")
-    x = dist.conditional_probability(b, a)
-    y = dist.conditional_probability(d, c)
-    both = dist.probability(a & b & c & d)
-    only_second = dist.probability(~a & c & d)
-    only_first = dist.probability(a & b & ~c)
-    return (both + x * only_second + y * only_first) / denom
+    quantity = _conjunction(
+        dist, first_antecedent, first_consequent, second_antecedent, second_consequent
+    )
+    given = quantity.conditioning
+    paid = sum(
+        (value * dist.probability(event & given) for event, value in quantity.cells), _ZERO
+    )
+    return paid / dist.probability(given)
 
 
 def finite_n_fixed_point(p_antecedent: Rational, p_joint: Rational, n: int) -> Fraction:
@@ -241,21 +209,43 @@ def _check_run_params(trials: int, max_len: int) -> None:
         raise ValueError("max_len must be at least 1")
 
 
-def _run(
-    rng: random.Random,
-    thresholds: list[float],
-    stop: list[bool],
-    values: list[float],
+def _conjunction(
+    dist: JointDistribution, a: Event, b: Event, c: Event, d: Event
+) -> ConditionalRandomQuantity:
+    """The conjunction of ``b`` given ``a`` and ``d`` given ``c``, each
+    priced by its exact conditional probability under ``dist``."""
+    if dist.probability(a | c) == 0:
+        raise ValueError("the disjunction of the antecedents has probability zero")
+    x = dist.conditional_probability(b, a)
+    y = dist.conditional_probability(d, c)
+    return conjunction(conditional_event(b, a, x), conditional_event(d, c, y))
+
+
+def _sample(
+    dist: JointDistribution,
+    quantity: ConditionalRandomQuantity,
     trials: int,
     max_len: int,
+    seed: int,
 ) -> SimEstimate:
+    """First-success estimate of a quantity: each trial draws worlds until
+    its conditioning holds and records the value of the cell there."""
+    events = [quantity.conditioning, *(event for event, _ in quantity.cells)]
+    stop, *tables = truth_tables(events, dist.atoms)
+    # Per assignment, the value paid there, or None outside the conditioning.
+    values: list[float | None] = [None] * len(dist._masses)
+    for table, (_, value) in zip(tables, quantity.cells):
+        for i in set_bits(table & stop):
+            values[i] = float(value)
+    thresholds = [float(running) for running in itertools.accumulate(dist._masses)][:-1]
+    rng = random.Random(seed)
     recorded = []
     indeterminate = 0
     for _ in range(trials):
         for _ in range(max_len):
-            i = bisect_right(thresholds, rng.random())
-            if stop[i]:
-                recorded.append(values[i])
+            value = values[bisect_right(thresholds, rng.random())]
+            if value is not None:
+                recorded.append(value)
                 break
         else:
             indeterminate += 1

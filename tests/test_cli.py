@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -58,7 +59,8 @@ class TestRationals:
         assert parse_rational("2") == F(2)
 
     def test_malformed(self):
-        for bad in ("0.1.2", "1/0", "one half", None, 1.5):
+        exponents = ("1e-3", "1E5", "2.5e1", "1e-3000000")
+        for bad in ("0.1.2", "1/0", "one half", None, 1.5, *exponents):
             with pytest.raises(DocumentError):
                 parse_rational(bad)
 
@@ -78,6 +80,17 @@ class TestCheckCommand:
         assert payload["verdict"] == "incoherent"
         gains = [F(g) for g in payload["dutch_book"]["gains"]]
         assert all(g < 0 for g in gains) or all(g > 0 for g in gains)
+
+    def test_exponent_prevision_is_refused_at_once(self, tmp_path, capsys):
+        payload = coherent_pair_payload()
+        payload["members"][0]["prevision"] = "1e-3000000"
+        path = write_doc(tmp_path, payload)
+        started = time.perf_counter()
+        assert main(["check", path]) == 2
+        assert time.perf_counter() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed rational" in captured.err
 
     def test_malformed_rational_is_validation_error(self, tmp_path, capsys):
         payload = coherent_pair_payload()
@@ -322,6 +335,29 @@ class TestSimulateCommand:
     def test_joint_above_antecedent_rejected(self, capsys):
         argv = ["simulate", "--pa", "1/4", "--pac", "1/2", "--trials", "10", "--seed", "1"]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["--pa", "1/2", "--pac", "1/4", "--trials", "2000", "--seed", "7"],
+                '{\n  "exact": "1/2",\n  "indeterminate_fraction": 0.0,\n'
+                '  "mean": 0.512,\n  "seed": 7,\n  "std_error": 0.011179914813969908,\n'
+                '  "trials": 2000\n}\n',
+            ),
+            (
+                ["--pa", "0.3", "--pac", "1/10", "--trials", "5000", "--max-len", "3",
+                 "--seed", "11"],
+                '{\n  "exact": "1/3",\n  "indeterminate_fraction": 0.351,\n'
+                '  "mean": 0.34946070878274266,\n  "seed": 11,\n'
+                '  "std_error": 0.008371350389068754,\n  "trials": 5000\n}\n',
+            ),
+        ],
+    )
+    def test_pinned_stdout(self, capsys, argv, expected):
+        # Recorded from the per-assignment sampler the truth-table one replaced.
+        assert main(["simulate", *argv]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestReportRoundTrip:

@@ -11,7 +11,6 @@ from previsions.coherence import (
     build_system,
     check_coherence,
     random_gain,
-    solve_feasibility,
     upper_conditioning_masses,
 )
 from previsions.crq import (
@@ -86,7 +85,15 @@ class TestBuildSystem:
             }
 
 
+def solve_feasibility(system):
+    """The feasibility LP's witness weights, or None when it is infeasible."""
+    result = lp.solve(*system.constraint_rows())
+    return result.solution if result.feasible else None
+
+
 class TestSolveFeasibility:
+    """The level system's feasibility LP, solved as ``check_coherence`` does."""
+
     def test_midpoint_target(self):
         u, a, h, b, k = four_atoms()
         system = build_system(Assessment([conditional_event(a, u.true())], [F(1, 2)]))

@@ -19,7 +19,7 @@ from previsions.crq import (
     scale,
     values_agree_on_union,
 )
-from previsions.events import Universe, assignments
+from previsions.events import Universe
 
 
 def four_atoms():
@@ -30,7 +30,7 @@ def four_atoms():
 def union_values(quantity, names):
     """Value map restricted to the conditioning event, keyed by assignment."""
     table = {}
-    for a in assignments(names):
+    for a in truth_assignments(names):
         if quantity.conditioning.evaluate(a):
             table[tuple(sorted(a.items()))] = quantity.value_at(a)
     return table
@@ -138,7 +138,7 @@ class TestAdd:
         assert result.value_at(on) == 2
         off_h = {"A": False, "H": False, "B": True, "K": True}
         assert result.value_at(off_h) == F(1, 2) + 1
-        for assignment in assignments(("A", "H", "B", "K")):
+        for assignment in truth_assignments(("A", "H", "B", "K")):
             if (h | k).evaluate(assignment):
                 expected = first.value_at(assignment) + second.value_at(assignment)
                 assert result.value_at(assignment) == expected
@@ -154,7 +154,7 @@ class TestIterated:
         u, a, h, b, k = four_atoms()
         x = conditional_event(a, h, F(2, 5))
         widened = iterated(x, h | b)
-        for assignment in assignments(("A", "H", "B")):
+        for assignment in truth_assignments(("A", "H", "B")):
             if (h | b).evaluate(assignment):
                 if h.evaluate(assignment):
                     assert widened.value_at(assignment) == x.value_at(assignment)
@@ -223,7 +223,7 @@ class TestConjunction:
         first = conditional_event(a, h, F(1, 2))
         second = conditional_event(b, k, F(1, 3))
         compound = conjunction(first, second)
-        for assignment in assignments(("A", "H", "B", "K")):
+        for assignment in truth_assignments(("A", "H", "B", "K")):
             if (h | k).evaluate(assignment):
                 product = first.value_at(assignment) * second.value_at(assignment)
                 assert compound.value_at(assignment) == product
@@ -283,7 +283,7 @@ class TestNegationAndDisjunction:
         x, y = F(1, 2), F(1, 3)
         compound = conjunction(conditional_event(a, h, x), conditional_event(b, k, y))
         negated = negation(compound)
-        for assignment in assignments(("A", "H", "B", "K")):
+        for assignment in truth_assignments(("A", "H", "B", "K")):
             if (h | k).evaluate(assignment):
                 assert (
                     negated.value_at(assignment)
@@ -305,7 +305,7 @@ class TestNegationAndDisjunction:
         second = conditional_event(b, k, 1)
         negated = negation(conjunction(first, second))
         quasi = quasi_conjunction(first, second)
-        for assignment in assignments(("A", "H", "B", "K")):
+        for assignment in truth_assignments(("A", "H", "B", "K")):
             if (h | k).evaluate(assignment):
                 assert (
                     negated.value_at(assignment)
@@ -328,7 +328,7 @@ class TestNegationAndDisjunction:
         second = conditional_event(b, k, F(3, 7))
         conj = conjunction(first, second)
         disj = disjunction(first, second)
-        for assignment in assignments(("A", "H", "B", "K")):
+        for assignment in truth_assignments(("A", "H", "B", "K")):
             if (h | k).evaluate(assignment):
                 assert conj.value_at(assignment) + disj.value_at(assignment) == (
                     first.value_at(assignment) + second.value_at(assignment)

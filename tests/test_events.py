@@ -11,10 +11,7 @@ from previsions.events import (
     AtomLimitError,
     EventSyntaxError,
     Universe,
-    assignments,
     constituents,
-    implies,
-    is_impossible,
     logically_independent,
 )
 
@@ -137,21 +134,21 @@ class TestParsing:
 class TestQueries:
     def test_implies_conjunction_elimination(self):
         u, (a, b) = fresh("A", "B")
-        assert implies(a & b, a)
+        assert (a & b).implies(a)
 
     def test_implies_disjunction_introduction(self):
         u, (a, b) = fresh("A", "B")
-        assert implies(a, a | b)
+        assert a.implies(a | b)
 
     def test_distinct_atoms_do_not_imply(self):
         u, (a, b) = fresh("A", "B")
-        assert not implies(a, b)
+        assert not a.implies(b)
 
     def test_is_impossible(self):
         u, (a, h, k) = fresh("A", "H", "K")
-        assert is_impossible(a & ~a)
-        assert not is_impossible(u.true())
-        assert not is_impossible(h & k)
+        assert (a & ~a).is_impossible()
+        assert not u.true().is_impossible()
+        assert not (h & k).is_impossible()
 
     def test_mixed_universes_rejected(self):
         u1 = Universe()
@@ -249,7 +246,7 @@ class TestSemanticProperties:
     @given(formula_pairs())
     def test_mutual_implication_is_equivalence(self, pair):
         a, b = pair
-        assert (implies(a, b) and implies(b, a)) == a.equivalent(b)
+        assert (a.implies(b) and b.implies(a)) == a.equivalent(b)
 
     @given(formula_pairs())
     def test_de_morgan(self, pair):
@@ -322,7 +319,8 @@ class TestConstituents:
         family = [([a & h, ~a & h], h), ([b & k, ~b & k], k)]
         part = constituents(family)
         for block in part.inside:
-            for assignment in part.assignment_maps(block):
+            for bits in block.assignments:
+                assignment = dict(zip(part.atoms, bits))
                 for (cells, cond), label in zip(family, block.labels):
                     if label is None:
                         assert not cond.evaluate(assignment)
@@ -380,15 +378,6 @@ class TestConstituents:
         u, (a, h) = fresh("A", "H")
         with pytest.raises(ValueError):
             constituents([([a, a], h)])
-
-    def test_assignments_helper_order(self):
-        listed = [tuple(a.values()) for a in assignments(["X", "Y"])]
-        assert listed == [
-            (False, False),
-            (False, True),
-            (True, False),
-            (True, True),
-        ]
 
 
 # Differential tests of the truth tables against per-assignment enumeration.

@@ -1,7 +1,11 @@
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from oracles import brute_value, truth_assignments
 
 from previsions.bounds import extension_interval
 from previsions.coherence import Assessment
@@ -9,6 +13,7 @@ from previsions.crq import conditional_event, conjunction
 from previsions.events import Universe
 from previsions.simulate import (
     JointDistribution,
+    SimEstimate,
     conjunction_prevision,
     finite_n_fixed_point,
     simulate_conditional,
@@ -26,6 +31,16 @@ def four_coin_universe():
     atoms = tuple(u.atom(n) for n in "ABCD")
     dist = JointDistribution.independent(u, {n: F(1, 2) for n in "ABCD"})
     return dist, atoms
+
+
+def skewed_four_atoms():
+    """A non-product distribution over A, B, C, D with some zero masses."""
+    u = Universe()
+    atoms = tuple(u.atom(n) for n in "ABCD")
+    weights = [3, 0, 1, 4, 0, 2, 5, 1, 2, 0, 3, 1, 6, 2, 0, 1]
+    total = sum(weights)
+    bits = itertools.product((False, True), repeat=4)
+    return JointDistribution(u, {b: F(w, total) for b, w in zip(bits, weights)}), atoms
 
 
 class TestJointDistribution:
@@ -156,6 +171,102 @@ class TestSimulateConjunction:
         dist = JointDistribution.independent(u, {"A": 0, "C": 0})
         with pytest.raises(ValueError):
             simulate_conjunction(dist, a, c, a, c, trials=100, max_len=10, seed=0)
+
+
+class TestPinnedOutputs:
+    """Exact results recorded from the per-assignment sampler and the
+    hand-written case table that the crq-based code replaced."""
+
+    def test_simulate_conditional(self):
+        dist, (a, b, c, d) = skewed_four_atoms()
+        assert simulate_conditional(
+            dist, a | b, c & ~d, trials=3000, max_len=4, seed=5
+        ) == SimEstimate(0.35298057602143335, 3000, 14, 0.008747055766403517)
+        assert simulate_conditional(
+            dist, b & c, a | d, trials=3000, max_len=6, seed=17
+        ) == SimEstimate(0.281975517095821, 3000, 631, 0.009246651257748277)
+
+    def test_simulate_conjunction(self):
+        dist, (a, b, c, d) = skewed_four_atoms()
+        assert simulate_conjunction(
+            dist, a | b, c & ~d, b & c, a | d, trials=3000, max_len=4, seed=5
+        ) == SimEstimate(0.03894364175676968, 3000, 14, 0.0017942909233765612)
+        # Disjoint antecedents: every recorded world voids one operand.
+        assert simulate_conjunction(
+            dist, a & ~c, b, c, a | d, trials=4000, max_len=3, seed=23
+        ) == SimEstimate(0.4973519076305221, 4000, 16, 0.00543703950079617)
+
+    def test_simulate_conjunction_product(self):
+        dist, (a, b, c, d) = skewed_four_atoms()
+        product = JointDistribution.independent(
+            dist.universe, {"A": F(1, 3), "B": F(2, 5), "C": F(1, 2), "D": F(3, 4)}
+        )
+        assert simulate_conjunction(
+            product, a, b, c, d, trials=2500, max_len=10, seed=9
+        ) == SimEstimate(0.30262, 2500, 0, 0.006333853591655574)
+        assert conjunction_prevision(product, a | b, c & ~d, b & c, a | d) == F(1, 16)
+
+    def test_conjunction_prevision_dependent_operands(self):
+        dist, (a, b, c, d) = skewed_four_atoms()
+        assert conjunction_prevision(dist, a | b, c & ~d, b & c, a | d) == F(6, 161)
+        assert conjunction_prevision(dist, a & ~c, b, c, a | d) == F(1, 2)
+        assert conjunction_prevision(dist, a, b | c, a & d, b) == F(13, 20)
+
+
+@st.composite
+def skewed_conjunctions(draw):
+    """Two dependent conditionals under a distribution with zero masses.
+
+    Formulas come from a pool over 2-4 atoms that grows by combining
+    earlier entries, each paired with a predicate written here; the
+    second antecedent often nests inside the first.  Both antecedents
+    keep positive mass.
+    """
+    names = ("A", "B", "C", "D")[: draw(st.integers(2, 4))]
+    u = Universe()
+    pool = [(u.atom(n), lambda a, n=n: a[n]) for n in names]
+    for _ in range(draw(st.integers(2, 8))):
+        op = draw(st.sampled_from(("not", "and", "or")))
+        (e, p), (f, q) = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if op == "not":
+            pool.append((~e, lambda a, p=p: not p(a)))
+        elif op == "and":
+            pool.append((e & f, lambda a, p=p, q=q: p(a) and q(a)))
+        else:
+            pool.append((e | f, lambda a, p=p, q=q: p(a) or q(a)))
+    weights = [draw(st.integers(0, 4)) for _ in range(2 ** len(names))]
+    assume(sum(weights))
+    (a, pa), (b, pb) = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    (c, pc), (d, pd) = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    if draw(st.booleans()):
+        c, pc = a & c, lambda w, f=pa, g=pc: f(w) and g(w)
+    bits = itertools.product((False, True), repeat=len(names))
+    dist = JointDistribution(u, {k: F(w, sum(weights)) for k, w in zip(bits, weights)})
+    weighted = list(zip(weights, truth_assignments(names)))
+    assume(all(any(w and p(v) for w, v in weighted) for p in (pa, pc)))
+    return dist, weighted, ((a, pa), (b, pb), (c, pc), (d, pd))
+
+
+class TestConjunctionPrevisionAgainstEnumeration:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(skewed_conjunctions())
+    def test_brute_force_sum(self, drawn):
+        dist, weighted, ((a, pa), (b, pb), (c, pc), (d, pd)) = drawn
+
+        def mass(predicate):
+            return sum(w for w, v in weighted if predicate(v))
+
+        x = F(mass(lambda v: pa(v) and pb(v)), mass(pa))
+        y = F(mass(lambda v: pc(v) and pd(v)), mass(pc))
+        first = (pa, [(pb, F(1)), (lambda v: not pb(v), F(0))], x)
+        second = (pc, [(pd, F(1)), (lambda v: not pd(v), F(0))], y)
+        paid = sum(
+            w * min(brute_value(first, v), brute_value(second, v))
+            for w, v in weighted
+            if pa(v) or pc(v)
+        )
+        expected = paid / mass(lambda v: pa(v) or pc(v))
+        assert conjunction_prevision(dist, a, b, c, d) == expected
 
 
 class TestFixedPoint:
