@@ -78,10 +78,12 @@ def extension_interval(
     rows, rhs = system.constraint_rows()
     base_rows = rows[:n] + [rows[-1]]
     base_rhs = rhs[:n] + [rhs[-1]]
-    low = lp.solve(base_rows, base_rhs, objective, maximize=False)
-    if not low.feasible:
+    first = lp.solve(base_rows, base_rhs)
+    if not first.feasible:
         raise IncoherentAssessmentError("base assessment is incoherent")
-    high = lp.solve(base_rows, base_rhs, objective, maximize=True)
+    # The total mass row keeps the target between its extreme values.
+    low = lp.optimize(first, objective, bound=min(objective))
+    high = lp.optimize(first, objective, maximize=True, bound=max(objective))
 
     for endpoint in (low.objective, high.objective):
         verdict = check_coherence(Assessment(members, base.previsions + (endpoint,)))

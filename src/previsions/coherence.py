@@ -15,7 +15,8 @@ zero-mass set empties out.
 Everything runs in exact rational arithmetic.  The recursion hinges on
 deciding whether a maximal conditioning mass is exactly zero, which no
 floating-point tolerance can do reliably; each mass is the optimum of
-one small exact linear program.
+one small exact linear program.  A level's feasibility test and its mass
+programs share one constraint system, so they share one phase 1 too.
 
 When a level is unsolvable, a Farkas certificate of the failed system
 is turned into betting stakes witnessing the incoherence: with those
@@ -30,6 +31,7 @@ and every Dutch-Book gain must be strictly negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -127,6 +129,12 @@ class LinearSystem:
         rhs = list(self.target) + [Fraction(1)]
         return rows, rhs
 
+    @cached_property
+    def feasibility(self) -> lp.LPResult:
+        """Phase 1 of the system, solved once: the level's witness or
+        Farkas certificate, and the start of every mass LP."""
+        return lp.solve(*self.constraint_rows())
+
 
 @dataclass(frozen=True)
 class CoherenceLevel:
@@ -187,17 +195,18 @@ def build_system(assessment: Assessment) -> LinearSystem:
 
 def upper_conditioning_masses(system: LinearSystem) -> tuple[Fraction, ...]:
     """For each member, the largest total mass its conditioning event can
-    carry over all solutions of the system (one exact LP per member)."""
-    rows, rhs = system.constraint_rows()
+    carry over all solutions of the system.
+
+    One phase 2 per member from the system's shared phase 1; each stops
+    at mass one, the most the total mass row allows.
+    """
+    first = system.feasibility
+    if not first.feasible:
+        raise ValueError("system is infeasible")
     masses = []
     for j in range(system.size):
-        objective = [
-            Fraction(1) if j in present else Fraction(0) for present in system.membership
-        ]
-        result = lp.solve(rows, rhs, objective, maximize=True)
-        if not result.feasible:
-            raise ValueError("system is infeasible")
-        masses.append(result.objective)
+        objective = [1 if j in present else 0 for present in system.membership]
+        masses.append(lp.optimize(first, objective, maximize=True, bound=1).objective)
     return tuple(masses)
 
 
@@ -220,7 +229,7 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
     while True:
         sub = assessment.sub(indices)
         system = build_system(sub)
-        result = _solve(system)
+        result = system.feasibility
         if not result.feasible:
             levels.append(CoherenceLevel(indices, False, None, None, ()))
             stakes = result.certificate[: len(indices)]
@@ -289,7 +298,3 @@ def _verify_witness(
         f"witness on members {list(indices)} does not reproduce the previsions"
     )
 
-
-def _solve(system: LinearSystem) -> lp.LPResult:
-    rows, rhs = system.constraint_rows()
-    return lp.solve(rows, rhs)

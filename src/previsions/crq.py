@@ -227,19 +227,9 @@ def conjunction(
     operands, restricted to the disjunction.  The operand assessment must
     be coherent.
     """
-    x, y = first.prevision, second.prevision
-    if x is None or y is None:
-        raise ValueError("both operand previsions must be set")
-    a_true, a_cond = _event_parts(first)
-    b_true, b_cond = _event_parts(second)
+    quantity = _conjoin(first, second)
     _require_coherent_operands(first, second)
-    cells = [
-        (a_true & b_true, _ONE),
-        ((a_cond & ~a_true) | (b_cond & ~b_true), _ZERO),
-        (~a_cond & b_true, x),
-        (a_true & ~b_cond, y),
-    ]
-    return ConditionalRandomQuantity(a_cond | b_cond, cells)
+    return quantity
 
 
 def negation(quantity: ConditionalRandomQuantity) -> ConditionalRandomQuantity:
@@ -273,6 +263,25 @@ def quasi_conjunction(
     b_true, b_cond = _event_parts(second)
     body = (a_true | ~a_cond) & (b_true | ~b_cond)
     return conditional_event(body, a_cond | b_cond)
+
+
+def _conjoin(
+    first: ConditionalRandomQuantity, second: ConditionalRandomQuantity
+) -> ConditionalRandomQuantity:
+    """The cells of :func:`conjunction`, without its operand pair check;
+    for operands whose previsions are coherent by construction."""
+    x, y = first.prevision, second.prevision
+    if x is None or y is None:
+        raise ValueError("both operand previsions must be set")
+    a_true, a_cond = _event_parts(first)
+    b_true, b_cond = _event_parts(second)
+    cells = [
+        (a_true & b_true, _ONE),
+        ((a_cond & ~a_true) | (b_cond & ~b_true), _ZERO),
+        (~a_cond & b_true, x),
+        (a_true & ~b_cond, y),
+    ]
+    return ConditionalRandomQuantity(a_cond | b_cond, cells)
 
 
 def _event_parts(quantity: ConditionalRandomQuantity) -> tuple[Event, Event]:

@@ -1,8 +1,29 @@
 """Exact linear programming over the rationals.
 
 A dense two-phase primal simplex for equality-constrained problems in
-standard form (``A x = b``, ``x >= 0``), using Bland's anti-cycling
-pivot rule, with no tolerances anywhere.
+standard form (``A x = b``, ``x >= 0``), with no tolerances anywhere.
+
+The two phases are separate calls.  :func:`solve` runs phase 1 on the
+constraints alone: it minimizes the sum of one artificial variable per
+row, then drives the artificials left in the basis out of it and drops
+the rows where that is impossible, which are redundant.  Its result is
+either a Farkas certificate or a basic feasible point, and a feasible
+result also carries that final tableau.  :func:`optimize` runs phase 2
+for one objective on a copy of it, so any number of objectives over the
+same constraints share one phase 1; ``solve(rows, rhs, objective)`` is
+the one-shot composition of the two.
+
+Phase 1 enters on Bland's rule, the first column with a negative reduced
+cost, because its basic solution is the returned feasible point.  Phase
+2 enters on Dantzig's rule, the most negative reduced cost, which takes
+far fewer pivots; after :data:`DEGENERATE_RUN` consecutive degenerate
+pivots it falls back to Bland's rule for good, so it cannot cycle
+(Bland 1977).  Both phases leave by the minimum ratio, ties going to the
+smallest basic index.  Phase 2 hands on only the optimal value, which
+every optimal basis shares.  A caller that knows an exact bound on the
+objective over the feasible set, such as ``max(c)`` when the constraints
+include ``sum(x) = 1``, passes it as ``bound``, and phase 2 stops as soon
+as the objective reaches it.
 
 The tableau is kept fraction-free: an integer matrix ``M`` over one
 common positive denominator ``d``, so that the rational tableau is
@@ -14,11 +35,13 @@ new ``d`` (Edmonds' all-integer form of Bareiss's elimination); the
 division is always exact because each entry is a minor of the scaled
 input.  A negative pivot, which only the step that drives artificial
 variables out of the basis can meet, negates the whole matrix so that
-``d`` stays positive.  Bland's entering choice then reads signs, and the
-ratio test compares ``M[i][rhs] / M[i][c]`` by cross-multiplication, so
-the pivot sequence is the one the rational tableau would take.  Only the
-returned solution, objective and certificate are built as
-:class:`fractions.Fraction`\\ s.
+``d`` stays positive.  The integer reduced costs are the rational ones
+times a positive factor, so both entering rules read them directly, and
+the ratio test compares ``M[i][rhs] / M[i][c]`` by cross-multiplication;
+the pivot sequence is the one the rational tableau would take.  Pivots
+replace rows rather than edit them, so a copy of the row list is a copy
+of the tableau.  Only the returned solution, objective and certificate
+are built as :class:`fractions.Fraction`\\ s.
 
 When a system is infeasible the solver returns a Farkas certificate: a
 vector ``y`` with ``y . A_j <= 0`` for every column ``A_j`` of the
@@ -28,7 +51,7 @@ not a nonnegative combination of the columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
@@ -37,15 +60,24 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+# Consecutive degenerate phase-2 pivots after which Dantzig's entering
+# rule gives way to Bland's for the rest of the solve.
+DEGENERATE_RUN = 16
+
 
 @dataclass(frozen=True)
 class LPResult:
-    """Outcome of one exact solve."""
+    """Outcome of one exact solve.
+
+    A feasible result of :func:`solve` without an objective also holds
+    its final phase-1 tableau, the start of every :func:`optimize`.
+    """
 
     status: str
     solution: tuple[Fraction, ...] | None = None
     objective: Fraction | None = None
     certificate: tuple[Fraction, ...] | None = None
+    _tableau: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def feasible(self) -> bool:
@@ -60,8 +92,9 @@ def solve(
 ) -> LPResult:
     """Solve ``min/max objective . x`` subject to ``rows . x = rhs, x >= 0``.
 
-    With ``objective=None`` only feasibility is decided and the returned
-    solution is an arbitrary basic feasible point.
+    With ``objective=None`` only phase 1 runs: the result is infeasible
+    with a Farkas certificate, or optimal with a basic feasible point as
+    its solution, ready for :func:`optimize`.
     """
     a = [[_rational(v) for v in row] for row in rows]
     b = [_rational(v) for v in rhs]
@@ -128,12 +161,34 @@ def solve(
                     break
 
     keep = [r for r in range(neq) if basis[r] < nvar]
-    tableau = [tableau[r][:nvar] + [tableau[r][total]] for r in keep]
-    basis = [basis[r] for r in keep]
+    tableau = tuple(tuple(tableau[r][:nvar]) + (tableau[r][total],) for r in keep)
+    basis = tuple(basis[r] for r in keep)
+    first = LPResult(
+        OPTIMAL, solution=_extract(tableau, basis, nvar, d), _tableau=(tableau, basis, d)
+    )
+    return first if objective is None else optimize(first, objective, maximize)
 
-    if objective is None:
-        return LPResult(OPTIMAL, solution=_extract(tableau, basis, nvar, d))
 
+def optimize(
+    first: LPResult,
+    objective: Sequence[Fraction],
+    maximize: bool = False,
+    bound: Fraction | None = None,
+) -> LPResult:
+    """Phase 2: ``min/max objective . x`` over the constraints ``first`` solved.
+
+    ``first`` is the result of ``solve(rows, rhs)``; an infeasible one is
+    returned as it is.  ``bound``, if given, must be an exact bound on the
+    objective over the feasible set (a lower bound to minimize, an upper
+    bound to maximize): the solve stops as soon as the objective equals
+    it, which proves the point optimal.
+    """
+    if not first.feasible:
+        return first
+    if first._tableau is None:
+        raise ValueError("optimize needs the feasible result of solve(rows, rhs)")
+    rows, basis, d = first._tableau
+    nvar = len(rows[0]) - 1
     cost = [_rational(v) for v in objective]
     if len(cost) != nvar:
         raise ValueError("objective length does not match variable count")
@@ -143,14 +198,17 @@ def solve(
     sign = -1 if maximize else 1
     cost = [sign * v.numerator * (scale // v.denominator) for v in cost]
     bottom = [d * v for v in cost] + [0]
-    for row, bv in zip(tableau, basis):
+    for row, bv in zip(rows, basis):
         coef = cost[bv]
         if coef != 0:
             for j in range(nvar + 1):
                 bottom[j] -= coef * row[j]
-    tableau.append(bottom)
+    tableau = [*rows, bottom]
+    basis = list(basis)
 
-    status, d = _minimize(tableau, basis, d)
+    # The internal minimum sign * scale * (c . x) is at least floor.
+    floor = None if bound is None else Fraction(sign * scale) * _rational(bound)
+    status, d = _minimize(tableau, basis, d, dantzig=True, floor=floor)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     value = Fraction(-sign * tableau[-1][nvar], d * scale)
@@ -162,19 +220,37 @@ def _rational(value) -> int | Fraction:
     return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
-def _minimize(tableau: list[list[int]], basis: list[int], d: int) -> tuple[str, int]:
-    """Run Bland-rule simplex iterations until optimal or unbounded.
+def _minimize(
+    tableau: list[list[int]],
+    basis: list[int],
+    d: int,
+    dantzig: bool = False,
+    floor: Fraction | None = None,
+) -> tuple[str, int]:
+    """Run simplex iterations until optimal or unbounded.
 
-    The last row of ``tableau`` holds the reduced costs; returns the status
-    and the final common denominator.
+    The last row of ``tableau`` holds the reduced costs, its last entry
+    ``-d`` times the objective.  Enters on Bland's rule, or on Dantzig's
+    until :data:`DEGENERATE_RUN` consecutive degenerate pivots; stops
+    early once the objective equals ``floor``.  Returns the status and
+    the final common denominator.
     """
     bottom = tableau[-1]
     width = len(bottom) - 1
+    columns = range(width)
     constraints = len(basis)
+    degenerate = 0
     while True:
-        enter = next((j for j in range(width) if bottom[j] < 0), None)
-        if enter is None:
+        if floor is not None and bottom[-1] * floor.denominator + floor.numerator * d == 0:
             return OPTIMAL, d
+        if dantzig and degenerate < DEGENERATE_RUN:
+            enter = min(columns, key=bottom.__getitem__)
+            if bottom[enter] >= 0:
+                return OPTIMAL, d
+        else:
+            enter = next((j for j in columns if bottom[j] < 0), None)
+            if enter is None:
+                return OPTIMAL, d
         leave = None
         for r in range(constraints):
             row = tableau[r]
@@ -190,6 +266,7 @@ def _minimize(tableau: list[list[int]], basis: list[int], d: int) -> tuple[str, 
                     leave, num, den = r, row[-1], coef
         if leave is None:
             return UNBOUNDED, d
+        degenerate = degenerate + 1 if num == 0 else 0
         d = _pivot(tableau, basis, d, leave, enter)
         bottom = tableau[-1]
 
@@ -215,7 +292,7 @@ def _pivot(tableau: list[list[int]], basis: list[int], d: int, r: int, c: int) -
     return p
 
 
-def _extract(tableau: list[list[int]], basis: list[int], nvar: int, d: int) -> tuple[Fraction, ...]:
+def _extract(tableau, basis, nvar: int, d: int) -> tuple[Fraction, ...]:
     x = [Fraction(0)] * nvar
     for r, bv in enumerate(basis):
         x[bv] = Fraction(tableau[r][-1], d)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .crq import ConditionalRandomQuantity, Rational, conditional_event, conjunction
+from .crq import ConditionalRandomQuantity, Rational, _conjoin, conditional_event
 from .events import Event, Universe, set_bits, truth_tables
 
 _ZERO = Fraction(0)
@@ -213,12 +213,14 @@ def _conjunction(
     dist: JointDistribution, a: Event, b: Event, c: Event, d: Event
 ) -> ConditionalRandomQuantity:
     """The conjunction of ``b`` given ``a`` and ``d`` given ``c``, each
-    priced by its exact conditional probability under ``dist``."""
+    priced by its exact conditional probability under ``dist``.  Prices
+    of one distribution are coherent, so the operand pair check of
+    :func:`~previsions.crq.conjunction` is skipped."""
     if dist.probability(a | c) == 0:
         raise ValueError("the disjunction of the antecedents has probability zero")
     x = dist.conditional_probability(b, a)
     y = dist.conditional_probability(d, c)
-    return conjunction(conditional_event(b, a, x), conditional_event(d, c, y))
+    return _conjoin(conditional_event(b, a, x), conditional_event(d, c, y))
 
 
 def _sample(

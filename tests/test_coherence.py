@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from previsions import lp
+from previsions import bounds, lp
 from previsions.coherence import (
     Assessment,
     CertificateVerificationError,
@@ -163,6 +163,60 @@ class TestUpperConditioningMasses:
         system = build_system(Assessment(members, [F(1, 2), F(3, 5)]))
         with pytest.raises(ValueError):
             upper_conditioning_masses(system)
+
+
+class TestPhaseOneCount:
+    """All LPs over one system share its phase 1, the only ``lp.solve``."""
+
+    def count_solves(self, monkeypatch):
+        calls = []
+        solve = lp.solve
+
+        def counting(rows, rhs, objective=None, maximize=False):
+            calls.append(objective)
+            return solve(rows, rhs, objective, maximize)
+
+        monkeypatch.setattr(lp, "solve", counting)
+        return calls
+
+    def test_one_solve_per_level(self, monkeypatch):
+        u, a, h, b, k = four_atoms()
+        members = [conditional_event(a, h), conditional_event(b, a & h)]
+        calls = self.count_solves(monkeypatch)
+        report = check_coherence(Assessment(members, [F(0), F(1, 3)]))
+        assert report.coherent
+        assert [level.members for level in report.levels] == [(0, 1), (1,)]
+        assert calls == [None, None]
+
+    def test_one_solve_for_both_interval_endpoints(self, monkeypatch):
+        u, a, h, b, k = four_atoms()
+        first = conditional_event(a, h, F(7, 10))
+        second = conditional_event(b, k, F(3, 5))
+        target = conjunction(first, second)
+        calls = self.count_solves(monkeypatch)
+        in_rechecks = []
+
+        def recheck(assessment):
+            before = len(calls)
+            report = check_coherence(assessment)
+            in_rechecks.append(len(calls) - before)
+            return report
+
+        monkeypatch.setattr(bounds, "check_coherence", recheck)
+        interval = bounds.extension_interval(Assessment([first, second]), target)
+        assert (interval.lower, interval.upper) == (F(3, 10), F(3, 5))
+        assert len(in_rechecks) == 2
+        assert len(calls) - sum(in_rechecks) == 1
+
+    def test_infeasible_system_still_raises(self, monkeypatch):
+        u, a, h, b, k = four_atoms()
+        members = [conditional_event(a, u.true()), conditional_event(~a, u.true())]
+        system = build_system(Assessment(members, [F(1, 2), F(3, 5)]))
+        calls = self.count_solves(monkeypatch)
+        assert not system.feasibility.feasible
+        with pytest.raises(ValueError, match="infeasible"):
+            upper_conditioning_masses(system)
+        assert calls == [None]
 
 
 class TestCheckCoherence:

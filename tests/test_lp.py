@@ -1,11 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from previsions import lp
-from oracles import polytope_vertices
+from previsions.coherence import LinearSystem, upper_conditioning_masses
+from oracles import brute_masses, polytope_vertices
 
 # Primes and prime powers up to 97: mixing coprime denominators makes the
 # row lcms, and with them the integer tableau's common denominator, grow fast.
@@ -220,6 +223,202 @@ class TestDifferentialAgainstVertexEnumeration:
         assert result.objective == best
         check_solution(rows, rhs, result.solution)
         assert sum(c * x for c, x in zip(cost, result.solution)) == best
+
+
+def seeded_systems(seed, count):
+    """Level-like systems ``sum(w_h * point_h) = target, sum(w) = 1``:
+    targets on faces of the hull (zero weights make them degenerate) or
+    drawn at random (often infeasible), repeated points (duplicate
+    columns) and redundant combinations of rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        points = [
+            tuple(F(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(n))
+            for _ in range(rng.randint(1, 7))
+        ]
+        points += [rng.choice(points) for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.6:
+            weights = [rng.choice((0, 0, 1, 2)) for _ in points]
+            weights[rng.randrange(len(points))] += 1
+            total = sum(weights)
+            target = tuple(
+                sum(F(w, total) * p[i] for w, p in zip(weights, points)) for i in range(n)
+            )
+        else:
+            target = tuple(F(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(n))
+        rows = [[p[i] for p in points] for i in range(n)] + [[F(1)] * len(points)]
+        rhs = list(target) + [F(1)]
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.randrange(n + 1), rng.randrange(n + 1)
+            u, v = F(rng.randint(1, 3)), F(rng.randint(-3, 3), rng.randint(1, 3))
+            rows.append([u * x + v * y for x, y in zip(rows[i], rows[j])])
+            rhs.append(u * rhs[i] + v * rhs[j])
+        yield rows, rhs
+
+
+# sha256 of the phase-1 outcomes (status and the witness point or Farkas
+# certificate) of ``seeded_systems(1, 400)``, recorded with the original
+# all-Bland solver before phase 1 and phase 2 became separate calls.
+PHASE_ONE_DIGEST = "9c70b13727bcf4ef958f52c1a049d3da6188e8466c671cb91c4bbe6ce1f91503"
+
+
+def phase_one_digest(systems):
+    digest = hashlib.sha256()
+    for rows, rhs in systems:
+        result = lp.solve(rows, rhs)
+        digest.update(f"{result.status} {result.solution} {result.certificate}\n".encode())
+    return digest.hexdigest()
+
+
+@st.composite
+def shared_systems(draw):
+    """A hull problem with some points repeated, and one to three objectives."""
+    points, target, rows, rhs, cost, _ = draw(hull_problems())
+    for _ in range(draw(st.integers(0, 2))):
+        h = draw(st.integers(0, len(points) - 1))
+        points.append(points[h])
+        for row in rows:
+            row.append(row[h])
+        cost.append(draw(rationals(3)))
+    objectives = [cost]
+    for _ in range(draw(st.integers(0, 2))):
+        # Mass objectives like the coherence check's, or small integers.
+        values = st.integers(0, 1) if draw(st.booleans()) else st.integers(-2, 2)
+        objectives.append([F(draw(values)) for _ in points])
+    return points, target, rows, rhs, objectives
+
+
+@st.composite
+def mass_systems(draw):
+    """Level systems as ``build_system`` makes them: a point's coordinate
+    is the member's value where the point lies in its conditioning and
+    the member's prevision elsewhere."""
+    n = draw(st.integers(1, 3))
+    target = tuple(F(draw(st.integers(0, 4)), 4) for _ in range(n))
+    points = []
+    membership = []
+    for _ in range(draw(st.integers(1, 6))):
+        present = frozenset(i for i in range(n) if draw(st.booleans()))
+        points.append(
+            tuple(F(draw(st.integers(0, 2)), 2) if i in present else target[i] for i in range(n))
+        )
+        membership.append(present)
+    return tuple(points), target, tuple(membership)
+
+
+def bland_solve(rows, rhs, objective, maximize):
+    """One-shot solve with Bland's rule in phase 2 as well."""
+    with mock.patch.object(lp, "DEGENERATE_RUN", 0):
+        return lp.solve(rows, rhs, objective, maximize)
+
+
+class TestSharedPhaseOne:
+    """Phase 2 from one shared phase 1, Dantzig's rule and the bound stop
+    against one-shot all-Bland solves and the vertex oracles."""
+
+    def test_phase_one_outcomes_are_pinned(self):
+        assert phase_one_digest(seeded_systems(1, 400)) == PHASE_ONE_DIGEST
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(shared_systems())
+    def test_optimize_matches_one_shot_bland(self, problem):
+        points, target, rows, rhs, objectives = problem
+        vertices = polytope_vertices(points, target)
+        first = lp.solve(rows, rhs)
+        assert first.feasible == bool(vertices)
+        if first.feasible:
+            check_solution(rows, rhs, first.solution)
+        else:
+            check_certificate(rows, rhs, first.certificate)
+        for cost in objectives:
+            for maximize in (False, True):
+                reference = bland_solve(rows, rhs, cost, maximize)
+                # The mass row sum(w) = 1 keeps c . w within [min c, max c].
+                for bound in (None, max(cost) if maximize else min(cost)):
+                    result = lp.optimize(first, cost, maximize, bound)
+                    assert result.status == reference.status
+                    assert result.objective == reference.objective
+                    if not result.feasible:
+                        assert result.certificate == first.certificate
+                        continue
+                    values = [sum(c * w for c, w in zip(cost, v)) for v in vertices]
+                    assert result.objective == (max(values) if maximize else min(values))
+                    check_solution(rows, rhs, result.solution)
+                    assert sum(c * x for c, x in zip(cost, result.solution)) == result.objective
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(mass_systems())
+    def test_masses_match_vertex_enumeration(self, problem):
+        points, target, membership = problem
+        system = LinearSystem(points, target, membership, partition=None)
+        try:
+            expected = tuple(brute_masses(points, membership, target))
+        except ValueError:
+            with pytest.raises(ValueError, match="infeasible"):
+                upper_conditioning_masses(system)
+            return
+        assert upper_conditioning_masses(system) == expected
+
+    def test_degenerate_cycle_falls_back_to_bland(self):
+        # Beale's example cycles under Dantzig's rule from the slack basis,
+        # which is where phase 1 leaves it; the optimum is -5/4.
+        rows = [
+            [1, 0, 0, F(1, 4), -8, -1, 9],
+            [0, 1, 0, F(1, 2), -12, F(-1, 2), 3],
+            [0, 0, 1, 0, 0, 1, 0],
+        ]
+        cost = [0, 0, 0, F(-3, 4), 20, F(-1, 2), 6]
+        first = lp.solve(rows, [0, 0, 1])
+        assert first.solution == (0, 0, 1, 0, 0, 0, 0)
+        pivot = lp._pivot
+
+        def guarded(*args):
+            guarded.count += 1
+            if guarded.count > 100:
+                raise RuntimeError("cycling")
+            return pivot(*args)
+
+        with mock.patch.object(lp, "_pivot", guarded):
+            for bound in (None, F(-5, 4)):
+                guarded.count = 0
+                assert lp.optimize(first, cost, bound=bound).objective == F(-5, 4)
+            guarded.count = 0
+            with mock.patch.object(lp, "DEGENERATE_RUN", 10**9):
+                with pytest.raises(RuntimeError, match="cycling"):
+                    lp.optimize(first, cost)
+
+    def test_bound_stops_at_once_when_reached(self):
+        # x0 + x1 + x2 = 1, x0 - x1 = 1: phase 1 leaves the degenerate
+        # basis {x0, x1} at the only point (1, 0, 0).  Maximizing x0 + x2
+        # there, Dantzig's rule still sees x2 improve and pivots once;
+        # the bound 1 proves the point optimal without a pivot.
+        first = lp.solve([[1, 1, 1], [1, -1, 0]], [1, 1])
+        assert first.solution == (1, 0, 0)
+        pivot = lp._pivot
+        with mock.patch.object(lp, "_pivot", side_effect=pivot) as counted:
+            assert lp.optimize(first, [1, 0, 1], maximize=True).objective == 1
+            assert counted.call_count == 1
+            counted.reset_mock()
+            assert lp.optimize(first, [1, 0, 1], maximize=True, bound=1).objective == 1
+            assert counted.call_count == 0
+
+    def test_optimize_needs_a_phase_one_result(self):
+        result = lp.solve([[1, 1]], [1], [1, 0])
+        with pytest.raises(ValueError, match="solve"):
+            lp.optimize(result, [1, 0])
 
 
 class TestValidation:
