@@ -42,9 +42,10 @@ from .events import (
 
 ATOM_CAP_ENV = "PREVISIONS_ATOM_CAP"
 
+# No operand pair check: each command checks a family holding both operands.
 _COMPOUND_BUILDERS = {
-    "conjunction": crq.conjunction,
-    "disjunction": crq.disjunction,
+    "conjunction": crq._conjoin,
+    "disjunction": crq._disjoin,
     "quasi-conjunction": crq.quasi_conjunction,
 }
 
@@ -123,8 +124,11 @@ class AssessmentDocument:
             if not isinstance(given, str):
                 raise DocumentError(f"member {i} 'given' must be an expression")
             members.append(MemberSpec(quantity, given, prevision))
+        raw_compounds = payload.get("compounds")
+        if not isinstance(raw_compounds, (list, type(None))):
+            raise DocumentError("'compounds' must be a list")
         compounds = []
-        for i, entry in enumerate(payload.get("compounds", []) or []):
+        for i, entry in enumerate(raw_compounds or []):
             if not isinstance(entry, Mapping):
                 raise DocumentError(f"compound {i} must be an object")
             kind = entry.get("kind")
@@ -262,14 +266,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     _, members = realize(document)
     if any(spec.prevision is None for spec in document.compounds):
         raise DocumentError("compounds need previsions for checking")
-    report = check_coherence(Assessment(members))
-    if report.coherent and document.compounds:
-        # Any member pair of a coherent assessment is coherent, so the
-        # compound constructors cannot be refused previsions here.
-        family = list(members)
-        for spec in document.compounds:
-            family.append(build_compound(members, spec))
-        report = check_coherence(Assessment(family))
+    compounds = [build_compound(members, spec) for spec in document.compounds]
+    report = check_coherence(Assessment(members + compounds))
+    if not report.coherent and compounds:
+        # A coherent family has a coherent base, so the base is checked only here.
+        base = check_coherence(Assessment(members))
+        report = report if base.coherent else base
     _emit(report_payload(report))
     return 0 if report.coherent else 1
 
@@ -277,13 +279,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_extend(args: argparse.Namespace) -> int:
     document = AssessmentDocument.load(args.file)
     _, members = realize(document)
-    spec = _parse_target(args.target, len(members))
+    target = build_compound(members, _parse_target(args.target, len(members)))
     base = Assessment(members)
     report = check_coherence(base)
     if not report.coherent:
         _emit(report_payload(report, diagnostics=("base assessment is incoherent",)))
         return 1
-    target = build_compound(members, spec)
     _emit(report_payload(report, bounds.extension_interval(base, target)))
     return 0
 

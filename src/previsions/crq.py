@@ -251,7 +251,9 @@ def disjunction(
     pointwise maximum of the filled-in operands.  The operand assessment
     must be coherent.
     """
-    return negation(conjunction(negation(first), negation(second)))
+    quantity = _disjoin(first, second)
+    _require_coherent_operands(first, second)
+    return quantity
 
 
 def quasi_conjunction(
@@ -269,7 +271,7 @@ def _conjoin(
     first: ConditionalRandomQuantity, second: ConditionalRandomQuantity
 ) -> ConditionalRandomQuantity:
     """The cells of :func:`conjunction`, without its operand pair check;
-    for operands whose previsions are coherent by construction."""
+    for operands coherent by construction or checked in a larger family."""
     x, y = first.prevision, second.prevision
     if x is None or y is None:
         raise ValueError("both operand previsions must be set")
@@ -282,6 +284,13 @@ def _conjoin(
         (a_true & ~b_cond, y),
     ]
     return ConditionalRandomQuantity(a_cond | b_cond, cells)
+
+
+def _disjoin(
+    first: ConditionalRandomQuantity, second: ConditionalRandomQuantity
+) -> ConditionalRandomQuantity:
+    """The cells of :func:`disjunction`, without its operand pair check."""
+    return negation(_conjoin(negation(first), negation(second)))
 
 
 def _event_parts(quantity: ConditionalRandomQuantity) -> tuple[Event, Event]:

@@ -10,8 +10,7 @@ the rows where that is impossible, which are redundant.  Its result is
 either a Farkas certificate or a basic feasible point, and a feasible
 result also carries that final tableau.  :func:`optimize` runs phase 2
 for one objective on a copy of it, so any number of objectives over the
-same constraints share one phase 1; ``solve(rows, rhs, objective)`` is
-the one-shot composition of the two.
+same constraints share one phase 1.
 
 Phase 1 enters on Bland's rule, the first column with a negative reduced
 cost, because its basic solution is the returned feasible point.  Phase
@@ -69,8 +68,8 @@ DEGENERATE_RUN = 16
 class LPResult:
     """Outcome of one exact solve.
 
-    A feasible result of :func:`solve` without an objective also holds
-    its final phase-1 tableau, the start of every :func:`optimize`.
+    A feasible result of :func:`solve` also holds its final phase-1
+    tableau, the start of every :func:`optimize`.
     """
 
     status: str
@@ -84,18 +83,9 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def solve(
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    objective: Sequence[Fraction] | None = None,
-    maximize: bool = False,
-) -> LPResult:
-    """Solve ``min/max objective . x`` subject to ``rows . x = rhs, x >= 0``.
-
-    With ``objective=None`` only phase 1 runs: the result is infeasible
-    with a Farkas certificate, or optimal with a basic feasible point as
-    its solution, ready for :func:`optimize`.
-    """
+def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LPResult:
+    """Phase 1 for ``rows . x = rhs, x >= 0``: infeasible with a Farkas
+    certificate, or a basic feasible point ready for :func:`optimize`."""
     a = [[_rational(v) for v in row] for row in rows]
     b = [_rational(v) for v in rhs]
     neq = len(a)
@@ -163,10 +153,9 @@ def solve(
     keep = [r for r in range(neq) if basis[r] < nvar]
     tableau = tuple(tuple(tableau[r][:nvar]) + (tableau[r][total],) for r in keep)
     basis = tuple(basis[r] for r in keep)
-    first = LPResult(
+    return LPResult(
         OPTIMAL, solution=_extract(tableau, basis, nvar, d), _tableau=(tableau, basis, d)
     )
-    return first if objective is None else optimize(first, objective, maximize)
 
 
 def optimize(

@@ -176,9 +176,9 @@ class TestCheckCommand:
         # verification, which must not read as a verdict.
         solve = lp.solve
 
-        def wrong_witness(rows, rhs, objective=None, maximize=False):
-            result = solve(rows, rhs, objective, maximize)
-            if objective is None and result.feasible:
+        def wrong_witness(rows, rhs):
+            result = solve(rows, rhs)
+            if result.feasible:
                 return lp.LPResult(lp.OPTIMAL, solution=(F(1),) + (F(0),) * (len(rows[0]) - 1))
             return result
 
@@ -272,6 +272,27 @@ class TestMalformedCommandBeforeCheck:
     def test_bad_target(self, tmp_path, capsys, members, target):
         path = write_doc(tmp_path, members())
         assert main(["extend", path, "--target", target]) == 2
+        assert capsys.readouterr().out == ""
+
+    @staticmethod
+    def value_map_operand(payload):
+        # Doubling member 0 and its prevision keeps the members' verdict,
+        # but a compound of it is no conditional event.
+        first = payload["members"][0]
+        first["quantity"] = {"A": "2", "~A": "0"}
+        first["prevision"] = str(2 * F(first["prevision"]))
+        return payload
+
+    def test_check_compound_of_value_map(self, tmp_path, capsys, members):
+        payload = self.value_map_operand(members())
+        payload["compounds"] = [{"kind": "conjunction", "operands": [0, 1], "prevision": "0"}]
+        assert main(["check", write_doc(tmp_path, payload)]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("kind", ["conjunction", "disjunction", "quasi-conjunction"])
+    def test_extend_target_of_value_map(self, tmp_path, capsys, members, kind):
+        path = write_doc(tmp_path, self.value_map_operand(members()))
+        assert main(["extend", path, "--target", f"{kind}:0,1"]) == 2
         assert capsys.readouterr().out == ""
 
 
@@ -379,6 +400,12 @@ class TestReportRoundTrip:
              "compounds": [{"kind": "conjunction", "operands": [0]}]},
             {"members": [{"quantity": "A", "given": "H", "prevision": "1/2"}],
              "compounds": [{"kind": "nand", "operands": [0, 0]}]},
+            {"members": [{"quantity": "A", "given": "H", "prevision": "1/2"}],
+             "compounds": 5},
+            {"members": [{"quantity": "A", "given": "H", "prevision": "1/2"}],
+             "compounds": True},
+            {"members": [{"quantity": "A", "given": "H", "prevision": "1/2"}],
+             "compounds": {}},
         ):
             with pytest.raises(DocumentError):
                 AssessmentDocument.from_payload(broken)

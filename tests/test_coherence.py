@@ -172,9 +172,9 @@ class TestPhaseOneCount:
         calls = []
         solve = lp.solve
 
-        def counting(rows, rhs, objective=None, maximize=False):
-            calls.append(objective)
-            return solve(rows, rhs, objective, maximize)
+        def counting(rows, rhs):
+            calls.append(len(rows))
+            return solve(rows, rhs)
 
         monkeypatch.setattr(lp, "solve", counting)
         return calls
@@ -186,7 +186,7 @@ class TestPhaseOneCount:
         report = check_coherence(Assessment(members, [F(0), F(1, 3)]))
         assert report.coherent
         assert [level.members for level in report.levels] == [(0, 1), (1,)]
-        assert calls == [None, None]
+        assert len(calls) == 2
 
     def test_one_solve_for_both_interval_endpoints(self, monkeypatch):
         u, a, h, b, k = four_atoms()
@@ -216,7 +216,7 @@ class TestPhaseOneCount:
         assert not system.feasibility.feasible
         with pytest.raises(ValueError, match="infeasible"):
             upper_conditioning_masses(system)
-        assert calls == [None]
+        assert len(calls) == 1
 
 
 class TestCheckCoherence:
@@ -467,9 +467,8 @@ class TestCertificateVerification:
     def patch_solver(self, monkeypatch, perturb):
         solve = lp.solve
 
-        def patched(rows, rhs, objective=None, maximize=False):
-            result = solve(rows, rhs, objective, maximize)
-            return perturb(result) if objective is None else result
+        def patched(rows, rhs):
+            return perturb(solve(rows, rhs))
 
         monkeypatch.setattr(lp, "solve", patched)
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from previsions import bounds, cli, coherence
 from previsions.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -28,6 +29,7 @@ CASES = {
     "check-zero-mass-incoherent": (["check"], 1),
     "check-compound-coherent": (["check"], 0),
     "check-compound-dutch-book": (["check"], 1),
+    "check-compound-incoherent-base": (["check"], 1),
     "check-value-map": (["check"], 0),
     "extend-conjunction": (["extend", "--target", "conjunction:0,1"], 0),
     "extend-disjunction": (["extend", "--target", "disjunction:0,1"], 0),
@@ -46,3 +48,32 @@ def test_report_bytes(name, capsys):
     assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "name, checks",
+    [
+        ("check-compound-coherent", 1),
+        ("check-compound-dutch-book", 2),
+        ("check-compound-incoherent-base", 2),
+        ("extend-conjunction", 3),
+        ("extend-disjunction", 3),
+        ("extend-quasi-conjunction", 3),
+    ],
+)
+def test_check_count(name, checks, monkeypatch, capsys):
+    """Each family is checked once: a family with compounds, then its base
+    only when the family is incoherent; for ``extend`` the base and the
+    two interval endpoints, with no separate operand pair check."""
+    calls = []
+    check = coherence.check_coherence
+
+    def counting(assessment):
+        calls.append(len(assessment))
+        return check(assessment)
+
+    for module in (coherence, cli, bounds):
+        monkeypatch.setattr(module, "check_coherence", counting)
+    (command, *options), code = CASES[name]
+    assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
+    assert len(calls) == checks

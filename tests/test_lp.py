@@ -57,7 +57,7 @@ class TestFeasibility:
     def test_redundant_rows_dropped(self):
         rows = [[1, 1], [2, 2]]
         rhs = [1, 2]
-        result = lp.solve(rows, rhs, objective=[1, 0], maximize=True)
+        result = lp.optimize(lp.solve(rows, rhs), [1, 0], maximize=True)
         assert result.feasible
         assert result.objective == 1
 
@@ -73,29 +73,29 @@ class TestOptimization:
     def test_maximize_coordinate_on_simplex(self):
         rows = [[1, 1, 1]]
         rhs = [1]
-        result = lp.solve(rows, rhs, objective=[0, 1, 0], maximize=True)
+        result = lp.optimize(lp.solve(rows, rhs), [0, 1, 0], maximize=True)
         assert result.objective == 1
 
     def test_minimize_with_coupling(self):
         # x1 + x2 = 1, x1 - x3 = 1/4: minimize x1 gives x1 = 1/4 (x3 = 0).
         rows = [[1, 1, 0], [1, 0, -1]]
         rhs = [1, F(1, 4)]
-        low = lp.solve(rows, rhs, objective=[1, 0, 0])
-        high = lp.solve(rows, rhs, objective=[1, 0, 0], maximize=True)
+        low = lp.optimize(lp.solve(rows, rhs), [1, 0, 0])
+        high = lp.optimize(lp.solve(rows, rhs), [1, 0, 0], maximize=True)
         assert low.objective == F(1, 4)
         assert high.objective == 1
 
     def test_unbounded(self):
         rows = [[1, -1]]
         rhs = [1]
-        result = lp.solve(rows, rhs, objective=[1, 0], maximize=True)
+        result = lp.optimize(lp.solve(rows, rhs), [1, 0], maximize=True)
         assert result.status == lp.UNBOUNDED
 
     def test_exactness_no_drift(self):
         # Tenths stay exact; any float path would leak binary noise.
         rows = [[F(1, 10), F(3, 10)], [1, 1]]
         rhs = [F(1, 5), 1]
-        result = lp.solve(rows, rhs, objective=[1, 0], maximize=True)
+        result = lp.optimize(lp.solve(rows, rhs), [1, 0], maximize=True)
         assert result.feasible
         assert result.solution == (F(1, 2), F(1, 2))
 
@@ -138,7 +138,7 @@ class TestAgainstVertexEnumeration:
             rows = [[p[i] for p in points] for i in range(n)]
             rows.append([F(1)] * m)
             rhs = list(target) + [F(1)]
-            result = lp.solve(rows, rhs, objective=cost, maximize=True)
+            result = lp.optimize(lp.solve(rows, rhs), cost, maximize=True)
             best = max(sum(c * w for c, w in zip(cost, v)) for v in vertices)
             assert result.objective == best
 
@@ -211,7 +211,7 @@ class TestDifferentialAgainstVertexEnumeration:
         else:
             check_certificate(rows, rhs, result.certificate)
 
-        result = lp.solve(rows, rhs, cost, maximize=maximize)
+        result = lp.optimize(lp.solve(rows, rhs), cost, maximize)
         if not vertices:
             assert result.status == lp.INFEASIBLE
             check_certificate(rows, rhs, result.certificate)
@@ -308,9 +308,9 @@ def mass_systems(draw):
 
 
 def bland_solve(rows, rhs, objective, maximize):
-    """One-shot solve with Bland's rule in phase 2 as well."""
+    """Phase 1 then phase 2, with Bland's rule in phase 2 as well."""
     with mock.patch.object(lp, "DEGENERATE_RUN", 0):
-        return lp.solve(rows, rhs, objective, maximize)
+        return lp.optimize(lp.solve(rows, rhs), objective, maximize)
 
 
 class TestSharedPhaseOne:
@@ -416,7 +416,7 @@ class TestSharedPhaseOne:
             assert counted.call_count == 0
 
     def test_optimize_needs_a_phase_one_result(self):
-        result = lp.solve([[1, 1]], [1], [1, 0])
+        result = lp.optimize(lp.solve([[1, 1]], [1]), [1, 0])
         with pytest.raises(ValueError, match="solve"):
             lp.optimize(result, [1, 0])
 
@@ -430,4 +430,4 @@ class TestValidation:
         with pytest.raises(ValueError):
             lp.solve([[1]], [1, 2])
         with pytest.raises(ValueError):
-            lp.solve([[1]], [1], objective=[1, 2])
+            lp.optimize(lp.solve([[1]], [1]), [1, 2])
