@@ -12,6 +12,12 @@ mass in *every* solution are then re-checked recursively on their own;
 the assessment is coherent when each level is solvable and the
 zero-mass set empties out.
 
+The constituents are enumerated once per check, for the whole family.
+A deeper level's subfamily generates a coarser partition: each of its
+blocks is the union of the first level's blocks that agree on the
+subfamily's labels, so deeper levels merge blocks instead of building
+truth tables again.
+
 Everything runs in exact rational arithmetic.  The recursion hinges on
 deciding whether a maximal conditioning mass is exactly zero, which no
 floating-point tolerance can do reliably; each mass is the optimum of
@@ -176,7 +182,11 @@ def build_system(assessment: Assessment) -> LinearSystem:
         ([event for event, _ in member.cells], member.conditioning)
         for member in assessment.members
     ]
-    partition = constituents(family)
+    return _assemble(assessment, constituents(family))
+
+
+def _assemble(assessment: Assessment, partition: ConstituentPartition) -> LinearSystem:
+    """The feasibility system of an assessment on its members' partition."""
     points = []
     membership = []
     for block in partition.inside:
@@ -214,8 +224,10 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
     """Decide coherence by the recursive zero-mass procedure.
 
     Level by level: build the feasibility system of the current
-    subfamily; if unsolvable the assessment is incoherent (and a Dutch
-    Book is extracted from the Farkas certificate); otherwise recurse on
+    subfamily, on the whole family's constituents merged by the
+    subfamily's labels (see :meth:`ConstituentPartition.restrict`); if
+    unsolvable the assessment is incoherent (and a Dutch Book is
+    extracted from the Farkas certificate); otherwise recurse on
     the members whose maximal conditioning mass is exactly zero, until
     that set is empty.  The zero-mass set is always a proper subset, so
     at most ``len(assessment)`` levels occur.
@@ -226,9 +238,11 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
     """
     indices = tuple(range(len(assessment)))
     levels: list[CoherenceLevel] = []
+    system = build_system(assessment)
+    partition = system.partition
     while True:
-        sub = assessment.sub(indices)
-        system = build_system(sub)
+        if levels:
+            system = _assemble(assessment.sub(indices), partition.restrict(indices))
         result = system.feasibility
         if not result.feasible:
             levels.append(CoherenceLevel(indices, False, None, None, ()))

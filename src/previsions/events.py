@@ -259,6 +259,23 @@ class ConstituentPartition:
                 acc = acc & (conditioning & cells[label])
         return acc
 
+    def restrict(self, indices: Sequence[int]) -> "ConstituentPartition":
+        """The partition generated by the members at ``indices``, in that
+        order, over the same atoms, without enumerating truth tables again.
+
+        Each of its blocks is the union of the blocks here (outside
+        included) that agree on those members' labels.  It equals
+        :func:`constituents` of the subfamily once that one's tables are
+        lifted to these atoms: an unused atom leaves the order by least
+        assignment unchanged.
+        """
+        merged: dict[tuple[int | None, ...], int] = {}
+        for block in (self.outside, *self.inside):
+            if block is not None:
+                labels = tuple(block.labels[i] for i in indices)
+                merged[labels] = merged.get(labels, 0) | block.mask
+        return _partition(self.atoms, tuple(self.family[i] for i in indices), merged)
+
 
 def constituents(
     family: Iterable[tuple[Sequence[Event], Event]],
@@ -293,14 +310,23 @@ def constituents(
                 if piece:
                     split[labels + (label,)] = piece
         blocks = split
+    return _partition(names, family, blocks)
 
+
+def _partition(
+    atoms: tuple[str, ...],
+    family: tuple[tuple[tuple[Event, ...], Event], ...],
+    blocks: dict[tuple[int | None, ...], int],
+) -> ConstituentPartition:
+    """The partition of nonempty ``blocks`` (labels to truth tables over
+    ``atoms``), its all-None block popped as the outside block."""
     outside = blocks.pop((None,) * len(family), 0)
-    inside = [Constituent(labels, mask, len(names)) for labels, mask in blocks.items()]
+    inside = [Constituent(labels, mask, len(atoms)) for labels, mask in blocks.items()]
     # Bit order is assignment order, so a block's least set bit is its
     # least assignment; sorting by it makes reports deterministic.
     inside.sort(key=lambda block: block.mask & -block.mask)
-    outside = Constituent((None,) * len(family), outside, len(names)) if outside else None
-    return ConstituentPartition(names, outside, tuple(inside), family)
+    outside = Constituent((None,) * len(family), outside, len(atoms)) if outside else None
+    return ConstituentPartition(atoms, outside, tuple(inside), family)
 
 
 def split_conditioning(
@@ -328,19 +354,27 @@ def split_conditioning(
 
 def truth_tables(events: Sequence[Event], atoms: Sequence[str]) -> tuple[int, ...]:
     """Each event's truth table over ``atoms``, which must include every
-    atom the events use (see the module docstring for the bit order)."""
+    atom the events use (see the module docstring for the bit order).
+
+    Atom ``k`` is false on the first ``half = 2**(width-1-k)`` assignments
+    and true on the next ``half``; that period is doubled by shift-and-or
+    until it covers all ``2**width`` bits.  Each step costs time linear in
+    the bits built so far, so an atom costs ``O(2**width)`` and the
+    connectives then act bitwise: at the default cap of 20 atoms every
+    table is a 128 KiB integer.
+    """
     width = len(atoms)
-    full = _full(width)
     position = {name: k for k, name in enumerate(atoms)}
 
     def atom(name: str) -> int:
-        # ``half`` assignments with the atom false, then ``half`` with it
-        # true, repeated across the table.
         half = 1 << (width - 1 - position[name])
-        period = (1 << half) - 1 << half
-        return period * (full // ((1 << 2 * half) - 1))
+        table, span = (1 << half) - 1 << half, 2 * half
+        while span < 1 << width:
+            table |= table << span
+            span *= 2
+        return table
 
-    return _fold(events, atom, full)
+    return _fold(events, atom, _full(width))
 
 
 def set_bits(mask: int) -> Iterator[int]:

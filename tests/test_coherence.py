@@ -317,23 +317,32 @@ class TestRandomGain:
 
     def test_dutch_book_reuses_the_level_system(self, monkeypatch):
         # Level 1 puts all mass outside H; level 2 prices A|H twice,
-        # differently, and fails.  Each level builds its system once.
+        # differently, and fails.  The constituents are enumerated once,
+        # each level builds its system once, and the Dutch Book comes from
+        # that system.
         from previsions import coherence
 
         u, a, h, b, k = four_atoms()
         members = [conditional_event(h, u.true())] + [conditional_event(a, h)] * 2
         assessment = Assessment(members, [F(0), F(1, 2), F(1, 3)])
-        calls = []
+        enumerations, systems = [], []
+        enumerate_, assemble = coherence.constituents, coherence._assemble
 
-        def counting(sub):
-            calls.append(len(sub))
-            return build_system(sub)
+        def counting_enumerations(family):
+            enumerations.append(len(family))
+            return enumerate_(family)
 
-        monkeypatch.setattr(coherence, "build_system", counting)
+        def counting_systems(sub, partition):
+            systems.append(len(sub))
+            return assemble(sub, partition)
+
+        monkeypatch.setattr(coherence, "constituents", counting_enumerations)
+        monkeypatch.setattr(coherence, "_assemble", counting_systems)
         report = check_coherence(assessment)
         assert not report.coherent
         assert len(report.levels) == 2
-        assert calls == [3, 2]
+        assert enumerations == [3]
+        assert systems == [3, 2]
         assert report.dutch_book.gains == random_gain(
             assessment.sub(report.dutch_book.members), report.dutch_book.coefficients
         )

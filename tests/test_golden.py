@@ -6,8 +6,8 @@ Unlike a two-runs-agree check, this catches a report that changes
 across versions of the code: a different witness, mass, Dutch Book or
 interval, or a different formatting of any of them.  The documents come
 from the benchmark's generators (random single-level families, 0/1
-multi-level families, ``extend`` families) plus hand-written compound
-and value-map cases.
+multi-level families, ``extend`` families) plus hand-written compound,
+value-map and 20-atom three-level cases.
 
 To re-record after an intended change of output, run the command in
 ``CASES`` on the document and write its standard output to the ``.out``
@@ -31,6 +31,7 @@ CASES = {
     "check-compound-dutch-book": (["check"], 1),
     "check-compound-incoherent-base": (["check"], 1),
     "check-value-map": (["check"], 0),
+    "check-twenty-atoms": (["check"], 0),
     "extend-conjunction": (["extend", "--target", "conjunction:0,1"], 0),
     "extend-disjunction": (["extend", "--target", "disjunction:0,1"], 0),
     "extend-quasi-conjunction": (["extend", "--target", "quasi-conjunction:0,1"], 0),
@@ -53,6 +54,7 @@ def test_report_bytes(name, capsys):
 @pytest.mark.parametrize(
     "name, checks",
     [
+        ("check-twenty-atoms", 1),
         ("check-compound-coherent", 1),
         ("check-compound-dutch-book", 2),
         ("check-compound-incoherent-base", 2),
