@@ -5,7 +5,9 @@ is fully determined by the base previsions, the coherent previsions for
 the target form a closed interval.  It is computed exactly: the target
 coordinate is minimized and maximized over the solution polytope of the
 extended feasibility system, and both endpoints are re-verified with
-the full recursive coherence check before being returned.  The base
+the full recursive coherence check before being returned.  The
+re-checks price the extended family's members again, so they reuse
+its constituents rather than enumerating them twice more.  The base
 itself is checked in full only when an endpoint fails its re-check.
 
 The classic two-event bounds (conjunction, disjunction, quasi
@@ -63,17 +65,12 @@ def extension_interval(
     otherwise the endpoint re-checks fail, since every subfamily of a
     coherent family is coherent; only then is the base checked alone.
     """
-    members = base.members + (target,)
-    extended = Assessment(members, base.previsions + (_ZERO,))
+    extended = Assessment(base.members + (target,), base.previsions + (_ZERO,))
     system = build_system(extended)
     n = len(base)
-    objective = []
-    for point, block in zip(system.points, system.partition.inside):
-        if block.labels[n] is None:
-            raise ValueError(
-                "target conditioning must cover every base conditioning event"
-            )
-        objective.append(point[n])
+    if any(n not in present for present in system.membership):
+        raise ValueError("target conditioning must cover every base conditioning event")
+    objective = [point[n] for point in system.points]
 
     rows, rhs = system.constraint_rows()
     base_rows = rows[:n] + [rows[-1]]
@@ -86,7 +83,7 @@ def extension_interval(
     high = lp.optimize(first, objective, maximize=True, bound=max(objective))
 
     for endpoint in (low.objective, high.objective):
-        verdict = check_coherence(Assessment(members, base.previsions + (endpoint,)))
+        verdict = check_coherence(extended.with_previsions(base.previsions + (endpoint,)))
         if not verdict.coherent:
             if not check_coherence(base).coherent:
                 raise IncoherentAssessmentError("base assessment is incoherent")

@@ -16,6 +16,7 @@ program, reported as one line on standard error).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -37,7 +38,6 @@ from .events import (
     AtomLimitError,
     EventSyntaxError,
     Universe,
-    constituents,
 )
 
 ATOM_CAP_ENV = "PREVISIONS_ATOM_CAP"
@@ -85,6 +85,29 @@ class CompoundSpec:
     prevision: Fraction | None
 
 
+def _compound_spec(entry: Any, member_count: int, where: str) -> CompoundSpec:
+    """A compound's kind, two member indices in range and optional prevision."""
+    if not isinstance(entry, Mapping):
+        raise DocumentError(f"{where} must be an object")
+    kind = entry.get("kind")
+    if kind not in _COMPOUND_BUILDERS:
+        raise DocumentError(f"{where} kind must be one of {sorted(_COMPOUND_BUILDERS)}")
+    operands = entry.get("operands")
+    if (
+        not isinstance(operands, list)
+        or len(operands) != 2
+        or not all(isinstance(j, int) and not isinstance(j, bool) for j in operands)
+    ):
+        raise DocumentError(f"{where} 'operands' must be two member indices")
+    lo, hi = operands
+    if not (0 <= lo < member_count and 0 <= hi < member_count):
+        raise DocumentError(f"{where} operand index out of range")
+    prevision = entry.get("prevision")
+    return CompoundSpec(
+        kind, (lo, hi), None if prevision is None else parse_rational(prevision)
+    )
+
+
 @dataclass(frozen=True)
 class AssessmentDocument:
     """Parsed form of an input file, still textual on the event side."""
@@ -127,33 +150,10 @@ class AssessmentDocument:
         raw_compounds = payload.get("compounds")
         if not isinstance(raw_compounds, (list, type(None))):
             raise DocumentError("'compounds' must be a list")
-        compounds = []
-        for i, entry in enumerate(raw_compounds or []):
-            if not isinstance(entry, Mapping):
-                raise DocumentError(f"compound {i} must be an object")
-            kind = entry.get("kind")
-            if kind not in _COMPOUND_BUILDERS:
-                raise DocumentError(
-                    f"compound {i} kind must be one of {sorted(_COMPOUND_BUILDERS)}"
-                )
-            operands = entry.get("operands")
-            if (
-                not isinstance(operands, list)
-                or len(operands) != 2
-                or not all(isinstance(j, int) and not isinstance(j, bool) for j in operands)
-            ):
-                raise DocumentError(f"compound {i} 'operands' must be two member indices")
-            lo, hi = operands
-            if not (0 <= lo < len(members) and 0 <= hi < len(members)):
-                raise DocumentError(f"compound {i} operand index out of range")
-            prevision = entry.get("prevision")
-            compounds.append(
-                CompoundSpec(
-                    kind,
-                    (lo, hi),
-                    None if prevision is None else parse_rational(prevision),
-                )
-            )
+        compounds = [
+            _compound_spec(entry, len(members), f"compound {i}")
+            for i, entry in enumerate(raw_compounds or [])
+        ]
         return cls(tuple(atoms), tuple(members), tuple(compounds))
 
     @classmethod
@@ -267,10 +267,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     if any(spec.prevision is None for spec in document.compounds):
         raise DocumentError("compounds need previsions for checking")
     compounds = [build_compound(members, spec) for spec in document.compounds]
-    report = check_coherence(Assessment(members + compounds))
+    family = Assessment(members + compounds)
+    report = check_coherence(family)
     if not report.coherent and compounds:
         # A coherent family has a coherent base, so the base is checked only here.
-        base = check_coherence(Assessment(members))
+        base = check_coherence(family.sub(range(len(members))))
         report = report if base.coherent else base
     _emit(report_payload(report))
     return 0 if report.coherent else 1
@@ -315,9 +316,7 @@ def cmd_conjoin(args: argparse.Namespace) -> int:
 def cmd_constituents(args: argparse.Namespace) -> int:
     document = AssessmentDocument.load(args.file)
     _, members = realize(document)
-    partition = constituents(
-        [([e for e, _ in m.cells], m.conditioning) for m in members]
-    )
+    partition = Assessment(members).partition
 
     def block_payload(block):
         return {
@@ -343,10 +342,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise DocumentError("--pa must lie in (0, 1]")
     if not 0 <= pac <= pa:
         raise DocumentError("--pac must lie in [0, --pa]")
-    if args.trials < 1:
-        raise DocumentError("--trials must be positive")
-    if args.max_len < 1:
-        raise DocumentError("--max-len must be at least 1")
     universe = Universe(atom_limit=_atom_cap())
     antecedent = universe.atom("A")
     consequent = universe.atom("C")
@@ -372,22 +367,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_target(text: str, member_count: int) -> CompoundSpec:
-    kind, sep, rest = text.partition(":")
-    if not sep or kind not in _COMPOUND_BUILDERS:
-        raise DocumentError(
-            "--target must look like 'conjunction:0,1' with kind one of "
-            f"{sorted(_COMPOUND_BUILDERS)}"
-        )
-    parts = rest.split(",")
-    if len(parts) != 2:
-        raise DocumentError("--target needs exactly two member indices")
-    try:
-        i, j = (int(p) for p in parts)
-    except ValueError:
-        raise DocumentError("--target indices must be integers") from None
-    if not (0 <= i < member_count and 0 <= j < member_count):
-        raise DocumentError("--target member index out of range")
-    return CompoundSpec(kind, (i, j), None)
+    """``KIND:I,J`` as a compound without prevision, checked like a
+    document's compounds."""
+    kind, _, rest = text.partition(":")
+    operands: list[Any] = rest.split(",")
+    with contextlib.suppress(ValueError):  # text is refused as no index
+        operands = [int(part) for part in operands]
+    return _compound_spec({"kind": kind, "operands": operands}, member_count, "--target")
 
 
 @functools.cache

@@ -12,11 +12,13 @@ mass in *every* solution are then re-checked recursively on their own;
 the assessment is coherent when each level is solvable and the
 zero-mass set empties out.
 
-The constituents are enumerated once per check, for the whole family.
-A deeper level's subfamily generates a coarser partition: each of its
-blocks is the union of the first level's blocks that agree on the
-subfamily's labels, so deeper levels merge blocks instead of building
-truth tables again.
+The constituents depend only on the members, not on the previsions, so
+an :class:`Assessment` enumerates them at most once and hands them on:
+a repricing of the same members shares them, and a subfamily's
+coarser partition merges them (each of its blocks is the union of the
+blocks that agree on the subfamily's labels) instead of building truth
+tables again.  Every level of a check is a sub-assessment of the
+checked one.
 
 Everything runs in exact rational arithmetic.  The recursion hinges on
 deciding whether a maximal conditioning mass is exactly zero, which no
@@ -62,10 +64,11 @@ class Assessment:
     """An ordered family of conditional random quantities with previsions.
 
     Previsions can be passed explicitly or taken from the members'
-    prevision slots.
+    prevision slots.  The members' constituent partition is enumerated
+    on first use and passed on to sub-assessments and repricings.
     """
 
-    __slots__ = ("_members", "_previsions")
+    __slots__ = ("_members", "_previsions", "_partition")
 
     def __init__(
         self,
@@ -86,6 +89,7 @@ class Assessment:
                 raise ValueError("previsions and members must have equal length")
         self._members = resolved
         self._previsions = values
+        self._partition: ConstituentPartition | None = None
 
     @property
     def members(self) -> tuple[ConditionalRandomQuantity, ...]:
@@ -98,12 +102,31 @@ class Assessment:
     def __len__(self) -> int:
         return len(self._members)
 
+    @property
+    def partition(self) -> ConstituentPartition:
+        """The constituents generated by the members, enumerated once."""
+        if self._partition is None:
+            self._partition = constituents(
+                [([event for event, _ in m.cells], m.conditioning) for m in self._members]
+            )
+        return self._partition
+
     def sub(self, indices: Sequence[int]) -> "Assessment":
-        """The sub-assessment on the given member indices, in order."""
-        return Assessment(
+        """The sub-assessment on the given member indices, in order; its
+        partition merges this one's blocks if they are already known."""
+        sub = Assessment(
             [self._members[i] for i in indices],
             [self._previsions[i] for i in indices],
         )
+        if self._partition is not None:
+            sub._partition = self._partition.restrict(indices)
+        return sub
+
+    def with_previsions(self, previsions: Sequence[Rational]) -> "Assessment":
+        """The same members repriced, sharing their partition."""
+        repriced = Assessment(self._members, previsions)
+        repriced._partition = self._partition
+        return repriced
 
 
 @dataclass(frozen=True)
@@ -177,16 +200,8 @@ class CoherenceReport:
 
 
 def build_system(assessment: Assessment) -> LinearSystem:
-    """Assemble the feasibility system of an assessment."""
-    family = [
-        ([event for event, _ in member.cells], member.conditioning)
-        for member in assessment.members
-    ]
-    return _assemble(assessment, constituents(family))
-
-
-def _assemble(assessment: Assessment, partition: ConstituentPartition) -> LinearSystem:
-    """The feasibility system of an assessment on its members' partition."""
+    """Assemble the feasibility system of an assessment on its partition."""
+    partition = assessment.partition
     points = []
     membership = []
     for block in partition.inside:
@@ -224,8 +239,8 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
     """Decide coherence by the recursive zero-mass procedure.
 
     Level by level: build the feasibility system of the current
-    subfamily, on the whole family's constituents merged by the
-    subfamily's labels (see :meth:`ConstituentPartition.restrict`); if
+    subfamily, a sub-assessment of ``assessment`` on the constituents
+    it merges from the whole family's (see :meth:`Assessment.sub`); if
     unsolvable the assessment is incoherent (and a Dutch Book is
     extracted from the Farkas certificate); otherwise recurse on
     the members whose maximal conditioning mass is exactly zero, until
@@ -238,11 +253,9 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
     """
     indices = tuple(range(len(assessment)))
     levels: list[CoherenceLevel] = []
-    system = build_system(assessment)
-    partition = system.partition
+    family = assessment
     while True:
-        if levels:
-            system = _assemble(assessment.sub(indices), partition.restrict(indices))
+        system = build_system(family)
         result = system.feasibility
         if not result.feasible:
             levels.append(CoherenceLevel(indices, False, None, None, ()))
@@ -263,6 +276,7 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
         if len(zero_mass) >= len(indices):  # pragma: no cover - impossible
             raise AssertionError("zero-mass set must shrink")
         indices = zero_mass
+        family = assessment.sub(zero_mass)
 
 
 def random_gain(

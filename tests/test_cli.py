@@ -357,6 +357,14 @@ class TestSimulateCommand:
         argv = ["simulate", "--pa", "1/4", "--pac", "1/2", "--trials", "10", "--seed", "1"]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("option", ["--trials", "--max-len"])
+    def test_nonpositive_run_parameter_rejected(self, capsys, option):
+        argv = ["simulate", "--pa", "1/2", "--pac", "1/4", "--seed", "1", option, "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize(
         "argv, expected",
         [

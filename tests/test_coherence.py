@@ -1,10 +1,12 @@
 import itertools
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from previsions import bounds, lp
+from previsions import bounds, coherence, lp
 from previsions.coherence import (
     Assessment,
     CertificateVerificationError,
@@ -320,24 +322,22 @@ class TestRandomGain:
         # differently, and fails.  The constituents are enumerated once,
         # each level builds its system once, and the Dutch Book comes from
         # that system.
-        from previsions import coherence
-
         u, a, h, b, k = four_atoms()
         members = [conditional_event(h, u.true())] + [conditional_event(a, h)] * 2
         assessment = Assessment(members, [F(0), F(1, 2), F(1, 3)])
         enumerations, systems = [], []
-        enumerate_, assemble = coherence.constituents, coherence._assemble
+        enumerate_, build = coherence.constituents, coherence.build_system
 
         def counting_enumerations(family):
             enumerations.append(len(family))
             return enumerate_(family)
 
-        def counting_systems(sub, partition):
+        def counting_systems(sub):
             systems.append(len(sub))
-            return assemble(sub, partition)
+            return build(sub)
 
         monkeypatch.setattr(coherence, "constituents", counting_enumerations)
-        monkeypatch.setattr(coherence, "_assemble", counting_systems)
+        monkeypatch.setattr(coherence, "build_system", counting_systems)
         report = check_coherence(assessment)
         assert not report.coherent
         assert len(report.levels) == 2
@@ -531,3 +531,57 @@ class TestCertificateVerification:
         self.patch_solver(monkeypatch, perturb)
         with pytest.raises(CertificateVerificationError, match="Dutch Book"):
             check_coherence(self.incoherent_pair())
+
+
+PRICES = (F(0), F(1), F(0), F(1), F(1, 2), F(1, 3), F(2, 3))
+
+
+@st.composite
+def priced_families(draw):
+    """Conditional events over three atoms, heavy in 0/1 previsions so that
+    zero-mass levels occur, with two pricings of the same members."""
+    u = Universe()
+    atoms = [u.atom(name) for name in "ABC"]
+
+    def literals(count):
+        picked = draw(st.permutations(atoms))[:count]
+        return [a if draw(st.booleans()) else ~a for a in picked]
+
+    def formula(count):
+        parts = literals(count)
+        if not parts:
+            return u.true()
+        glue = draw(st.sampled_from(("and", "or")))
+        acc = parts[0]
+        for part in parts[1:]:
+            acc = (acc & part) if glue == "and" else (acc | part)
+        return acc
+
+    members = [
+        conditional_event(formula(draw(st.integers(1, 2))), formula(draw(st.integers(0, 2))))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    prices = st.lists(st.sampled_from(PRICES), min_size=len(members), max_size=len(members))
+    return members, draw(prices), draw(prices)
+
+
+class TestSharedPartition:
+    """Sub-assessments and repricings reuse a known partition; their
+    reports match fresh assessments of the same members and previsions."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_sub_and_repricing_match_fresh_assessments(self, data):
+        members, previsions, repriced = data.draw(priced_families())
+        n = len(members)
+        indices = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+        family = Assessment(members, previsions)
+        family.partition  # enumerated here, and nowhere below
+        with mock.patch.object(coherence, "constituents", side_effect=AssertionError):
+            shared = check_coherence(family.sub(indices)), check_coherence(
+                family.with_previsions(repriced)
+            )
+        fresh = check_coherence(
+            Assessment([members[i] for i in indices], [previsions[i] for i in indices])
+        ), check_coherence(Assessment(members, repriced))
+        assert shared == fresh

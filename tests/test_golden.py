@@ -51,6 +51,28 @@ def test_report_bytes(name, capsys):
     assert capsys.readouterr().out == expected
 
 
+def count_calls(name, monkeypatch):
+    """Run a golden command; return the sizes of the families it checks in
+    full and of those whose constituents it enumerates."""
+    checks, enumerations = [], []
+    check, enumerate_ = coherence.check_coherence, coherence.constituents
+
+    def counting_check(assessment):
+        checks.append(len(assessment))
+        return check(assessment)
+
+    def counting_enumeration(family):
+        enumerations.append(len(family))
+        return enumerate_(family)
+
+    for module in (coherence, cli, bounds):
+        monkeypatch.setattr(module, "check_coherence", counting_check)
+    monkeypatch.setattr(coherence, "constituents", counting_enumeration)
+    (command, *options), code = CASES[name]
+    assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
+    return checks, enumerations
+
+
 @pytest.mark.parametrize(
     "name, checks",
     [
@@ -67,15 +89,14 @@ def test_check_count(name, checks, monkeypatch, capsys):
     """Each family is checked once: a family with compounds, then its base
     only when the family is incoherent; for ``extend`` the base and the
     two interval endpoints, with no separate operand pair check."""
-    calls = []
-    check = coherence.check_coherence
+    assert len(count_calls(name, monkeypatch)[0]) == checks
 
-    def counting(assessment):
-        calls.append(len(assessment))
-        return check(assessment)
 
-    for module in (coherence, cli, bounds):
-        monkeypatch.setattr(module, "check_coherence", counting)
-    (command, *options), code = CASES[name]
-    assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
-    assert len(calls) == checks
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_enumeration_count(name, monkeypatch, capsys):
+    """Each family's constituents are enumerated once per command: a base
+    checked after its family merges the family's blocks, and the
+    endpoint re-checks of ``extend`` reprice the family whose interval
+    was computed, so ``extend`` enumerates the base and that family."""
+    expected = 2 if CASES[name][0][0] == "extend" else 1
+    assert len(count_calls(name, monkeypatch)[1]) == expected
