@@ -1,14 +1,23 @@
 """Coherent-extension intervals and closed-form prevision bounds.
 
-Given a coherent base assessment and a target quantity whose value map
-is fully determined by the base previsions, the coherent previsions for
-the target form a closed interval.  It is computed exactly: the target
-coordinate is minimized and maximized over the solution polytope of the
-extended feasibility system, and both endpoints are re-verified with
-the full recursive coherence check before being returned.  The
-re-checks price the extended family's members again, so they reuse
-its constituents rather than enumerating them twice more.  The base
-itself is checked in full only when an endpoint fails its re-check.
+Given a coherent base assessment and a target quantity whose
+conditioning event covers every constituent inside the base
+conditioning events, the coherent previsions for the target form a
+closed interval (Biazzo & Gilio, IJAR 2000, on extending a coherent
+assessment).  It is computed exactly: the target coordinate is minimized
+and maximized over the solution polytope of the extended feasibility
+system.  The extended family's constituents are enumerated once, and
+the base is checked in full as a sub-assessment of the extended family,
+merging them.
+
+The endpoints need no recursive re-check.  The target carries mass one
+in every solution, so it never joins a zero-mass set: every deeper level
+of the extended check is a subfamily of the base, and every subfamily of
+a coherent base is coherent.  A prevision ``z`` for the target is thus
+coherent exactly when the base is and level 1 of the extended system is
+solvable at ``z``.  The optimal point of each endpoint certifies that:
+its weights are checked in exact arithmetic to be nonnegative, to sum
+to one and to reproduce the base previsions and the endpoint.
 
 The classic two-event bounds (conjunction, disjunction, quasi
 conjunction) are also available in closed form; for logically
@@ -22,7 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .coherence import Assessment, IncoherentAssessmentError, build_system, check_coherence
+from .coherence import (
+    Assessment,
+    CoherenceReport,
+    IncoherentAssessmentError,
+    _reproduces,
+    build_system,
+    check_coherence,
+)
 from .crq import ConditionalRandomQuantity, Rational
 
 _ZERO = Fraction(0)
@@ -30,10 +46,11 @@ _ONE = Fraction(1)
 
 
 class ExtensionVerificationError(RuntimeError):
-    """An interval endpoint failed the full coherence re-check.
+    """An interval endpoint failed its exact certificate.
 
-    This is a diagnostic guard: the set of coherent extensions is closed,
-    so a failure here indicates a bug rather than a legitimate outcome.
+    This is a diagnostic guard: the optimal points of the interval's
+    linear programs are exact, so a failure here indicates a bug rather
+    than a legitimate outcome.
     """
 
 
@@ -55,42 +72,57 @@ def extension_interval(
 ) -> ExtensionInterval:
     """Exact interval of previsions coherently extendable to ``target``.
 
-    The target's conditioning event must cover every base conditioning
-    event; its values then appear as plain coordinates of the extended
-    system and the prevision bounds are a linear minimum and maximum over
-    the base solution polytope.  Both endpoints are verified coherent.
+    The target's conditioning event must cover every constituent inside
+    the base conditioning events; its values then appear as plain
+    coordinates of the extended system and the prevision bounds are a
+    linear minimum and maximum over the base solution polytope.  Both
+    endpoints are certified coherent by their optimal points, which
+    suffices because the target can never carry zero mass (see the
+    module docstring).
 
-    An incoherent base raises :class:`IncoherentAssessmentError`.  It is
-    not checked upfront: an infeasible base system shows it, and
-    otherwise the endpoint re-checks fail, since every subfamily of a
-    coherent family is coherent; only then is the base checked alone.
+    An incoherent base raises :class:`IncoherentAssessmentError`, also
+    when only a deeper level of its check fails.
     """
-    extended = Assessment(base.members + (target,), base.previsions + (_ZERO,))
-    system = build_system(extended)
+    _, interval = _extend(base, target)
+    if interval is None:
+        raise IncoherentAssessmentError("base assessment is incoherent")
+    return interval
+
+
+def _extend(
+    base: Assessment, target: ConditionalRandomQuantity
+) -> tuple[CoherenceReport, ExtensionInterval | None]:
+    """The base's coherence report and, when the base is coherent, the
+    target's interval: one enumeration and one coherence check.
+
+    The base is checked before the target's coverage, so an incoherent
+    base is reported whatever the target.
+    """
     n = len(base)
+    extended = Assessment(base.members + (target,), base.previsions + (_ZERO,))
+    # Enumerates the constituents that the base check below merges.
+    system = build_system(extended)
+    report = check_coherence(extended.sub(range(n)))
+    if not report.coherent:
+        return report, None
     if any(n not in present for present in system.membership):
         raise ValueError("target conditioning must cover every base conditioning event")
     objective = [point[n] for point in system.points]
 
     rows, rhs = system.constraint_rows()
-    base_rows = rows[:n] + [rows[-1]]
-    base_rhs = rhs[:n] + [rhs[-1]]
-    first = lp.solve(base_rows, base_rhs)
-    if not first.feasible:
-        raise IncoherentAssessmentError("base assessment is incoherent")
+    first = lp.solve(rows[:n] + [rows[-1]], rhs[:n] + [rhs[-1]])
     # The total mass row keeps the target between its extreme values.
     low = lp.optimize(first, objective, bound=min(objective))
     high = lp.optimize(first, objective, maximize=True, bound=max(objective))
-
-    for endpoint in (low.objective, high.objective):
-        verdict = check_coherence(extended.with_previsions(base.previsions + (endpoint,)))
-        if not verdict.coherent:
-            if not check_coherence(base).coherent:
-                raise IncoherentAssessmentError("base assessment is incoherent")
+    for endpoint in (low, high):
+        # The optimal point must solve level 1 of the extended system
+        # priced at the endpoint.
+        priced = base.previsions + (endpoint.objective,)
+        if not (endpoint.feasible and _reproduces(system.points, endpoint.solution, priced)):
             raise ExtensionVerificationError(
-                f"endpoint {endpoint} failed the coherence re-check"
+                f"endpoint {endpoint.objective} failed its exact certificate"
             )
-    return ExtensionInterval(low.objective, high.objective, attained=True)
+    return report, ExtensionInterval(low.objective, high.objective, attained=True)
 
 
 def frechet_conjunction_bounds(x: Rational, y: Rational) -> tuple[Fraction, Fraction]:

@@ -281,12 +281,11 @@ def cmd_extend(args: argparse.Namespace) -> int:
     document = AssessmentDocument.load(args.file)
     _, members = realize(document)
     target = build_compound(members, _parse_target(args.target, len(members)))
-    base = Assessment(members)
-    report = check_coherence(base)
-    if not report.coherent:
+    report, interval = bounds._extend(Assessment(members), target)
+    if interval is None:
         _emit(report_payload(report, diagnostics=("base assessment is incoherent",)))
         return 1
-    _emit(report_payload(report, bounds.extension_interval(base, target)))
+    _emit(report_payload(report, interval))
     return 0
 
 

@@ -267,7 +267,10 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
                 )
             book = DutchBook(indices, tuple(stakes), gains)
             return CoherenceReport(False, tuple(levels), book)
-        _verify_witness(system, result.solution, indices)
+        if not _reproduces(system.points, result.solution, system.target):
+            raise CertificateVerificationError(
+                f"witness on members {list(indices)} does not reproduce the previsions"
+            )
         masses = upper_conditioning_masses(system)
         zero_mass = tuple(indices[j] for j, m in enumerate(masses) if m == 0)
         levels.append(CoherenceLevel(indices, True, result.solution, masses, zero_mass))
@@ -305,24 +308,22 @@ def _gains(system: LinearSystem, stakes: Sequence[Fraction]) -> tuple[Fraction, 
     )
 
 
-def _verify_witness(
-    system: LinearSystem, weights: Sequence[Fraction], indices: Sequence[int]
-) -> None:
-    """Check ``w >= 0``, ``sum(w) = 1`` and ``sum(w_h * point_h) = target``
-    exactly, skipping zero weights."""
+def _reproduces(
+    points: Sequence[Sequence[Fraction]],
+    weights: Sequence[Fraction],
+    target: Sequence[Fraction],
+) -> bool:
+    """Whether ``w >= 0``, ``sum(w) = 1`` and ``sum(w_h * point_h) = target``
+    hold exactly; zero weights are skipped."""
+    if len(weights) != len(points):
+        return False
     total = Fraction(0)
-    sums = [Fraction(0)] * system.size
-    valid = len(weights) == len(system.points)
-    for weight, point in zip(weights, system.points):
+    sums = [Fraction(0)] * len(target)
+    for weight, point in zip(weights, points):
         if weight < 0:
-            valid = False
-        elif weight:
+            return False
+        if weight:
             total += weight
             for i, value in enumerate(point):
                 sums[i] += weight * value
-    if valid and total == 1 and tuple(sums) == system.target:
-        return
-    raise CertificateVerificationError(
-        f"witness on members {list(indices)} does not reproduce the previsions"
-    )
-
+    return total == 1 and sums == list(target)

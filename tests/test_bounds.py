@@ -1,15 +1,29 @@
+import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import brute_coherent, brute_rows, polytope_vertices
+from previsions import bounds, lp
 from previsions.bounds import (
+    ExtensionVerificationError,
     disjunction_bounds,
     extension_interval,
     frechet_conjunction_bounds,
     quasi_conjunction_bounds,
 )
+from previsions.cli import main
 from previsions.coherence import Assessment, IncoherentAssessmentError, check_coherence
-from previsions.crq import conditional_event, conjunction, disjunction, quasi_conjunction
+from previsions.crq import (
+    _conjoin,
+    _disjoin,
+    conditional_event,
+    conjunction,
+    disjunction,
+    quasi_conjunction,
+)
 from previsions.events import Universe
 
 
@@ -93,7 +107,7 @@ class TestExtensionInterval:
     def test_base_incoherent_only_at_a_deeper_level_rejected(self):
         # Level 1 puts all mass outside H and is solvable; level 2 prices
         # A|H twice, differently, and fails.  The base rows of the
-        # extended system are feasible, so the endpoint re-checks catch it.
+        # extended system are feasible, so only the base check catches it.
         u = Universe()
         a, h = u.atom("A"), u.atom("H")
         members = [
@@ -107,14 +121,12 @@ class TestExtensionInterval:
         with pytest.raises(IncoherentAssessmentError):
             extension_interval(base, conjunction(members[0], members[1]))
 
-    def test_coherent_base_costs_two_checks(self, monkeypatch):
-        # Only the two endpoint re-checks run; the base is not checked.
-        from previsions import bounds
-
+    def test_coherent_base_costs_one_check_of_the_base(self, monkeypatch):
+        # The endpoints are certified by their optimal points, not re-checked.
         calls = []
 
         def counting(assessment):
-            calls.append(len(assessment))
+            calls.append(assessment.members)
             return check_coherence(assessment)
 
         monkeypatch.setattr(bounds, "check_coherence", counting)
@@ -123,7 +135,7 @@ class TestExtensionInterval:
             Assessment([first, second]), conjunction(first, second)
         )
         assert (interval.lower, interval.upper) == (F(3, 10), F(3, 5))
-        assert calls == [3, 3]
+        assert calls == [(first, second)]
 
     def test_uncovered_target_conditioning_rejected(self):
         # The target must be conditioned on something covering the base
@@ -181,3 +193,117 @@ class TestExtensionInterval:
         )
         assert F(1, 4) in interval
         assert F(3, 5) not in interval
+
+
+PRICES = (F(0), F(1), F(0), F(1), F(1, 2), F(1, 3), F(2, 3))
+BUILDERS = {"conjunction": _conjoin, "disjunction": _disjoin, "quasi": quasi_conjunction}
+
+
+@st.composite
+def extensions(draw):
+    """A base of conditional events over three atoms, heavy in 0/1
+    previsions so that zero-mass levels occur, and a compound of two of
+    its members whose conditioning covers every other member's."""
+    u = Universe()
+    atoms = [u.atom(name) for name in "ABC"]
+
+    def formula(count):
+        picked = draw(st.permutations(atoms))[:count]
+        parts = [a if draw(st.booleans()) else ~a for a in picked]
+        if not parts:
+            return u.true()
+        glue = draw(st.sampled_from(("and", "or")))
+        acc = parts[0]
+        for part in parts[1:]:
+            acc = (acc & part) if glue == "and" else (acc | part)
+        return acc
+
+    def member(conditioning):
+        quantity = formula(draw(st.integers(1, 2)))
+        return conditional_event(quantity, conditioning, draw(st.sampled_from(PRICES)))
+
+    first = member(formula(draw(st.integers(0, 2))))
+    second = member(formula(draw(st.integers(0, 2))))
+    cover = first.conditioning | second.conditioning
+    extras = []
+    for _ in range(draw(st.integers(0, 2))):
+        inside = formula(draw(st.integers(0, 2))) & cover
+        extras.append(member(cover if inside.is_impossible() else inside))
+    members = draw(st.permutations([first, second, *extras]))
+    target = BUILDERS[draw(st.sampled_from(sorted(BUILDERS)))](first, second)
+    return Assessment(members), target
+
+
+class TestExtensionAgainstOracle:
+    """Intervals against brute-force vertex enumeration and the brute-force
+    recursive coherence decision, which also shows them tight."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(extensions())
+    def test_interval_matches_brute_force(self, case):
+        base, target = case
+        n = len(base)
+
+        def priced(z):
+            return Assessment(base.members + (target,), base.previsions + (z,))
+
+        if not brute_coherent(base):
+            with pytest.raises(IncoherentAssessmentError):
+                extension_interval(base, target)
+            return
+        interval = extension_interval(base, target)
+
+        points, _ = brute_rows(priced(F(0)))
+        vertices = polytope_vertices([point[:n] for point in points], base.previsions)
+        values = [sum(w * point[n] for w, point in zip(v, points)) for v in vertices]
+        assert (interval.lower, interval.upper) == (min(values), max(values))
+        assert brute_coherent(priced(interval.lower))
+        assert brute_coherent(priced(interval.upper))
+        delta = F(1, 1000)
+        cells = [value for _, value in target.cells]
+        if interval.lower - delta >= min(cells):
+            assert not brute_coherent(priced(interval.lower - delta))
+        if interval.upper + delta <= max(cells):
+            assert not brute_coherent(priced(interval.upper + delta))
+
+
+def shift_objective(result):
+    return lp.LPResult(result.status, result.solution, result.objective + F(1, 1000))
+
+
+def perturb_weight(result):
+    weights = list(result.solution)
+    j = next(j for j, w in enumerate(weights) if w)
+    weights[j] += F(1, 1000)
+    return lp.LPResult(result.status, tuple(weights), result.objective)
+
+
+@pytest.mark.parametrize("mutate", [shift_objective, perturb_weight])
+class TestEndpointCertificate:
+    """A wrong optimal point fails the endpoint certificate: an internal
+    error, never an interval."""
+
+    @pytest.fixture(autouse=True)
+    def mutant(self, monkeypatch, mutate):
+        def optimize(*args, **kwargs):
+            return mutate(lp.optimize(*args, **kwargs))
+
+        # Only the interval's programs are mutated, not the base check's.
+        monkeypatch.setattr(bounds, "lp", SimpleNamespace(solve=lp.solve, optimize=optimize))
+
+    def test_extension_interval_raises(self):
+        first, second = pair(F(7, 10), F(3, 5))
+        with pytest.raises(ExtensionVerificationError, match="certificate"):
+            extension_interval(Assessment([first, second]), conjunction(first, second))
+
+    def test_extend_command_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        members = [
+            {"quantity": "A", "given": "H", "prevision": "7/10"},
+            {"quantity": "B", "given": "K", "prevision": "3/5"},
+        ]
+        path.write_text(json.dumps({"atoms": ["A", "H", "B", "K"], "members": members}))
+        assert main(["extend", str(path), "--target", "conjunction:0,1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ExtensionVerificationError")

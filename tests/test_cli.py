@@ -239,6 +239,36 @@ class TestExtendCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "incoherent"
 
+    def test_base_incoherent_only_at_a_deeper_level(self, tmp_path, capsys):
+        # Level 1 is solvable with no mass on H; level 2 prices A|H twice.
+        payload = {
+            "atoms": ["A", "H"],
+            "members": [
+                {"quantity": "H", "given": "1", "prevision": "0"},
+                {"quantity": "A", "given": "H", "prevision": "1/2"},
+                {"quantity": "A", "given": "H", "prevision": "1/3"},
+            ],
+        }
+        path = write_doc(tmp_path, payload)
+        assert main(["extend", path, "--target", "conjunction:0,1"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "incoherent"
+        assert [level["solvable"] for level in out["trace"]] == [True, False]
+        assert out["interval"] is None
+
+    def test_incoherent_base_reported_before_uncovered_target(self, tmp_path, capsys):
+        # The target, conditioned on H, does not cover K; the base's
+        # report still wins over that input error.
+        payload = incoherent_pair_payload()
+        payload["atoms"] += ["B", "K"]
+        payload["members"].append({"quantity": "B", "given": "K", "prevision": "1/2"})
+        path = write_doc(tmp_path, payload)
+        assert main(["check", path]) == 1
+        checked = json.loads(capsys.readouterr().out)
+        assert main(["extend", path, "--target", "conjunction:0,1"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out == {**checked, "diagnostics": ["base assessment is incoherent"]}
+
     def test_bad_target_spec(self, tmp_path, capsys):
         path = write_doc(tmp_path, coherent_pair_payload())
         assert main(["extend", path, "--target", "xor:0,1"]) == 2

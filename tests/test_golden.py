@@ -80,23 +80,22 @@ def count_calls(name, monkeypatch):
         ("check-compound-coherent", 1),
         ("check-compound-dutch-book", 2),
         ("check-compound-incoherent-base", 2),
-        ("extend-conjunction", 3),
-        ("extend-disjunction", 3),
-        ("extend-quasi-conjunction", 3),
+        ("extend-conjunction", 1),
+        ("extend-disjunction", 1),
+        ("extend-quasi-conjunction", 1),
     ],
 )
 def test_check_count(name, checks, monkeypatch, capsys):
     """Each family is checked once: a family with compounds, then its base
-    only when the family is incoherent; for ``extend`` the base and the
-    two interval endpoints, with no separate operand pair check."""
+    only when the family is incoherent; for ``extend`` the base alone,
+    since the interval endpoints are certified rather than re-checked and
+    there is no separate operand pair check."""
     assert len(count_calls(name, monkeypatch)[0]) == checks
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_enumeration_count(name, monkeypatch, capsys):
-    """Each family's constituents are enumerated once per command: a base
-    checked after its family merges the family's blocks, and the
-    endpoint re-checks of ``extend`` reprice the family whose interval
-    was computed, so ``extend`` enumerates the base and that family."""
-    expected = 2 if CASES[name][0][0] == "extend" else 1
-    assert len(count_calls(name, monkeypatch)[1]) == expected
+    """Constituents are enumerated once per command: a base checked after
+    its family merges the family's blocks, and ``extend`` enumerates the
+    base with its target and checks the base on their merged blocks."""
+    assert len(count_calls(name, monkeypatch)[1]) == 1
