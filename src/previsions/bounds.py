@@ -4,20 +4,25 @@ Given a coherent base assessment and a target quantity whose
 conditioning event covers every constituent inside the base
 conditioning events, the coherent previsions for the target form a
 closed interval (Biazzo & Gilio, IJAR 2000, on extending a coherent
-assessment).  It is computed exactly: the target coordinate is minimized
-and maximized over the solution polytope of the extended feasibility
-system.  The extended family's constituents are enumerated once, and
-the base is checked in full as a sub-assessment of the extended family,
-merging them.
+assessment).  The extended family's constituents are enumerated once,
+and the base is checked in full as a sub-assessment of the extended
+family, merging them.
 
 The endpoints need no recursive re-check.  The target carries mass one
 in every solution, so it never joins a zero-mass set: every deeper level
 of the extended check is a subfamily of the base, and every subfamily of
 a coherent base is coherent.  A prevision ``z`` for the target is thus
 coherent exactly when the base is and level 1 of the extended system is
-solvable at ``z``.  The optimal point of each endpoint certifies that:
-its weights are checked in exact arithmetic to be nonnegative, to sum
-to one and to reproduce the base previsions and the endpoint.
+solvable at ``z``.
+
+Nor do they need a phase 1 of their own.  The extended blocks that one
+base block merges share its base point, so an endpoint puts the block's
+mass on its least (greatest) target value: it is optimized on the base
+check's level-1 system, with those per-block extremes as the objective.
+Lifting each block's weight onto its extreme block makes the optimal
+point an extended level-1 solution, checked exactly on the base points
+with the extremes appended.  A block outside every base conditioning has
+the previsions as its point, so its target value is coherent and covered.
 
 The classic two-event bounds (conjunction, disjunction, quasi
 conjunction) are also available in closed form; for logically
@@ -36,7 +41,6 @@ from .coherence import (
     CoherenceReport,
     IncoherentAssessmentError,
     _reproduces,
-    build_system,
     check_coherence,
 )
 from .crq import ConditionalRandomQuantity, Rational
@@ -73,12 +77,9 @@ def extension_interval(
     """Exact interval of previsions coherently extendable to ``target``.
 
     The target's conditioning event must cover every constituent inside
-    the base conditioning events; its values then appear as plain
-    coordinates of the extended system and the prevision bounds are a
-    linear minimum and maximum over the base solution polytope.  Both
-    endpoints are certified coherent by their optimal points, which
-    suffices because the target can never carry zero mass (see the
-    module docstring).
+    the base conditioning events; the bounds are then a linear minimum
+    and maximum over the base check's level-1 solutions, each certified
+    by its optimal point (see the module docstring).
 
     An incoherent base raises :class:`IncoherentAssessmentError`, also
     when only a deeper level of its check fails.
@@ -93,36 +94,39 @@ def _extend(
     base: Assessment, target: ConditionalRandomQuantity
 ) -> tuple[CoherenceReport, ExtensionInterval | None]:
     """The base's coherence report and, when the base is coherent, the
-    target's interval: one enumeration and one coherence check.
+    target's interval: one enumeration, one check and one phase 1.
 
     The base is checked before the target's coverage, so an incoherent
     base is reported whatever the target.
     """
     n = len(base)
     extended = Assessment(base.members + (target,), base.previsions + (_ZERO,))
-    # Enumerates the constituents that the base check below merges.
-    system = build_system(extended)
-    report = check_coherence(extended.sub(range(n)))
+    blocks = extended.partition.inside
+    base = extended.sub(range(n))  # the same base, on merged blocks
+    report = check_coherence(base)
     if not report.coherent:
         return report, None
-    if any(n not in present for present in system.membership):
+    if any(block.labels[n] is None for block in blocks):
         raise ValueError("target conditioning must cover every base conditioning event")
-    objective = [point[n] for point in system.points]
-
-    rows, rhs = system.constraint_rows()
-    first = lp.solve(rows[:n] + [rows[-1]], rhs[:n] + [rhs[-1]])
-    # The total mass row keeps the target between its extreme values.
-    low = lp.optimize(first, objective, bound=min(objective))
-    high = lp.optimize(first, objective, maximize=True, bound=max(objective))
-    for endpoint in (low, high):
-        # The optimal point must solve level 1 of the extended system
-        # priced at the endpoint.
+    # The target's values on each base block, and outside them all.
+    values = {block.labels: [] for block in base.partition.inside}
+    outside: list[Fraction] = []
+    for block in blocks:
+        values.get(block.labels[:n], outside).append(target.cells[block.labels[n]][1])
+    system, interval = base.system, []
+    for maximize, extreme in ((False, min), (True, max)):
+        objective = [extreme(v) for v in values.values()]
+        endpoint = lp.optimize(system.feasibility, objective, maximize, extreme(objective))
+        # Lifted onto the extreme blocks, the optimal point must solve
+        # level 1 of the extended system priced at the endpoint.
+        points = [point + (z,) for point, z in zip(system.points, objective)]
         priced = base.previsions + (endpoint.objective,)
-        if not (endpoint.feasible and _reproduces(system.points, endpoint.solution, priced)):
+        if not (endpoint.feasible and _reproduces(points, endpoint.solution, priced)):
             raise ExtensionVerificationError(
                 f"endpoint {endpoint.objective} failed its exact certificate"
             )
-    return report, ExtensionInterval(low.objective, high.objective, attained=True)
+        interval.append(extreme([endpoint.objective, *outside]))
+    return report, ExtensionInterval(*interval, attained=True)
 
 
 def frechet_conjunction_bounds(x: Rational, y: Rational) -> tuple[Fraction, Fraction]:

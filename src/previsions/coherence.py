@@ -14,11 +14,11 @@ zero-mass set empties out.
 
 The constituents depend only on the members, not on the previsions, so
 an :class:`Assessment` enumerates them at most once and hands them on:
-a repricing of the same members shares them, and a subfamily's
-coarser partition merges them (each of its blocks is the union of the
-blocks that agree on the subfamily's labels) instead of building truth
-tables again.  Every level of a check is a sub-assessment of the
-checked one.
+a subfamily's coarser partition merges them (each of its blocks is the
+union of the blocks that agree on the subfamily's labels) instead of
+building truth tables again.  Every level of a check is a sub-assessment
+of the checked one.  An assessment owns its feasibility system too,
+built at most once, so ``extend`` optimizes on its base check's level 1.
 
 Everything runs in exact rational arithmetic.  The recursion hinges on
 deciding whether a maximal conditioning mass is exactly zero, which no
@@ -65,10 +65,10 @@ class Assessment:
 
     Previsions can be passed explicitly or taken from the members'
     prevision slots.  The members' constituent partition is enumerated
-    on first use and passed on to sub-assessments and repricings.
+    on first use and passed on to sub-assessments.
     """
 
-    __slots__ = ("_members", "_previsions", "_partition")
+    __slots__ = ("_members", "_previsions", "_partition", "_system")
 
     def __init__(
         self,
@@ -90,6 +90,7 @@ class Assessment:
         self._members = resolved
         self._previsions = values
         self._partition: ConstituentPartition | None = None
+        self._system: LinearSystem | None = None
 
     @property
     def members(self) -> tuple[ConditionalRandomQuantity, ...]:
@@ -111,6 +112,13 @@ class Assessment:
             )
         return self._partition
 
+    @property
+    def system(self) -> "LinearSystem":
+        """The feasibility system on the partition, built once."""
+        if self._system is None:
+            self._system = build_system(self)
+        return self._system
+
     def sub(self, indices: Sequence[int]) -> "Assessment":
         """The sub-assessment on the given member indices, in order; its
         partition merges this one's blocks if they are already known."""
@@ -121,12 +129,6 @@ class Assessment:
         if self._partition is not None:
             sub._partition = self._partition.restrict(indices)
         return sub
-
-    def with_previsions(self, previsions: Sequence[Rational]) -> "Assessment":
-        """The same members repriced, sharing their partition."""
-        repriced = Assessment(self._members, previsions)
-        repriced._partition = self._partition
-        return repriced
 
 
 @dataclass(frozen=True)
@@ -150,19 +152,13 @@ class LinearSystem:
     def size(self) -> int:
         return len(self.target)
 
-    def constraint_rows(self) -> tuple[list[list[Fraction]], list[Fraction]]:
-        """Equality constraints (including total mass one) for the solver."""
-        n = self.size
-        rows = [[point[i] for point in self.points] for i in range(n)]
-        rows.append([Fraction(1)] * len(self.points))
-        rhs = list(self.target) + [Fraction(1)]
-        return rows, rhs
-
     @cached_property
     def feasibility(self) -> lp.LPResult:
-        """Phase 1 of the system, solved once: the level's witness or
-        Farkas certificate, and the start of every mass LP."""
-        return lp.solve(*self.constraint_rows())
+        """Phase 1 (total mass row included), solved once: the level's
+        witness or Farkas certificate, and the start of every later LP."""
+        rows = [[point[i] for point in self.points] for i in range(self.size)]
+        rows.append([Fraction(1)] * len(self.points))
+        return lp.solve(rows, [*self.target, Fraction(1)])
 
 
 @dataclass(frozen=True)
@@ -238,7 +234,7 @@ def upper_conditioning_masses(system: LinearSystem) -> tuple[Fraction, ...]:
 def check_coherence(assessment: Assessment) -> CoherenceReport:
     """Decide coherence by the recursive zero-mass procedure.
 
-    Level by level: build the feasibility system of the current
+    Level by level: take the feasibility system of the current
     subfamily, a sub-assessment of ``assessment`` on the constituents
     it merges from the whole family's (see :meth:`Assessment.sub`); if
     unsolvable the assessment is incoherent (and a Dutch Book is
@@ -255,7 +251,7 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
     levels: list[CoherenceLevel] = []
     family = assessment
     while True:
-        system = build_system(family)
+        system = family.system
         result = system.feasibility
         if not result.feasible:
             levels.append(CoherenceLevel(indices, False, None, None, ()))
@@ -297,7 +293,7 @@ def random_gain(
     stakes = [Fraction(s) for s in coefficients]
     if len(stakes) != len(assessment):
         raise ValueError("need exactly one coefficient per member")
-    return _gains(build_system(assessment), stakes)
+    return _gains(assessment.system, stakes)
 
 
 def _gains(system: LinearSystem, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -17,6 +17,7 @@ from previsions.bounds import (
 from previsions.cli import main
 from previsions.coherence import Assessment, IncoherentAssessmentError, check_coherence
 from previsions.crq import (
+    ConditionalRandomQuantity,
     _conjoin,
     _disjoin,
     conditional_event,
@@ -200,10 +201,12 @@ BUILDERS = {"conjunction": _conjoin, "disjunction": _disjoin, "quasi": quasi_con
 
 
 @st.composite
-def extensions(draw):
+def extensions(draw, beyond=False):
     """A base of conditional events over three atoms, heavy in 0/1
-    previsions so that zero-mass levels occur, and a compound of two of
-    its members whose conditioning covers every other member's."""
+    previsions so that zero-mass levels occur, and a target: a compound
+    of two of its members whose conditioning covers every other member's,
+    or (always, when ``beyond``) a conditional event or value map
+    conditioned beyond that cover."""
     u = Universe()
     atoms = [u.atom(name) for name in "ABC"]
 
@@ -230,41 +233,57 @@ def extensions(draw):
         inside = formula(draw(st.integers(0, 2))) & cover
         extras.append(member(cover if inside.is_impossible() else inside))
     members = draw(st.permutations([first, second, *extras]))
-    target = BUILDERS[draw(st.sampled_from(sorted(BUILDERS)))](first, second)
+    kind = "beyond" if beyond else draw(st.sampled_from([*sorted(BUILDERS), "beyond"]))
+    if kind != "beyond":
+        return Assessment(members), BUILDERS[kind](first, second)
+    # Its blocks outside every base conditioning event price the base at
+    # its previsions, so each target value there is coherent.
+    event = formula(draw(st.integers(1, 2)))
+    cells = [(event, draw(st.sampled_from((F(1), F(1, 2), F(3))))), (~event, F(0))]
+    target = ConditionalRandomQuantity(cover | formula(draw(st.integers(0, 2))), cells)
     return Assessment(members), target
 
 
-class TestExtensionAgainstOracle:
-    """Intervals against brute-force vertex enumeration and the brute-force
-    recursive coherence decision, which also shows them tight."""
+def assert_matches_brute_force(base, target):
+    """The interval against brute-force vertex enumeration and the
+    brute-force recursive coherence decision, which also shows it tight."""
+    n = len(base)
 
+    def priced(z):
+        return Assessment(base.members + (target,), base.previsions + (z,))
+
+    if not brute_coherent(base):
+        with pytest.raises(IncoherentAssessmentError):
+            extension_interval(base, target)
+        return
+    interval = extension_interval(base, target)
+
+    points, _ = brute_rows(priced(F(0)))
+    vertices = polytope_vertices([point[:n] for point in points], base.previsions)
+    values = [sum(w * point[n] for w, point in zip(v, points)) for v in vertices]
+    assert (interval.lower, interval.upper) == (min(values), max(values))
+    assert brute_coherent(priced(interval.lower))
+    assert brute_coherent(priced(interval.upper))
+    delta = F(1, 1000)
+    cells = [value for _, value in target.cells]
+    if interval.lower - delta >= min(cells):
+        assert not brute_coherent(priced(interval.lower - delta))
+    if interval.upper + delta <= max(cells):
+        assert not brute_coherent(priced(interval.upper + delta))
+
+
+class TestExtensionAgainstOracle:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(extensions())
     def test_interval_matches_brute_force(self, case):
-        base, target = case
-        n = len(base)
+        assert_matches_brute_force(*case)
 
-        def priced(z):
-            return Assessment(base.members + (target,), base.previsions + (z,))
-
-        if not brute_coherent(base):
-            with pytest.raises(IncoherentAssessmentError):
-                extension_interval(base, target)
-            return
-        interval = extension_interval(base, target)
-
-        points, _ = brute_rows(priced(F(0)))
-        vertices = polytope_vertices([point[:n] for point in points], base.previsions)
-        values = [sum(w * point[n] for w, point in zip(v, points)) for v in vertices]
-        assert (interval.lower, interval.upper) == (min(values), max(values))
-        assert brute_coherent(priced(interval.lower))
-        assert brute_coherent(priced(interval.upper))
-        delta = F(1, 1000)
-        cells = [value for _, value in target.cells]
-        if interval.lower - delta >= min(cells):
-            assert not brute_coherent(priced(interval.lower - delta))
-        if interval.upper + delta <= max(cells):
-            assert not brute_coherent(priced(interval.upper + delta))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(extensions(beyond=True))
+    def test_target_conditioned_beyond_the_base(self, case):
+        """Target values outside every base conditioning event are each
+        coherent, so the interval covers them."""
+        assert_matches_brute_force(*case)
 
 
 def shift_objective(result):

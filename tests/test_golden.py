@@ -14,11 +14,12 @@ To re-record after an intended change of output, run the command in
 file.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from previsions import bounds, cli, coherence
+from previsions import bounds, cli, coherence, lp
 from previsions.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,24 +54,32 @@ def test_report_bytes(name, capsys):
 
 def count_calls(name, monkeypatch):
     """Run a golden command; return the sizes of the families it checks in
-    full and of those whose constituents it enumerates."""
-    checks, enumerations = [], []
-    check, enumerate_ = coherence.check_coherence, coherence.constituents
+    full and of those whose constituents it enumerates, the levels of
+    each check and the row counts of its phase-1 solves."""
+    checks, enumerations, levels, solves = [], [], [], []
+    check, enumerate_, solve = coherence.check_coherence, coherence.constituents, lp.solve
 
     def counting_check(assessment):
         checks.append(len(assessment))
-        return check(assessment)
+        report = check(assessment)
+        levels.append(len(report.levels))
+        return report
 
     def counting_enumeration(family):
         enumerations.append(len(family))
         return enumerate_(family)
 
+    def counting_solve(rows, rhs):
+        solves.append(len(rows))
+        return solve(rows, rhs)
+
     for module in (coherence, cli, bounds):
         monkeypatch.setattr(module, "check_coherence", counting_check)
     monkeypatch.setattr(coherence, "constituents", counting_enumeration)
+    monkeypatch.setattr(lp, "solve", counting_solve)
     (command, *options), code = CASES[name]
     assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
-    return checks, enumerations
+    return checks, enumerations, levels, solves
 
 
 @pytest.mark.parametrize(
@@ -99,3 +108,14 @@ def test_enumeration_count(name, monkeypatch, capsys):
     its family merges the family's blocks, and ``extend`` enumerates the
     base with its target and checks the base on their merged blocks."""
     assert len(count_calls(name, monkeypatch)[1]) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_phase_one_count(name, monkeypatch, capsys):
+    """One phase 1 per level of each check a command runs, and none
+    besides: ``extend`` optimizes its interval on the base check's level
+    1.  A command that runs one check prints that check's levels."""
+    checks, _, levels, solves = count_calls(name, monkeypatch)
+    assert len(solves) == sum(levels)
+    if len(checks) == 1:
+        assert levels == [len(json.loads(capsys.readouterr().out)["trace"])]
