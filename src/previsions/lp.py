@@ -24,6 +24,22 @@ objective over the feasible set, such as ``max(c)`` when the constraints
 include ``sum(x) = 1``, passes it as ``bound``, and phase 2 stops as soon
 as the objective reaches it.
 
+Equal columns take one tableau column.  :func:`solve` groups equal
+columns of its scaled integer rows and keeps the first of each group.  A
+pivot updates a column from its own entries, the pivot row and the
+pivot column alone, so at every step a repeated column would have the
+same tableau column and reduced cost as its first copy.  Bland's rule
+and the drive-out of the artificials both take the first eligible
+column, so neither would ever pick a repeat: the phase-1 pivots, the
+feasible point (0 at every repeat) and the Farkas certificate are those
+of the full tableau.  In phase 2 the copies of a column differ only in
+cost, and weight moved within a group to a cheapest copy stays feasible
+and costs no more; so :func:`optimize` prices each group by its
+cheapest copy, the first among equals, and puts the group's weight
+there.  The optimal value is the full problem's.  A mass objective thus
+gives each group the union of its copies' memberships, and an interval
+endpoint gives each group its extreme value.
+
 The tableau is kept fraction-free: an integer matrix ``M`` over one
 common positive denominator ``d``, so that the rational tableau is
 exactly ``M / d`` after every pivot.  On entry row ``i`` is scaled by the
@@ -69,7 +85,8 @@ class LPResult:
     """Outcome of one exact solve.
 
     A feasible result of :func:`solve` also holds its final phase-1
-    tableau, the start of every :func:`optimize`.
+    tableau, one column per group of equal columns, and those groups:
+    the start of every :func:`optimize`.
     """
 
     status: str
@@ -115,20 +132,33 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LPResu
         lcms.append(s)
         scaled.append([sign * v.numerator * (s // v.denominator) for v in row])
 
+    # One tableau column per group of equal columns, the group's first;
+    # scaling a row is one-to-one, so equal scaled columns are equal ones.
+    index: dict[tuple[int, ...], int] = {}
+    firsts = []
+    repeats = []
+    for j, column in zip(range(nvar), zip(*scaled)):
+        g = index.setdefault(column, len(firsts))
+        if g < len(firsts):
+            repeats.append((g, j))
+        else:
+            firsts.append(j)
+    width = len(firsts)
+
     # Phase 1 tableau d * [A | I | b] with one artificial variable per row,
     # and below it the phase 1 reduced costs, also times d.
     d = prod(lcms)
-    total = nvar + neq
+    total = width + neq
     tableau = []
     for i, (row, s) in enumerate(zip(scaled, lcms)):
         k = d // s
         unit = [0] * neq
         unit[i] = d
-        tableau.append([k * v for v in row[:nvar]] + unit + [k * row[nvar]])
+        tableau.append([k * row[j] for j in firsts] + unit + [k * row[nvar]])
     bottom = [-sum(col) for col in zip(*tableau)]
-    bottom[nvar:total] = [0] * neq
+    bottom[width:total] = [0] * neq
     tableau.append(bottom)
-    basis = [nvar + i for i in range(neq)]
+    basis = [width + i for i in range(neq)]
 
     status, d = _minimize(tableau, basis, d)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
@@ -137,24 +167,25 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LPResu
     if bottom[total] != 0:
         # Infeasible; read the simplex multipliers off the artificial columns.
         certificate = tuple(
-            Fraction(signs[i] * (d - bottom[nvar + i]), d) for i in range(neq)
+            Fraction(signs[i] * (d - bottom[width + i]), d) for i in range(neq)
         )
         return LPResult(INFEASIBLE, certificate=certificate)
 
     # Drive leftover artificial variables out of the basis; rows where that
     # is impossible are redundant (all-zero over the structural columns).
     for r in range(neq):
-        if basis[r] >= nvar:
-            for j in range(nvar):
+        if basis[r] >= width:
+            for j in range(width):
                 if tableau[r][j] != 0:
                     d = _pivot(tableau, basis, d, r, j)
                     break
 
-    keep = [r for r in range(neq) if basis[r] < nvar]
-    tableau = tuple(tuple(tableau[r][:nvar]) + (tableau[r][total],) for r in keep)
+    keep = [r for r in range(neq) if basis[r] < width]
+    tableau = tuple(tuple(tableau[r][:width]) + (tableau[r][total],) for r in keep)
     basis = tuple(basis[r] for r in keep)
+    solution = _extract(tableau, [firsts[bv] for bv in basis], nvar, d)
     return LPResult(
-        OPTIMAL, solution=_extract(tableau, basis, nvar, d), _tableau=(tableau, basis, d)
+        OPTIMAL, solution=solution, _tableau=(tableau, basis, d, firsts, repeats)
     )
 
 
@@ -176,21 +207,30 @@ def optimize(
         return first
     if first._tableau is None:
         raise ValueError("optimize needs the feasible result of solve(rows, rhs)")
-    rows, basis, d = first._tableau
-    nvar = len(rows[0]) - 1
+    rows, basis, d, firsts, repeats = first._tableau
+    nvar = len(firsts) + len(repeats)
     cost = [_rational(v) for v in objective]
     if len(cost) != nvar:
         raise ValueError("objective length does not match variable count")
-    # Integer costs scale * c (negated to maximize); the reduced-cost row
-    # below the tableau is d times those costs reduced by the basis.
+    # Integer costs scale * c (negated to maximize); each tableau column
+    # takes the cheapest copy of its group, the first among equals.
     scale = lcm(*[v.denominator for v in cost])
     sign = -1 if maximize else 1
     cost = [sign * v.numerator * (scale // v.denominator) for v in cost]
-    bottom = [d * v for v in cost] + [0]
+    chosen = list(firsts)
+    costs = [cost[j] for j in firsts]
+    for g, j in repeats:
+        if cost[j] < costs[g]:
+            costs[g] = cost[j]
+            chosen[g] = j
+    # The reduced-cost row below the tableau is d times those costs
+    # reduced by the basis.
+    width = len(firsts)
+    bottom = [d * v for v in costs] + [0]
     for row, bv in zip(rows, basis):
-        coef = cost[bv]
+        coef = costs[bv]
         if coef != 0:
-            for j in range(nvar + 1):
+            for j in range(width + 1):
                 bottom[j] -= coef * row[j]
     tableau = [*rows, bottom]
     basis = list(basis)
@@ -200,8 +240,9 @@ def optimize(
     status, d = _minimize(tableau, basis, d, dantzig=True, floor=floor)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
-    value = Fraction(-sign * tableau[-1][nvar], d * scale)
-    return LPResult(OPTIMAL, solution=_extract(tableau, basis, nvar, d), objective=value)
+    value = Fraction(-sign * tableau[-1][width], d * scale)
+    solution = _extract(tableau, [chosen[bv] for bv in basis], nvar, d)
+    return LPResult(OPTIMAL, solution=solution, objective=value)
 
 
 def _rational(value) -> int | Fraction:
@@ -281,8 +322,9 @@ def _pivot(tableau: list[list[int]], basis: list[int], d: int, r: int, c: int) -
     return p
 
 
-def _extract(tableau, basis, nvar: int, d: int) -> tuple[Fraction, ...]:
+def _extract(tableau, columns, nvar: int, d: int) -> tuple[Fraction, ...]:
+    """The basic solution, row ``r``'s value at input column ``columns[r]``."""
     x = [Fraction(0)] * nvar
-    for r, bv in enumerate(basis):
-        x[bv] = Fraction(tableau[r][-1], d)
+    for r, j in enumerate(columns):
+        x[j] = Fraction(tableau[r][-1], d)
     return tuple(x)

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -198,15 +199,24 @@ class TestExtensionInterval:
 
 PRICES = (F(0), F(1), F(0), F(1), F(1, 2), F(1, 3), F(2, 3))
 BUILDERS = {"conjunction": _conjoin, "disjunction": _disjoin, "quasi": quasi_conjunction}
+WORLDS = tuple(dict(zip("ABC", bits)) for bits in itertools.product((False, True), repeat=3))
 
 
 @st.composite
 def extensions(draw, beyond=False):
-    """A base of conditional events over three atoms, heavy in 0/1
-    previsions so that zero-mass levels occur, and a target: a compound
-    of two of its members whose conditioning covers every other member's,
-    or (always, when ``beyond``) a conditional event or value map
-    conditioned beyond that cover."""
+    """A base of conditional events over three atoms and a target: a
+    compound of two of its members whose conditioning covers every other
+    member's, or (always, when ``beyond``) a conditional event or value
+    map conditioned beyond that cover.
+
+    The base is priced by a sequence of distributions, each uniform on
+    one to three drawn worlds (a world drawn twice counts twice): a
+    member takes its conditional probability under the first one that
+    gives its conditioning mass.  Such prices are coherent (a
+    lexicographic sequence of probabilities defines a full conditional
+    probability), and members priced after the first distribution make
+    zero-mass levels.  One base in four has one price
+    redrawn from :data:`PRICES`, which can make it incoherent."""
     u = Universe()
     atoms = [u.atom(name) for name in "ABC"]
 
@@ -221,9 +231,21 @@ def extensions(draw, beyond=False):
             acc = (acc & part) if glue == "and" else (acc | part)
         return acc
 
+    sequence: list[list[dict]] = []
+
     def member(conditioning):
         quantity = formula(draw(st.integers(1, 2)))
-        return conditional_event(quantity, conditioning, draw(st.sampled_from(PRICES)))
+        for support in sequence:
+            given = [w for w in support if conditioning.evaluate(w)]
+            if given:
+                break
+        else:
+            # No distribution so far gives the conditioning mass: add one.
+            world = draw(st.sampled_from([w for w in WORLDS if conditioning.evaluate(w)]))
+            sequence.append([world, *draw(st.lists(st.sampled_from(WORLDS), max_size=2))])
+            given = [w for w in sequence[-1] if conditioning.evaluate(w)]
+        prevision = F(sum(quantity.evaluate(w) for w in given), len(given))
+        return conditional_event(quantity, conditioning, prevision)
 
     first = member(formula(draw(st.integers(0, 2))))
     second = member(formula(draw(st.integers(0, 2))))
@@ -233,15 +255,19 @@ def extensions(draw, beyond=False):
         inside = formula(draw(st.integers(0, 2))) & cover
         extras.append(member(cover if inside.is_impossible() else inside))
     members = draw(st.permutations([first, second, *extras]))
+    previsions = [m.prevision for m in members]
+    if draw(st.integers(0, 3)) == 0:
+        previsions[draw(st.integers(0, len(members) - 1))] = draw(st.sampled_from(PRICES))
+    base = Assessment(members, previsions)
     kind = "beyond" if beyond else draw(st.sampled_from([*sorted(BUILDERS), "beyond"]))
     if kind != "beyond":
-        return Assessment(members), BUILDERS[kind](first, second)
+        return base, BUILDERS[kind](first, second)
     # Its blocks outside every base conditioning event price the base at
     # its previsions, so each target value there is coherent.
     event = formula(draw(st.integers(1, 2)))
     cells = [(event, draw(st.sampled_from((F(1), F(1, 2), F(3))))), (~event, F(0))]
     target = ConditionalRandomQuantity(cover | formula(draw(st.integers(0, 2))), cells)
-    return Assessment(members), target
+    return base, target
 
 
 def assert_matches_brute_force(base, target):

@@ -307,6 +307,17 @@ def mass_systems(draw):
     return tuple(points), target, tuple(membership)
 
 
+def assert_masses_match(points, target, membership):
+    system = LinearSystem(points, target, membership, partition=None)
+    try:
+        expected = tuple(brute_masses(points, membership, target))
+    except ValueError:
+        with pytest.raises(ValueError, match="infeasible"):
+            upper_conditioning_masses(system)
+        return
+    assert upper_conditioning_masses(system) == expected
+
+
 def bland_solve(rows, rhs, objective, maximize):
     """Phase 1 then phase 2, with Bland's rule in phase 2 as well."""
     with mock.patch.object(lp, "DEGENERATE_RUN", 0):
@@ -362,15 +373,7 @@ class TestSharedPhaseOne:
     )
     @given(mass_systems())
     def test_masses_match_vertex_enumeration(self, problem):
-        points, target, membership = problem
-        system = LinearSystem(points, target, membership, partition=None)
-        try:
-            expected = tuple(brute_masses(points, membership, target))
-        except ValueError:
-            with pytest.raises(ValueError, match="infeasible"):
-                upper_conditioning_masses(system)
-            return
-        assert upper_conditioning_masses(system) == expected
+        assert_masses_match(*problem)
 
     def test_degenerate_cycle_falls_back_to_bland(self):
         # Beale's example cycles under Dantzig's rule from the slack basis,
@@ -419,6 +422,116 @@ class TestSharedPhaseOne:
         result = lp.optimize(lp.solve([[1, 1]], [1]), [1, 0])
         with pytest.raises(ValueError, match="solve"):
             lp.optimize(result, [1, 0])
+
+
+@st.composite
+def repeated_columns(draw):
+    """A hull problem with copies of some columns, each inserted somewhere
+    after its original, on the problem's scaled and negated rows.
+    ``origin[j]`` is the column of the problem without copies that column
+    ``j`` repeats; each copy draws a cost of its own."""
+    points, target, rows, rhs, cost, maximize = draw(hull_problems())
+    origin = list(range(len(points)))
+    for _ in range(draw(st.integers(1, 3))):
+        h = draw(st.integers(0, len(points) - 1))
+        origin.insert(draw(st.integers(origin.index(h) + 1, len(origin))), h)
+    firsts = {origin.index(h) for h in range(len(points))}
+    copied = [[row[h] for h in origin] for row in rows]
+    costs = [cost[h] if j in firsts else draw(rationals(3)) for j, h in enumerate(origin)]
+    return points, target, rows, rhs, origin, copied, costs, maximize
+
+
+@st.composite
+def repeated_mass_systems(draw):
+    """Level systems with equal points of different memberships.  A member
+    whose value inside its conditioning equals its prevision has the same
+    coordinate outside it, as a conditional event priced 0 or 1 does
+    wherever its conditioning decides it; such copies toggle membership
+    of some of those members."""
+    points, target, membership = draw(mass_systems())
+    points, membership = list(points), list(membership)
+    for _ in range(draw(st.integers(1, 3))):
+        h = draw(st.integers(0, len(points) - 1))
+        ties = [i for i in range(len(target)) if points[h][i] == target[i]]
+        flip = frozenset()
+        if ties:
+            flip = frozenset(draw(st.lists(st.sampled_from(ties), unique=True)))
+        at = draw(st.integers(0, len(points)))
+        points.insert(at, points[h])
+        membership.insert(at, membership[h] ^ flip)
+    return tuple(points), target, tuple(membership)
+
+
+class TestRepeatedColumns:
+    """Equal columns share one tableau column: phase 1 is that of the
+    system without the copies, and phase 2 weights a cheapest copy."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(repeated_columns())
+    def test_phase_one_is_that_without_copies(self, problem):
+        _, _, rows, rhs, origin, copied, _, _ = problem
+        plain = lp.solve(rows, rhs)
+        result = lp.solve(copied, rhs)
+        expected = None
+        if plain.solution is not None:
+            expected = tuple(
+                plain.solution[h] if origin.index(h) == j else 0 for j, h in enumerate(origin)
+            )
+        assert result.status == plain.status
+        assert result.solution == expected
+        assert result.certificate == plain.certificate
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(repeated_columns())
+    def test_optimize_weights_only_a_cheapest_copy(self, problem):
+        points, target, _, rhs, origin, copied, costs, maximize = problem
+        vertices = polytope_vertices([points[h] for h in origin], target)
+        result = lp.optimize(lp.solve(copied, rhs), costs, maximize)
+        if not vertices:
+            assert result.status == lp.INFEASIBLE
+            return
+        values = [sum(c * w for c, w in zip(costs, v)) for v in vertices]
+        assert result.objective == (max(values) if maximize else min(values))
+        check_solution(copied, rhs, result.solution)
+        groups = {}
+        for j, column in enumerate(zip(*copied)):
+            groups.setdefault(column, []).append(j)
+        for group in groups.values():
+            weighted = [j for j in group if result.solution[j]]
+            cheapest = (max if maximize else min)(costs[j] for j in group)
+            assert len(weighted) <= 1
+            assert all(costs[j] == cheapest for j in weighted)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(repeated_mass_systems())
+    def test_masses_of_equal_points_with_other_memberships(self, problem):
+        assert_masses_match(*problem)
+
+    def test_mass_on_the_copy_inside_the_conditioning(self):
+        # One member priced 1 and valued 1 inside its conditioning: both
+        # points are (1,), but only the second lies in the conditioning,
+        # and all the mass can go there.
+        points = ((F(1),), (F(1),))
+        system = LinearSystem(points, (F(1),), (frozenset(), frozenset({0})), partition=None)
+        assert upper_conditioning_masses(system) == (1,)
 
 
 class TestValidation:

@@ -9,9 +9,11 @@ atoms: every member is a random 1-2-literal event given a random
 distribution whose atom marginals are drawn from tenths in (0, 1).
 Previsions of one distribution are coherent, so every verdict must be
 coherent; the script prints one line per rung (levels, constituents
-inside the conditionings, wall seconds of the check) and exits 1 if any
-verdict is not.  The library is imported from the ``src/`` next to this
-directory.
+inside the conditionings, the distinct level-1 columns among them, wall
+seconds of the check) and exits 1 if any verdict is not.  Equal level-1
+points share one column of ``lp.solve``'s tableau, so a rung whose
+distinct columns equal its level-1 points gains nothing from that.  The
+library is imported from the ``src/`` next to this directory.
 """
 
 from __future__ import annotations
@@ -81,11 +83,12 @@ def main(argv: list[str] | None = None) -> int:
         report = check_coherence(assessment)
         seconds = perf_counter() - start
         points = sum(len(level.witness) for level in report.levels if level.witness)
+        distinct = len(set(assessment.system.points))
         verdict = "coherent" if report.coherent else "INCOHERENT"
         failed += not report.coherent
         print(
             f"{members}/{atoms} seed {args.seed}: {verdict}, {len(report.levels)} level(s), "
-            f"{points} points, {seconds:.4f} s",
+            f"{points} points ({distinct} distinct at level 1), {seconds:.4f} s",
             flush=True,
         )
     return 1 if failed else 0
