@@ -18,7 +18,8 @@ solvable at ``z``.
 Nor do they need a phase 1 of their own.  The extended blocks that one
 base block merges share its base point, so an endpoint puts the block's
 mass on its least (greatest) target value: it is optimized on the base
-check's level-1 system, with those per-block extremes as the objective.
+check's level-1 system, with those per-block extremes as the objective,
+which stops at once if it reaches their least (greatest).
 Lifting each block's weight onto its extreme block makes the optimal
 point an extended level-1 solution, checked exactly on the base points
 with the extremes appended.  A block outside every base conditioning has
@@ -116,7 +117,7 @@ def _extend(
     system, interval = base.system, []
     for maximize, extreme in ((False, min), (True, max)):
         objective = [extreme(v) for v in values.values()]
-        endpoint = lp.optimize(system.feasibility, objective, maximize, extreme(objective))
+        endpoint = lp.optimize(system.feasibility, objective, maximize)
         # Lifted onto the extreme blocks, the optimal point must solve
         # level 1 of the extended system priced at the endpoint.
         points = [point + (z,) for point, z in zip(system.points, objective)]

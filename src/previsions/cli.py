@@ -163,7 +163,8 @@ class AssessmentDocument:
                 payload = json.load(handle)
         except OSError as exc:
             raise DocumentError(f"cannot read {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # Nesting deeper than the decoder's recursion is bad input too.
             raise DocumentError(f"invalid JSON in {path}: {exc}") from None
         return cls.from_payload(payload)
 

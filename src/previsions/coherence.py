@@ -146,7 +146,6 @@ class LinearSystem:
     points: tuple[tuple[Fraction, ...], ...]
     target: tuple[Fraction, ...]
     membership: tuple[frozenset[int], ...]
-    partition: ConstituentPartition
 
     @property
     def size(self) -> int:
@@ -197,10 +196,9 @@ class CoherenceReport:
 
 def build_system(assessment: Assessment) -> LinearSystem:
     """Assemble the feasibility system of an assessment on its partition."""
-    partition = assessment.partition
     points = []
     membership = []
-    for block in partition.inside:
+    for block in assessment.partition.inside:
         row = []
         present = set()
         for i, (member, label) in enumerate(zip(assessment.members, block.labels)):
@@ -211,15 +209,15 @@ def build_system(assessment: Assessment) -> LinearSystem:
                 present.add(i)
         points.append(tuple(row))
         membership.append(frozenset(present))
-    return LinearSystem(tuple(points), assessment.previsions, tuple(membership), partition)
+    return LinearSystem(tuple(points), assessment.previsions, tuple(membership))
 
 
 def upper_conditioning_masses(system: LinearSystem) -> tuple[Fraction, ...]:
     """For each member, the largest total mass its conditioning event can
     carry over all solutions of the system.
 
-    One phase 2 per member from the system's shared phase 1; each stops
-    at mass one, the most the total mass row allows.
+    One phase 2 per member from the system's shared phase 1; the total
+    mass row lets :func:`lp.optimize` stop each one at mass one.
     """
     first = system.feasibility
     if not first.feasible:
@@ -227,7 +225,7 @@ def upper_conditioning_masses(system: LinearSystem) -> tuple[Fraction, ...]:
     masses = []
     for j in range(system.size):
         objective = [1 if j in present else 0 for present in system.membership]
-        masses.append(lp.optimize(first, objective, maximize=True, bound=1).objective)
+        masses.append(lp.optimize(first, objective, maximize=True).objective)
     return tuple(masses)
 
 

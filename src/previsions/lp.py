@@ -19,10 +19,11 @@ far fewer pivots; after :data:`DEGENERATE_RUN` consecutive degenerate
 pivots it falls back to Bland's rule for good, so it cannot cycle
 (Bland 1977).  Both phases leave by the minimum ratio, ties going to the
 smallest basic index.  Phase 2 hands on only the optimal value, which
-every optimal basis shares.  A caller that knows an exact bound on the
-objective over the feasible set, such as ``max(c)`` when the constraints
-include ``sum(x) = 1``, passes it as ``bound``, and phase 2 stops as soon
-as the objective reaches it.
+every optimal basis shares.  A row ``k * sum(x) = k`` (``k != 0``), such
+as a coherence system's total mass row, keeps the feasible points on the
+simplex, where no objective passes its least cost (greatest, to
+maximize); :func:`solve` records whether there is one, and phase 2 then
+stops as soon as the objective reaches that cost.
 
 Equal columns take one tableau column.  :func:`solve` groups equal
 columns of its scaled integer rows and keeps the first of each group.  A
@@ -40,23 +41,25 @@ there.  The optimal value is the full problem's.  A mass objective thus
 gives each group the union of its copies' memberships, and an interval
 endpoint gives each group its extreme value.
 
-The tableau is kept fraction-free: an integer matrix ``M`` over one
-common positive denominator ``d``, so that the rational tableau is
-exactly ``M / d`` after every pivot.  On entry row ``i`` is scaled by the
-lcm ``s_i`` of its denominators and ``d`` starts at the product of the
-``s_i``.  A pivot on ``M[r][c]`` replaces every other entry by
-``(M[r][c] * M[i][j] - M[i][c] * M[r][j]) / d`` and makes ``M[r][c]`` the
-new ``d`` (Edmonds' all-integer form of Bareiss's elimination); the
-division is always exact because each entry is a minor of the scaled
-input.  A negative pivot, which only the step that drives artificial
-variables out of the basis can meet, negates the whole matrix so that
-``d`` stays positive.  The integer reduced costs are the rational ones
-times a positive factor, so both entering rules read them directly, and
-the ratio test compares ``M[i][rhs] / M[i][c]`` by cross-multiplication;
-the pivot sequence is the one the rational tableau would take.  Pivots
-replace rows rather than edit them, so a copy of the row list is a copy
-of the tableau.  Only the returned solution, objective and certificate
-are built as :class:`fractions.Fraction`\\ s.
+Inputs are ints and :class:`fractions.Fraction`\\ s, read as given.  The
+tableau is kept fraction-free: an integer matrix ``M`` over one common
+positive denominator ``d``, so that the rational tableau is exactly
+``M / d`` after every pivot.  On entry row ``i`` (like an objective) is
+scaled by the lcm ``s_i`` of its denominators, and ``d`` starts at the
+product of the rows' ``s_i``.  A pivot on ``M[r][c]`` replaces every
+other entry by ``(M[r][c] * M[i][j] - M[i][c] * M[r][j]) / d`` and makes
+``M[r][c]`` the new ``d`` (Edmonds' all-integer form of Bareiss's
+elimination); the division is always exact because each entry is a
+minor of the scaled input.  A negative pivot, which only the step that
+drives artificial variables out of the basis can meet, negates the
+whole matrix so that ``d`` stays positive.  The integer reduced costs
+are the rational ones times a positive factor, so both entering rules
+read them directly, and the ratio test compares ``M[i][rhs] / M[i][c]``
+by cross-multiplication; the pivot sequence is the one the rational
+tableau would take.  Pivots replace rows rather than edit them, so a
+copy of the row list is a copy of the tableau.  Only the returned
+solution, objective and certificate are built as
+:class:`fractions.Fraction`\\ s.
 
 When a system is infeasible the solver returns a Farkas certificate: a
 vector ``y`` with ``y . A_j <= 0`` for every column ``A_j`` of the
@@ -85,8 +88,8 @@ class LPResult:
     """Outcome of one exact solve.
 
     A feasible result of :func:`solve` also holds its final phase-1
-    tableau, one column per group of equal columns, and those groups:
-    the start of every :func:`optimize`.
+    tableau, one column per group of equal columns, those groups and
+    whether a row fixes ``sum(x)``: the start of every :func:`optimize`.
     """
 
     status: str
@@ -103,15 +106,13 @@ class LPResult:
 def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LPResult:
     """Phase 1 for ``rows . x = rhs, x >= 0``: infeasible with a Farkas
     certificate, or a basic feasible point ready for :func:`optimize`."""
-    a = [[_rational(v) for v in row] for row in rows]
-    b = [_rational(v) for v in rhs]
-    neq = len(a)
+    neq = len(rows)
     if neq == 0:
         raise ValueError("no constraints")
-    nvar = len(a[0])
-    if any(len(row) != nvar for row in a):
+    nvar = len(rows[0])
+    if any(len(row) != nvar for row in rows):
         raise ValueError("ragged constraint matrix")
-    if len(b) != neq:
+    if len(rhs) != neq:
         raise ValueError("rhs length does not match constraint count")
     if nvar == 0:
         raise ValueError("no variables")
@@ -119,18 +120,10 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LPResu
     # Orient every row so the right-hand side is nonnegative, remembering
     # the sign flips so the Farkas certificate can be mapped back, and
     # clear each row's denominators by their lcm.
-    signs = []
-    lcms = []
-    scaled = []
-    for row, value in zip(a, b):
-        sign = -1 if value < 0 else 1
-        row = row + [value]
-        # A list, not a generator: unpacking a generator into the call
-        # raised the benchmark's peak RSS on ``extend`` by about 2 MB.
-        s = lcm(*[v.denominator for v in row])
-        signs.append(sign)
-        lcms.append(s)
-        scaled.append([sign * v.numerator * (s // v.denominator) for v in row])
+    signs = [-1 if value < 0 else 1 for value in rhs]
+    lcms, scaled = zip(*[_scaled([*row, v], s) for row, v, s in zip(rows, rhs, signs)])
+    # A row k * sum(x) = k, oriented and scaled: k, ..., k, k with k > 0.
+    simplex = any(row[-1] and row.count(row[-1]) == len(row) for row in scaled)
 
     # One tableau column per group of equal columns, the group's first;
     # scaling a row is one-to-one, so equal scaled columns are equal ones.
@@ -185,38 +178,33 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LPResu
     basis = tuple(basis[r] for r in keep)
     solution = _extract(tableau, [firsts[bv] for bv in basis], nvar, d)
     return LPResult(
-        OPTIMAL, solution=solution, _tableau=(tableau, basis, d, firsts, repeats)
+        OPTIMAL, solution=solution, _tableau=(tableau, basis, d, firsts, repeats, simplex)
     )
 
 
 def optimize(
-    first: LPResult,
-    objective: Sequence[Fraction],
-    maximize: bool = False,
-    bound: Fraction | None = None,
+    first: LPResult, objective: Sequence[Fraction], maximize: bool = False
 ) -> LPResult:
     """Phase 2: ``min/max objective . x`` over the constraints ``first`` solved.
 
     ``first`` is the result of ``solve(rows, rhs)``; an infeasible one is
-    returned as it is.  ``bound``, if given, must be an exact bound on the
-    objective over the feasible set (a lower bound to minimize, an upper
-    bound to maximize): the solve stops as soon as the objective equals
-    it, which proves the point optimal.
+    returned as it is.  When those rows include one that reads ``k *
+    sum(x) = k``, the objective cannot pass its least cost (its greatest,
+    to maximize), and the solve stops as soon as it equals that cost,
+    which proves the point optimal.
     """
     if not first.feasible:
         return first
     if first._tableau is None:
         raise ValueError("optimize needs the feasible result of solve(rows, rhs)")
-    rows, basis, d, firsts, repeats = first._tableau
+    rows, basis, d, firsts, repeats, simplex = first._tableau
     nvar = len(firsts) + len(repeats)
-    cost = [_rational(v) for v in objective]
-    if len(cost) != nvar:
+    if len(objective) != nvar:
         raise ValueError("objective length does not match variable count")
     # Integer costs scale * c (negated to maximize); each tableau column
     # takes the cheapest copy of its group, the first among equals.
-    scale = lcm(*[v.denominator for v in cost])
     sign = -1 if maximize else 1
-    cost = [sign * v.numerator * (scale // v.denominator) for v in cost]
+    scale, cost = _scaled(objective, sign)
     chosen = list(firsts)
     costs = [cost[j] for j in firsts]
     for g, j in repeats:
@@ -235,8 +223,8 @@ def optimize(
     tableau = [*rows, bottom]
     basis = list(basis)
 
-    # The internal minimum sign * scale * (c . x) is at least floor.
-    floor = None if bound is None else Fraction(sign * scale) * _rational(bound)
+    # On the simplex sign * scale * (c . x) is at least the least cost.
+    floor = min(costs) if simplex else None
     status, d = _minimize(tableau, basis, d, dantzig=True, floor=floor)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
@@ -245,9 +233,12 @@ def optimize(
     return LPResult(OPTIMAL, solution=solution, objective=value)
 
 
-def _rational(value) -> int | Fraction:
-    """``value`` as an exact rational; ints and Fractions pass unchanged."""
-    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+def _scaled(values: Sequence[int | Fraction], sign: int) -> tuple[int, list[int]]:
+    """The lcm ``s`` of the denominators of ``values``, and ``sign * s * values``."""
+    # A list, not a generator: unpacking a generator into the call
+    # raised the benchmark's peak RSS on ``extend`` by about 2 MB.
+    s = lcm(*[v.denominator for v in values])
+    return s, [sign * v.numerator * (s // v.denominator) for v in values]
 
 
 def _minimize(
@@ -255,7 +246,7 @@ def _minimize(
     basis: list[int],
     d: int,
     dantzig: bool = False,
-    floor: Fraction | None = None,
+    floor: int | None = None,
 ) -> tuple[str, int]:
     """Run simplex iterations until optimal or unbounded.
 
@@ -271,7 +262,7 @@ def _minimize(
     constraints = len(basis)
     degenerate = 0
     while True:
-        if floor is not None and bottom[-1] * floor.denominator + floor.numerator * d == 0:
+        if floor is not None and bottom[-1] + floor * d == 0:
             return OPTIMAL, d
         if dantzig and degenerate < DEGENERATE_RUN:
             enter = min(columns, key=bottom.__getitem__)

@@ -116,10 +116,17 @@ class TestCheckCommand:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/file.json"]) == 2
 
-    def test_invalid_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[" * 100000], ids=["malformed", "deeply-nested"]
+    )
+    def test_invalid_json(self, text, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text(text)
         assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid JSON")
+        assert captured.err.count("\n") == 1
 
     def test_value_map_member(self, tmp_path, capsys):
         payload = {

@@ -45,7 +45,8 @@ class TestBuildSystem:
         first = conditional_event(a, h, x)
         second = conditional_event(b, k, y)
         compound = conjunction(first, second)
-        system = build_system(Assessment([first, second, compound], [x, y, z]))
+        assessment = Assessment([first, second, compound], [x, y, z])
+        system = build_system(assessment)
         expected = {
             (1, 1, 1),
             (1, 0, 0),
@@ -58,14 +59,15 @@ class TestBuildSystem:
         }
         assert {p for p in system.points} == {tuple(map(F, t)) for t in expected}
         assert system.target == (x, y, z)
-        assert system.partition.outside is not None
+        assert assessment.partition.outside is not None
 
     def test_unconditional_member(self):
         u, a, h, b, k = four_atoms()
-        system = build_system(Assessment([conditional_event(a, u.true())], [F(3, 10)]))
+        assessment = Assessment([conditional_event(a, u.true())], [F(3, 10)])
+        system = build_system(assessment)
         assert sorted(system.points) == [(F(0),), (F(1),)]
         assert system.target == (F(3, 10),)
-        assert system.partition.outside is None
+        assert assessment.partition.outside is None
 
     def test_void_event_member(self):
         u, a, h, b, k = four_atoms()
@@ -74,13 +76,12 @@ class TestBuildSystem:
 
     def test_membership_tracks_conditionings(self):
         u, a, h, b, k = four_atoms()
-        system = build_system(
-            Assessment(
-                [conditional_event(a, h, F(1, 2)), conditional_event(b, k, F(1, 2))]
-            )
+        assessment = Assessment(
+            [conditional_event(a, h, F(1, 2)), conditional_event(b, k, F(1, 2))]
         )
+        system = build_system(assessment)
         for point, present, block in zip(
-            system.points, system.membership, system.partition.inside
+            system.points, system.membership, assessment.partition.inside
         ):
             assert present == {
                 i for i, label in enumerate(block.labels) if label is not None

@@ -7,7 +7,9 @@ across versions of the code: a different witness, mass, Dutch Book or
 interval, or a different formatting of any of them.  The documents come
 from the benchmark's generators (random single-level families, 0/1
 multi-level families, ``extend`` families) plus hand-written compound,
-value-map and 20-atom three-level cases.
+value-map and 20-atom three-level cases.  Each command also runs as a
+real ``python -m previsions.cli`` process, so the entry point is held to
+the same exit status and bytes.
 
 To re-record after an intended change of output, run the command in
 ``CASES`` on the document and write its standard output to the ``.out``
@@ -15,6 +17,9 @@ file.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +28,7 @@ from previsions import bounds, cli, coherence, lp
 from previsions.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CASES = {
     "check-random-family": (["check"], 0),
@@ -52,17 +58,33 @@ def test_report_bytes(name, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_entry_point_bytes(name):
+    (command, *options), code = CASES[name]
+    argv = [command, str(GOLDEN / f"{name}.json"), *options]
+    done = subprocess.run(
+        [sys.executable, "-m", "previsions.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == code
+    assert done.stdout == (GOLDEN / f"{name}.out").read_bytes()
+
+
 def count_calls(name, monkeypatch):
     """Run a golden command; return the sizes of the families it checks in
     full and of those whose constituents it enumerates, the levels of
-    each check and the row counts of its phase-1 solves."""
-    checks, enumerations, levels, solves = [], [], [], []
-    check, enumerate_, solve = coherence.check_coherence, coherence.constituents, lp.solve
+    each check, the row counts of its phase-1 solves, the summed sizes of
+    each check's solvable levels and the objectives of its phase-2 solves."""
+    checks, enumerations, levels, solves, solvable, optimizes = [], [], [], [], [], []
+    check, enumerate_ = coherence.check_coherence, coherence.constituents
+    solve, optimize = lp.solve, lp.optimize
 
     def counting_check(assessment):
         checks.append(len(assessment))
         report = check(assessment)
         levels.append(len(report.levels))
+        solvable.append(sum(len(level.members) for level in report.levels if level.solvable))
         return report
 
     def counting_enumeration(family):
@@ -73,13 +95,18 @@ def count_calls(name, monkeypatch):
         solves.append(len(rows))
         return solve(rows, rhs)
 
+    def counting_optimize(first, objective, maximize=False):
+        optimizes.append(objective)
+        return optimize(first, objective, maximize)
+
     for module in (coherence, cli, bounds):
         monkeypatch.setattr(module, "check_coherence", counting_check)
     monkeypatch.setattr(coherence, "constituents", counting_enumeration)
     monkeypatch.setattr(lp, "solve", counting_solve)
+    monkeypatch.setattr(lp, "optimize", counting_optimize)
     (command, *options), code = CASES[name]
     assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
-    return checks, enumerations, levels, solves
+    return checks, enumerations, levels, solves, solvable, optimizes
 
 
 @pytest.mark.parametrize(
@@ -115,7 +142,16 @@ def test_phase_one_count(name, monkeypatch, capsys):
     """One phase 1 per level of each check a command runs, and none
     besides: ``extend`` optimizes its interval on the base check's level
     1.  A command that runs one check prints that check's levels."""
-    checks, _, levels, solves = count_calls(name, monkeypatch)
+    checks, _, levels, solves, _, _ = count_calls(name, monkeypatch)
     assert len(solves) == sum(levels)
     if len(checks) == 1:
         assert levels == [len(json.loads(capsys.readouterr().out)["trace"])]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_phase_two_count(name, monkeypatch, capsys):
+    """One phase 2 per member of each solvable level, for its mass, and
+    for ``extend`` two more, the interval's endpoints."""
+    *_, solvable, optimizes = count_calls(name, monkeypatch)
+    endpoints = 2 if CASES[name][0][0] == "extend" else 0
+    assert len(optimizes) == sum(solvable) + endpoints

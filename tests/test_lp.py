@@ -308,7 +308,7 @@ def mass_systems(draw):
 
 
 def assert_masses_match(points, target, membership):
-    system = LinearSystem(points, target, membership, partition=None)
+    system = LinearSystem(points, target, membership)
     try:
         expected = tuple(brute_masses(points, membership, target))
     except ValueError:
@@ -325,8 +325,9 @@ def bland_solve(rows, rhs, objective, maximize):
 
 
 class TestSharedPhaseOne:
-    """Phase 2 from one shared phase 1, Dantzig's rule and the bound stop
-    against one-shot all-Bland solves and the vertex oracles."""
+    """Phase 2 from one shared phase 1, Dantzig's rule and the stop at a
+    simplex row's extreme cost against one-shot all-Bland solves and the
+    vertex oracles."""
 
     def test_phase_one_outcomes_are_pinned(self):
         assert phase_one_digest(seeded_systems(1, 400)) == PHASE_ONE_DIGEST
@@ -351,18 +352,16 @@ class TestSharedPhaseOne:
         for cost in objectives:
             for maximize in (False, True):
                 reference = bland_solve(rows, rhs, cost, maximize)
-                # The mass row sum(w) = 1 keeps c . w within [min c, max c].
-                for bound in (None, max(cost) if maximize else min(cost)):
-                    result = lp.optimize(first, cost, maximize, bound)
-                    assert result.status == reference.status
-                    assert result.objective == reference.objective
-                    if not result.feasible:
-                        assert result.certificate == first.certificate
-                        continue
-                    values = [sum(c * w for c, w in zip(cost, v)) for v in vertices]
-                    assert result.objective == (max(values) if maximize else min(values))
-                    check_solution(rows, rhs, result.solution)
-                    assert sum(c * x for c, x in zip(cost, result.solution)) == result.objective
+                result = lp.optimize(first, cost, maximize)
+                assert result.status == reference.status
+                assert result.objective == reference.objective
+                if not result.feasible:
+                    assert result.certificate == first.certificate
+                    continue
+                values = [sum(c * w for c, w in zip(cost, v)) for v in vertices]
+                assert result.objective == (max(values) if maximize else min(values))
+                check_solution(rows, rhs, result.solution)
+                assert sum(c * x for c, x in zip(cost, result.solution)) == result.objective
 
     @settings(
         max_examples=200,
@@ -395,28 +394,47 @@ class TestSharedPhaseOne:
             return pivot(*args)
 
         with mock.patch.object(lp, "_pivot", guarded):
-            for bound in (None, F(-5, 4)):
-                guarded.count = 0
-                assert lp.optimize(first, cost, bound=bound).objective == F(-5, 4)
+            guarded.count = 0
+            assert lp.optimize(first, cost).objective == F(-5, 4)
             guarded.count = 0
             with mock.patch.object(lp, "DEGENERATE_RUN", 10**9):
                 with pytest.raises(RuntimeError, match="cycling"):
                     lp.optimize(first, cost)
 
-    def test_bound_stops_at_once_when_reached(self):
-        # x0 + x1 + x2 = 1, x0 - x1 = 1: phase 1 leaves the degenerate
-        # basis {x0, x1} at the only point (1, 0, 0).  Maximizing x0 + x2
-        # there, Dantzig's rule still sees x2 improve and pivots once;
-        # the bound 1 proves the point optimal without a pivot.
-        first = lp.solve([[1, 1, 1], [1, -1, 0]], [1, 1])
-        assert first.solution == (1, 0, 0)
+    @pytest.mark.parametrize(
+        "k, total, pivots",
+        [(1, 1, 0), (F(3, 2), F(3, 2), 0), (-2, -2, 0), (1, 2, 1)],
+        ids=["unit", "non-unit", "negative", "no-simplex-row"],
+    )
+    def test_simplex_row_stops_at_once(self, k, total, pivots):
+        # k * (x0 + x1 + x2) = total, x0 - x1 = t with t = total / k: phase
+        # 1 leaves the degenerate basis {x0, x1} at the only point
+        # (t, 0, 0).  Maximizing x0 + x2 there, Dantzig's rule still sees
+        # x2 improve and pivots once; when total = k, the greatest cost 1
+        # proves the point optimal without a pivot.
+        t = F(total) / k
+        first = lp.solve([[k, k, k], [1, -1, 0]], [total, t])
+        assert first.solution == (t, 0, 0)
         pivot = lp._pivot
         with mock.patch.object(lp, "_pivot", side_effect=pivot) as counted:
-            assert lp.optimize(first, [1, 0, 1], maximize=True).objective == 1
-            assert counted.call_count == 1
-            counted.reset_mock()
-            assert lp.optimize(first, [1, 0, 1], maximize=True, bound=1).objective == 1
-            assert counted.call_count == 0
+            assert lp.optimize(first, [1, 0, 1], maximize=True).objective == t
+        assert counted.call_count == pivots
+
+    @pytest.mark.parametrize(
+        "rows, rhs, status, objective",
+        [
+            ([[1, -1], [0, 0]], [1, 0], lp.UNBOUNDED, None),
+            ([[1, 1, 1], [1, -1, 0]], [2, 0], lp.OPTIMAL, 2),
+        ],
+        ids=["zero-row", "sum-two"],
+    )
+    def test_no_stop_without_a_simplex_row(self, rows, rhs, status, objective):
+        # Neither 0 = 0 nor sum(x) = 2 keeps x on the simplex: phase 1
+        # leaves a point where x0 + x2 (or x0) equals the greatest cost,
+        # 1, and phase 2 must still go on past it.
+        cost = [1, 0, 1][: len(rows[0])]
+        result = lp.optimize(lp.solve(rows, rhs), cost, maximize=True)
+        assert (result.status, result.objective) == (status, objective)
 
     def test_optimize_needs_a_phase_one_result(self):
         result = lp.optimize(lp.solve([[1, 1]], [1]), [1, 0])
@@ -530,7 +548,7 @@ class TestRepeatedColumns:
         # points are (1,), but only the second lies in the conditioning,
         # and all the mass can go there.
         points = ((F(1),), (F(1),))
-        system = LinearSystem(points, (F(1),), (frozenset(), frozenset({0})), partition=None)
+        system = LinearSystem(points, (F(1),), (frozenset(), frozenset({0})))
         assert upper_conditioning_masses(system) == (1,)
 
 
