@@ -21,8 +21,8 @@ mass on its least (greatest) target value: it is optimized on the base
 check's level-1 system, with those per-block extremes as the objective,
 which stops at once if it reaches their least (greatest).
 Lifting each block's weight onto its extreme block makes the optimal
-point an extended level-1 solution, checked exactly on the base points
-with the extremes appended.  A block outside every base conditioning has
+point an extended level-1 solution, checked exactly on the base rows
+plus the extremes as a row.  A block outside every base conditioning has
 the previsions as its point, so its target value is coherent and covered.
 
 The classic two-event bounds (conjunction, disjunction, quasi
@@ -120,9 +120,9 @@ def _extend(
         endpoint = lp.optimize(system.feasibility, objective, maximize)
         # Lifted onto the extreme blocks, the optimal point must solve
         # level 1 of the extended system priced at the endpoint.
-        points = [point + (z,) for point, z in zip(system.points, objective)]
+        rows = (*system.rows, objective)
         priced = base.previsions + (endpoint.objective,)
-        if not (endpoint.feasible and _reproduces(points, endpoint.solution, priced)):
+        if not (endpoint.feasible and _reproduces(rows, endpoint.solution, priced)):
             raise ExtensionVerificationError(
                 f"endpoint {endpoint.objective} failed its exact certificate"
             )

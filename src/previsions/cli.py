@@ -20,6 +20,8 @@ import contextlib
 import functools
 import json
 import os
+import re
+import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,9 +58,14 @@ class DocumentError(ValueError):
 
 def parse_rational(text: Any) -> Fraction:
     """Parse "p/q" or a finite decimal string into an exact rational."""
+    shown = reprlib.repr(text)  # at most a few dozen characters
     if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise DocumentError(f"expected a rational string, got {text!r}")
+        raise DocumentError(f"expected a rational string, got {shown}")
     source = str(text)
+    # From 3.10.7 on, Python refuses to convert a longer digit run to an int.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and max(map(len, re.findall(r"\d+", source)), default=0) > limit:
+        raise DocumentError(f"rational {shown} has over {limit} digits in a row, Python's limit")
     try:
         # Exponent notation is refused: a ten-character "1e-3000000"
         # expands to a million-digit denominator that no check finishes with.
@@ -66,7 +73,7 @@ def parse_rational(text: Any) -> Fraction:
             raise ValueError(source)
         return Fraction(source)
     except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"malformed rational {text!r}") from None
+        raise DocumentError(f"malformed rational {shown}") from None
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ events contributes the point of member values taken there (with the
 assessed prevision standing in for members whose conditioning fails),
 and the first-level condition is that the prevision vector lies in the
 convex hull of those points, i.e. that an exact linear feasibility
-system has a solution.  Members whose conditioning events carry zero
-mass in *every* solution are then re-checked recursively on their own;
-the assessment is coherent when each level is solvable and the
-zero-mass set empties out.
+system has a solution.  It is kept as the LP and every certificate
+read it, one row of values and one 0/1 indicator of the conditioning
+event per member; the points are derived only on request.  Members
+whose conditioning events carry zero mass in *every* solution are then
+re-checked recursively on their own; the assessment is coherent when
+each level is solvable and the zero-mass set empties out.
 
 The constituents depend only on the members, not on the previsions, so
 an :class:`Assessment` enumerates them at most once and hands them on:
@@ -133,31 +135,34 @@ class Assessment:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """The exact feasibility system of an assessment.
+    """The exact feasibility system of an assessment, one row per member.
 
-    One point per constituent inside the disjunction of the conditioning
-    events; entry ``i`` of a point is the member's value there when the
-    constituent lies inside that member's conditioning event and the
-    assessed prevision otherwise.  Solvability of ``sum(w_h * point_h) =
-    target, sum(w_h) = 1, w >= 0`` is exactly convex-hull membership of
-    the prevision vector.
+    One column per constituent inside the disjunction of the conditioning
+    events.  ``rows[i]`` is member ``i``'s value on each column inside its
+    conditioning event and its prevision elsewhere; ``indicators[i]`` is 1
+    inside that event and 0 elsewhere.  Solvability of ``rows . w =
+    target, sum(w) = 1, w >= 0`` is exactly convex-hull membership of the
+    prevision vector in the :attr:`points`, the columns.
     """
 
-    points: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Fraction, ...], ...]
     target: tuple[Fraction, ...]
-    membership: tuple[frozenset[int], ...]
+    indicators: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
         return len(self.target)
 
     @cached_property
+    def points(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The columns as value points, derived from the rows on demand."""
+        return tuple(zip(*self.rows))
+
+    @cached_property
     def feasibility(self) -> lp.LPResult:
         """Phase 1 (total mass row included), solved once: the level's
         witness or Farkas certificate, and the start of every later LP."""
-        rows = [[point[i] for point in self.points] for i in range(self.size)]
-        rows.append([Fraction(1)] * len(self.points))
-        return lp.solve(rows, [*self.target, Fraction(1)])
+        return lp.solve([*self.rows, [1] * len(self.rows[0])], [*self.target, 1])
 
 
 @dataclass(frozen=True)
@@ -195,38 +200,31 @@ class CoherenceReport:
 
 
 def build_system(assessment: Assessment) -> LinearSystem:
-    """Assemble the feasibility system of an assessment on its partition."""
-    points = []
-    membership = []
-    for block in assessment.partition.inside:
-        row = []
-        present = set()
-        for i, (member, label) in enumerate(zip(assessment.members, block.labels)):
-            if label is None:
-                row.append(assessment.previsions[i])
-            else:
-                row.append(member.cells[label][1])
-                present.add(i)
-        points.append(tuple(row))
-        membership.append(frozenset(present))
-    return LinearSystem(tuple(points), assessment.previsions, tuple(membership))
+    """The feasibility system of an assessment on its partition."""
+    blocks = assessment.partition.inside
+    rows = []
+    indicators = []
+    for i, (member, prevision) in enumerate(zip(assessment.members, assessment.previsions)):
+        labels = [block.labels[i] for block in blocks]
+        rows.append(tuple(prevision if k is None else member.cells[k][1] for k in labels))
+        indicators.append(tuple(0 if k is None else 1 for k in labels))
+    return LinearSystem(tuple(rows), assessment.previsions, tuple(indicators))
 
 
 def upper_conditioning_masses(system: LinearSystem) -> tuple[Fraction, ...]:
     """For each member, the largest total mass its conditioning event can
     carry over all solutions of the system.
 
-    One phase 2 per member from the system's shared phase 1; the total
-    mass row lets :func:`lp.optimize` stop each one at mass one.
+    One phase 2 on each indicator from the system's shared phase 1; the
+    total mass row lets :func:`lp.optimize` stop each one at mass one.
     """
     first = system.feasibility
     if not first.feasible:
         raise ValueError("system is infeasible")
-    masses = []
-    for j in range(system.size):
-        objective = [1 if j in present else 0 for present in system.membership]
-        masses.append(lp.optimize(first, objective, maximize=True).objective)
-    return tuple(masses)
+    return tuple(
+        lp.optimize(first, indicator, maximize=True).objective
+        for indicator in system.indicators
+    )
 
 
 def check_coherence(assessment: Assessment) -> CoherenceReport:
@@ -261,7 +259,7 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
                 )
             book = DutchBook(indices, tuple(stakes), gains)
             return CoherenceReport(False, tuple(levels), book)
-        if not _reproduces(system.points, result.solution, system.target):
+        if not _reproduces(system.rows, result.solution, system.target):
             raise CertificateVerificationError(
                 f"witness on members {list(indices)} does not reproduce the previsions"
             )
@@ -295,29 +293,21 @@ def random_gain(
 
 
 def _gains(system: LinearSystem, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Net gain of the stakes at each point of the system."""
-    return tuple(
-        sum(s * (value - target) for s, value, target in zip(stakes, point, system.target))
-        for point in system.points
-    )
+    """Net gain of the stakes on each column of the system."""
+    paid = sum(s * t for s, t in zip(stakes, system.target))
+    columns = range(len(system.rows[0]))
+    return tuple(sum(s * row[h] for s, row in zip(stakes, system.rows)) - paid for h in columns)
 
 
 def _reproduces(
-    points: Sequence[Sequence[Fraction]],
+    rows: Sequence[Sequence[Fraction]],
     weights: Sequence[Fraction],
     target: Sequence[Fraction],
 ) -> bool:
-    """Whether ``w >= 0``, ``sum(w) = 1`` and ``sum(w_h * point_h) = target``
-    hold exactly; zero weights are skipped."""
-    if len(weights) != len(points):
+    """Whether ``w >= 0``, ``sum(w) = 1`` and ``rows[i] . w = target[i]``
+    for every ``i`` hold exactly; zero weights are skipped."""
+    if any(len(row) != len(weights) for row in rows) or any(w < 0 for w in weights):
         return False
-    total = Fraction(0)
-    sums = [Fraction(0)] * len(target)
-    for weight, point in zip(weights, points):
-        if weight < 0:
-            return False
-        if weight:
-            total += weight
-            for i, value in enumerate(point):
-                sums[i] += weight * value
-    return total == 1 and sums == list(target)
+    support = [(h, w) for h, w in enumerate(weights) if w]
+    sums = [sum(w * row[h] for h, w in support) for row in rows]
+    return sum(w for _, w in support) == 1 and sums == list(target)

@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import sys
 import tempfile
 import time
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_coherent
 from previsions import lp
@@ -60,7 +63,8 @@ class TestRationals:
 
     def test_malformed(self):
         exponents = ("1e-3", "1E5", "2.5e1", "1e-3000000")
-        for bad in ("0.1.2", "1/0", "one half", None, 1.5, *exponents):
+        long_decimal = "0." + "1" * 5000  # past Python's int-string digit limit
+        for bad in ("0.1.2", "1/0", "one half", None, 1.5, long_decimal, *exponents):
             with pytest.raises(DocumentError):
                 parse_rational(bad)
 
@@ -98,6 +102,24 @@ class TestCheckCommand:
         path = write_doc(tmp_path, payload)
         assert main(["check", path]) == 2
         assert "malformed rational" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "prevision, message",
+        [
+            ("x" * 5000, "malformed rational 'xxx"),
+            ("0." + "1" * 5000, f"over {sys.get_int_max_str_digits()} digits in a row"),
+        ],
+        ids=["long-text", "long-decimal"],
+    )
+    def test_rational_error_is_one_short_line(self, tmp_path, capsys, prevision, message):
+        payload = coherent_pair_payload()
+        payload["members"][0]["prevision"] = prevision
+        path = write_doc(tmp_path, payload)
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and len(captured.err) < 160
+        assert message in captured.err
 
     def test_event_syntax_error_carries_position(self, tmp_path, capsys):
         payload = coherent_pair_payload()
@@ -503,3 +525,123 @@ class TestCheckAgainstOracle:
             assert set(level["zero_mass"]) <= set(level["members"])
             if following is not None:
                 assert following["members"] == level["zero_mass"]
+
+
+def run_in_process(argv):
+    """Exit code, stdout and stderr of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+VALID_MEMBER = {"quantity": "A", "given": "B", "prevision": "1/2"}
+KINDS = ["conjunction", "disjunction", "quasi-conjunction"]
+
+
+@st.composite
+def hostile_documents(draw):
+    """Documents over at most three atoms and three members; most pieces
+    are well-formed, and about one in eight is swapped for a hostile one."""
+
+    def rarely():
+        return all(draw(st.booleans()) for _ in range(3))
+
+    def piece(valid, hostile):
+        return draw(st.sampled_from(hostile if rarely() else valid))
+
+    if rarely():
+        return draw(st.sampled_from([[], "members", 3, None]))
+    events = ["A", "~B", "A & C", "B | ~C", "1", "A | B"]
+    bad_events = ["0", "A & ~A", "A &", "(B", "@", "D", "", 2, None]
+    rationals = ["0", "1", "1/2", "2/3", "0.25", 1, 0]
+    bad_rationals = ["2", "-1", "1/0", "1e2", "x", 0.5, True, None, "0." + "1" * 5000]
+    maps = [{"A": "1", "~A": "0"}, {"A & B": "2", "~(A & B)": "1/2"}, {"C": "1/3", "~C": "1"}]
+    bad_maps = [{}, {"A": "1"}, {"A": "1", "B": "0"}, {"@": "1"}, {"A": "x", "~A": "0"}, 5]
+
+    def member():
+        entry = {
+            "quantity": piece(events + maps, bad_events + bad_maps),
+            "given": piece(events, bad_events),
+            "prevision": piece(rationals, bad_rationals),
+        }
+        if rarely():
+            del entry[draw(st.sampled_from(sorted(entry)))]
+        return entry
+
+    def compound():
+        entry = {
+            "kind": piece(KINDS, ["nand", 5]),
+            "operands": piece([[0, 1], [1, 2], [0, 0]], [[0], [0, 5], ["0", 1], [True, 0]]),
+        }
+        if draw(st.booleans()):
+            entry["prevision"] = piece(rationals, bad_rationals)
+        return entry
+
+    document = {}
+    if not rarely():
+        document["atoms"] = piece([["A", "B", "C"], ["A", "B"], ["C", "A"]], ["A", [1], None])
+    document["members"] = piece(
+        [[member() for _ in range(draw(st.integers(1, 3)))]], [[], "A", {}, [5]]
+    )
+    if draw(st.booleans()):
+        compounds = [compound() for _ in range(draw(st.integers(0, 2)))]
+        document["compounds"] = piece([compounds], [5, {}, [5]])
+    return document
+
+
+COMMANDS = st.one_of(
+    st.just(("check",)),
+    st.just(("constituents",)),
+    st.builds(
+        lambda kind, operands: ("extend", "--target", f"{kind}:{operands}"),
+        st.sampled_from([*KINDS, "nand"]),
+        st.sampled_from(["0,1", "1,2", "0,0", "0", "a,b", "0,9", ""]),
+    ),
+    st.builds(
+        lambda i, j: ("conjoin", "--i", str(i), "--j", str(j)),
+        st.integers(-1, 3),
+        st.integers(-1, 3),
+    ),
+)
+
+
+class TestHostileDocuments:
+    """The exit-code contract on small hostile documents: 0, 1 or 2, never
+    3; an input error prints nothing on stdout and one line on stderr."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        document=hostile_documents(),
+        command=COMMANDS,
+        cap=st.sampled_from([None] * 8 + ["2", "x"]),
+    )
+    @example(document=[], command=("check",), cap=None)
+    @example(document={"atoms": "A", "members": [VALID_MEMBER]}, command=("check",), cap=None)
+    @example(document={"members": [5]}, command=("constituents",), cap=None)
+    @example(
+        document={"members": [{**VALID_MEMBER, "quantity": {}}]}, command=("check",), cap=None
+    )
+    @example(
+        document={"members": [{**VALID_MEMBER, "quantity": 5}]}, command=("check",), cap=None
+    )
+    @example(document={"members": [{**VALID_MEMBER, "given": 2}]}, command=("check",), cap=None)
+    @example(
+        document={"members": [VALID_MEMBER], "compounds": [5]}, command=("check",), cap=None
+    )
+    @example(document={"members": [VALID_MEMBER]}, command=("check",), cap="x")
+    def test_exit_code_contract(self, document, command, cap):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+            os.environ.pop(ATOM_CAP_ENV, None)
+            if cap is not None:
+                os.environ[ATOM_CAP_ENV] = cap
+            path = Path(tmp) / "hostile.json"
+            path.write_text(json.dumps(document))
+            name, *options = command
+            code, out, err = run_in_process([name, str(path), *options])
+        assert code in (0, 1, 2), err
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            json.loads(out)

@@ -80,12 +80,9 @@ class TestBuildSystem:
             [conditional_event(a, h, F(1, 2)), conditional_event(b, k, F(1, 2))]
         )
         system = build_system(assessment)
-        for point, present, block in zip(
-            system.points, system.membership, assessment.partition.inside
-        ):
-            assert present == {
-                i for i, label in enumerate(block.labels) if label is not None
-            }
+        for h, block in enumerate(assessment.partition.inside):
+            for indicator, label in zip(system.indicators, block.labels):
+                assert indicator[h] == (label is not None)
 
 
 def solve_feasibility(system):
@@ -221,6 +218,17 @@ class TestPhaseOneCount:
         with pytest.raises(ValueError, match="infeasible"):
             upper_conditioning_masses(system)
         assert len(calls) == 1
+
+
+class TestAssessmentValidation:
+    def test_refused_families(self):
+        u, a, h, b, k = four_atoms()
+        with pytest.raises(ValueError, match="nonempty"):
+            Assessment([])
+        with pytest.raises(ValueError, match=r"members \[1\] have no prevision"):
+            Assessment([conditional_event(a, h, F(1, 2)), conditional_event(b, k)])
+        with pytest.raises(ValueError, match="equal length"):
+            Assessment([conditional_event(a, h)], [F(1, 2), F(1, 3)])
 
 
 class TestCheckCoherence:

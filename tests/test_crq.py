@@ -436,6 +436,24 @@ class TestQuasiConjunction:
         assert values_agree_on_union(quasi, conditional_event(a & b, h))
 
 
+class TestValueMapOperands:
+    def test_one_cell_reaching_outside_the_conditioning(self):
+        # The 1-cell A of {A: 1, ~A: 0} given H reaches outside H; as an
+        # operand it is the conditional event A | H, whose 1-cell is A & H.
+        u, a, h, b, k = four_atoms()
+        mapped = ConditionalRandomQuantity(h, [(a, 1), (~a, 0)], F(1, 3))
+        plain = conditional_event(a, h, F(1, 3))
+        other = conditional_event(b, k, F(1, 2))
+
+        def texts(quantity):
+            cells = [(event.to_text(), value) for event, value in quantity.cells]
+            return quantity.conditioning.to_text(), cells
+
+        for build in (conjunction, disjunction, quasi_conjunction):
+            assert texts(build(mapped, other)) == texts(build(plain, other))
+            assert texts(build(other, mapped)) == texts(build(other, plain))
+
+
 class TestGoodmanNguyen:
     def test_conjunction_shrinks(self):
         u, a, h, b, k = four_atoms()

@@ -91,6 +91,15 @@ class TestParsing:
         with pytest.raises(AtomLimitError):
             u.parse("C")
 
+    def test_atom_limit_must_be_positive(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            Universe(atom_limit=0)
+
+    def test_missing_operand(self):
+        with pytest.raises(EventSyntaxError, match="expected an atom") as err:
+            Universe().parse("A & @")
+        assert err.value.position == 4
+
     def test_atoms_registered(self):
         u = Universe()
         u.parse("X & (Y | ~Z)")

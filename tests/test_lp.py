@@ -308,7 +308,11 @@ def mass_systems(draw):
 
 
 def assert_masses_match(points, target, membership):
-    system = LinearSystem(points, target, membership)
+    rows = tuple(zip(*points))
+    indicators = tuple(
+        tuple(int(i in present) for present in membership) for i in range(len(target))
+    )
+    system = LinearSystem(rows, target, indicators)
     try:
         expected = tuple(brute_masses(points, membership, target))
     except ValueError:
@@ -547,8 +551,7 @@ class TestRepeatedColumns:
         # One member priced 1 and valued 1 inside its conditioning: both
         # points are (1,), but only the second lies in the conditioning,
         # and all the mass can go there.
-        points = ((F(1),), (F(1),))
-        system = LinearSystem(points, (F(1),), (frozenset(), frozenset({0})))
+        system = LinearSystem(((F(1), F(1)),), (F(1),), ((0, 1),))
         assert upper_conditioning_masses(system) == (1,)
 
 

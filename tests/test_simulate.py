@@ -67,6 +67,11 @@ class TestJointDistribution:
         assert dist.probability(a & c) == F(1, 6)
         assert dist.conditional_probability(c, a) == F(1, 3)
 
+    def test_marginal_out_of_range(self):
+        u, a, c = two_coin_universe()
+        with pytest.raises(ValueError, match="marginal for C"):
+            JointDistribution.independent(u, {"A": F(1, 2), "C": F(3, 2)})
+
     def test_conditional_on_null_event(self):
         u, a, c = two_coin_universe()
         dist = JointDistribution.independent(u, {"A": 0, "C": F(1, 2)})
@@ -119,6 +124,12 @@ class TestSimulateConditional:
             simulate_conditional(dist, a, c, trials=0, max_len=10, seed=0)
         with pytest.raises(ValueError):
             simulate_conditional(dist, a, c, trials=10, max_len=0, seed=0)
+
+    def test_every_trial_indeterminate(self):
+        u, a, c = two_coin_universe()
+        dist = JointDistribution.independent(u, {"A": F(1, 10**6), "C": F(1, 2)})
+        with pytest.raises(ValueError, match="every trial was indeterminate"):
+            simulate_conditional(dist, a, c, trials=3, max_len=1, seed=0)
 
     def test_indeterminacy_matches_truncation_probability(self):
         u, a, c = two_coin_universe()
