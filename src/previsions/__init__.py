@@ -30,7 +30,6 @@ from .coherence import (
 )
 from .crq import (
     ConditionalRandomQuantity,
-    ImpossibleConditioningError,
     add,
     conditional_event,
     conjunction,
@@ -48,6 +47,7 @@ from .events import (
     ConstituentPartition,
     Event,
     EventSyntaxError,
+    ImpossibleConditioningError,
     Universe,
     constituents,
     logically_independent,

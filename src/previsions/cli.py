@@ -130,6 +130,11 @@ class AssessmentDocument:
         atoms = payload.get("atoms", [])
         if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
             raise DocumentError("'atoms' must be a list of names")
+        seen: set[str] = set()
+        for name in atoms:
+            if name in seen:
+                raise DocumentError(f"atom {reprlib.repr(name)} is listed twice")
+            seen.add(name)
         raw_members = payload.get("members")
         if not isinstance(raw_members, list) or not raw_members:
             raise DocumentError("'members' must be a nonempty list")
@@ -224,6 +229,22 @@ def build_compound(
     return compound
 
 
+@contextlib.contextmanager
+def _exact_text():
+    """Let ``str`` write ints of any length inside the block, restoring
+    Python's limit (3.10.7 on) afterwards: an exact result can have far
+    more digits than any input it came from.  Input keeps the limit (see
+    :func:`parse_rational`)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def report_payload(
     report: CoherenceReport,
     interval: bounds.ExtensionInterval | None = None,
@@ -235,34 +256,35 @@ def report_payload(
         return None if values is None else [str(v) for v in values]
 
     book = report.dutch_book
-    return {
-        "verdict": "coherent" if report.coherent else "incoherent",
-        "trace": [
-            {
-                "members": list(level.members),
-                "solvable": level.solvable,
-                "zero_mass": list(level.zero_mass),
-                "witness": rationals(level.witness),
-                "masses": rationals(level.masses),
-            }
-            for level in report.levels
-        ],
-        "dutch_book": None
-        if book is None
-        else {
-            "members": list(book.members),
-            "coefficients": rationals(book.coefficients),
-            "gains": rationals(book.gains),
-        },
-        "interval": None
-        if interval is None
-        else {
-            "lower": str(interval.lower),
-            "upper": str(interval.upper),
-            "endpoints_verified": interval.attained,
-        },
-        "diagnostics": list(diagnostics),
-    }
+    with _exact_text():
+        return {
+            "verdict": "coherent" if report.coherent else "incoherent",
+            "trace": [
+                {
+                    "members": list(level.members),
+                    "solvable": level.solvable,
+                    "zero_mass": list(level.zero_mass),
+                    "witness": rationals(level.witness),
+                    "masses": rationals(level.masses),
+                }
+                for level in report.levels
+            ],
+            "dutch_book": None
+            if book is None
+            else {
+                "members": list(book.members),
+                "coefficients": rationals(book.coefficients),
+                "gains": rationals(book.gains),
+            },
+            "interval": None
+            if interval is None
+            else {
+                "lower": str(interval.lower),
+                "upper": str(interval.upper),
+                "endpoints_verified": interval.attained,
+            },
+            "diagnostics": list(diagnostics),
+        }
 
 
 def _emit(payload: Mapping[str, Any]) -> None:
@@ -308,13 +330,13 @@ def cmd_conjoin(args: argparse.Namespace) -> int:
     except IncoherentAssessmentError:
         _emit({"verdict": "incoherent", "detail": "operand previsions are incoherent"})
         return 1
+    with _exact_text():
+        cases = [{"on": e.to_text(), "value": str(value)} for e, value in compound.cells]
     payload = {
         "kind": "conjunction",
         "operands": [args.i, args.j],
         "given": compound.conditioning.to_text(),
-        "cases": [
-            {"on": event.to_text(), "value": str(value)} for event, value in compound.cells
-        ],
+        "cases": cases,
     }
     _emit(payload)
     return 0
@@ -360,13 +382,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     estimate = simulate.simulate_conditional(
         dist, antecedent, consequent, args.trials, args.max_len, args.seed
     )
+    with _exact_text():
+        exact = str(pac / pa)
     _emit(
         {
             "mean": estimate.mean,
             "std_error": estimate.std_error,
             "indeterminate_fraction": estimate.indeterminate_fraction,
             "trials": estimate.trials,
-            "exact": str(pac / pa),
+            "exact": exact,
             "seed": args.seed,
         }
     )

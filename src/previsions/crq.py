@@ -23,16 +23,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .events import Assignment, Event, constituents, split_conditioning, truth_tables, used_atoms
+# The constructor raises ImpossibleConditioningError; it is importable here too.
+from .events import Assignment, Event, ImpossibleConditioningError, constituents, split
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Rational = Fraction | int | str
-
-
-class ImpossibleConditioningError(ValueError):
-    """Conditioning on the impossible event is meaningless."""
 
 
 class ConditionalRandomQuantity:
@@ -54,12 +51,7 @@ class ConditionalRandomQuantity:
         prevision: Rational | None = None,
     ):
         staged = [(event, Fraction(value)) for event, value in cells]
-        events = [conditioning, *(event for event, _ in staged)]
-        names = used_atoms(events)
-        given, *tables = truth_tables(events, names)
-        parts = split_conditioning(tables, given, names)
-        if not any(parts):
-            raise ImpossibleConditioningError("conditioning event is impossible")
+        _, ((_, parts),) = split([([event for event, _ in staged], conditioning)])
         self._conditioning = conditioning
         self._cells = tuple(cell for cell, part in zip(staged, parts) if part)
         self._prevision = None if prevision is None else Fraction(prevision)

@@ -45,6 +45,10 @@ class AtomLimitError(ValueError):
     """Registering another atom would exceed the universe's atom cap."""
 
 
+class ImpossibleConditioningError(ValueError):
+    """Conditioning on the impossible event is meaningless."""
+
+
 class Universe:
     """Ordered registry of named atoms.
 
@@ -293,23 +297,17 @@ def constituents(
     family = tuple((tuple(cells), conditioning) for cells, conditioning in family)
     if not family:
         raise ValueError("family must be nonempty")
-    events = [e for cells, conditioning in family for e in (conditioning, *cells)]
-    names = used_atoms(events)
-    tables = iter(truth_tables(events, names))
+    names, members = split(family)
     full = _full(len(names))
     blocks = {(): full}
-    for cells, _ in family:
-        conditioning = next(tables)
-        if not conditioning:
-            raise ValueError("conditioning event is impossible")
-        parts = split_conditioning([next(tables) for _ in cells], conditioning, names)
-        split: dict[tuple[int | None, ...], int] = {}
+    for conditioning, parts in members:
+        finer: dict[tuple[int | None, ...], int] = {}
         for labels, block in blocks.items():
             for label, part in ((None, full ^ conditioning), *enumerate(parts)):
                 piece = block & part
                 if piece:
-                    split[labels + (label,)] = piece
-        blocks = split
+                    finer[labels + (label,)] = piece
+        blocks = finer
     return _partition(names, family, blocks)
 
 
@@ -329,27 +327,38 @@ def _partition(
     return ConstituentPartition(atoms, outside, tuple(inside), family)
 
 
-def split_conditioning(
-    cells: Sequence[int], conditioning: int, atoms: Sequence[str]
-) -> tuple[int, ...]:
-    """The part of ``conditioning`` inside each cell, as truth tables over
-    ``atoms``; ValueError, naming the least offending assignment, unless
-    the cells partition the conditioning event."""
-    parts = tuple(cell & conditioning for cell in cells)
-    covered = overlap = 0
-    for part in parts:
-        overlap |= covered & part
-        covered |= part
-    bad = overlap | (conditioning & ~covered)
-    if bad:
-        index = (bad & -bad).bit_length() - 1
-        assignment = dict(zip(atoms, _decode(index, len(atoms))))
-        hits = sum(part >> index & 1 for part in parts)
-        raise ValueError(
-            "cells must partition the conditioning event "
-            f"(assignment {assignment} matched {hits} cells)"
-        )
-    return parts
+def split(
+    family: Sequence[tuple[Sequence[Event], Event]], atoms: Sequence[str] | None = None
+) -> tuple[tuple[str, ...], list[tuple[int, tuple[int, ...]]]]:
+    """The ``atoms`` (by default those the family uses) and, from one fold,
+    each ``(cells, conditioning)`` member's conditioning event and its part
+    inside each cell, as truth tables over them.  ImpossibleConditioningError
+    for an impossible conditioning event; ValueError, naming the least
+    offending assignment, unless a member's cells partition it."""
+    events = [e for cells, conditioning in family for e in (conditioning, *cells)]
+    atoms = used_atoms(events) if atoms is None else tuple(atoms)
+    tables = iter(truth_tables(events, atoms))
+    members = []
+    for cells, _ in family:
+        conditioning = next(tables)
+        if not conditioning:
+            raise ImpossibleConditioningError("conditioning event is impossible")
+        parts = tuple(next(tables) & conditioning for _ in cells)
+        covered = overlap = 0
+        for part in parts:
+            overlap |= covered & part
+            covered |= part
+        bad = overlap | (conditioning & ~covered)
+        if bad:
+            index = (bad & -bad).bit_length() - 1
+            assignment = dict(zip(atoms, _decode(index, len(atoms))))
+            hits = sum(part >> index & 1 for part in parts)
+            raise ValueError(
+                "cells must partition the conditioning event "
+                f"(assignment {assignment} matched {hits} cells)"
+            )
+        members.append((conditioning, parts))
+    return atoms, members
 
 
 def truth_tables(events: Sequence[Event], atoms: Sequence[str]) -> tuple[int, ...]:
@@ -396,49 +405,43 @@ def _fold(roots: Sequence[Event], atom: Callable[[str], int], full: int) -> tupl
     """The roots' values when atoms take the integers ``atom(name)``, the
     sure event is ``full`` and the connectives act bitwise.
 
-    Each shared subformula is evaluated once, after its operands, and its
-    value is dropped once every parent has read it.  The operand of larger
-    ``_need`` is evaluated first, so a long chain holds a few values at a
-    time, whichever side it grows on.
+    One walk lists each distinct subformula after its operands, the
+    operand of larger ``_need`` first, and counts its readers: each
+    parent, plus one per root.  One pass then evaluates the list and
+    drops each value after its last reader, so a long chain holds a few
+    values at a time, whichever side it grows on.
     """
     reads: dict[int, int] = {}
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) in reads:
+    order: list[tuple[Event, tuple[Event, ...]]] = []
+    pending: list = list(roots)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, tuple):  # a node and its operands, all listed
+            order.append(node)
+        elif id(node) in reads:
             reads[id(node)] += 1
         else:
             reads[id(node)] = 1
-            if node._op in ("not", "and", "or"):
-                stack.extend(node._args)
+            args = node._args if node._op in ("not", "and", "or") else ()
+            pending.append((node, args))
+            pending += args[::-1] if args and args[0]._need > args[-1]._need else args
     values: dict[int, int] = {}
-    pending = [(node, False) for node in roots]
-    while pending:
-        node, ready = pending.pop()
-        key, op, args = id(node), node._op, node._args
-        if key in values:
-            continue
+    for node, args in order:
+        op = node._op
         if op == "atom":
-            values[key] = atom(args)
+            value = atom(node._args)
         elif op == "const":
-            values[key] = full if args else 0
-        elif not ready:
-            pending.append((node, True))
-            if len(args) == 2 and args[0]._need > args[1]._need:
-                pending += ((args[1], False), (args[0], False))
-            else:
-                pending += ((child, False) for child in args)
+            value = full if node._args else 0
+        elif op == "not":
+            value = full ^ values[id(args[0])]
         else:
-            if op == "not":
-                values[key] = full ^ values[id(args[0])]
-            elif op == "and":
-                values[key] = values[id(args[0])] & values[id(args[1])]
-            else:
-                values[key] = values[id(args[0])] | values[id(args[1])]
-            for child in args:
-                reads[id(child)] -= 1
-                if not reads[id(child)]:
-                    del values[id(child)]
+            left, right = (values[id(child)] for child in args)
+            value = left & right if op == "and" else left | right
+        values[id(node)] = value
+        for child in args:
+            reads[id(child)] -= 1
+            if not reads[id(child)]:
+                del values[id(child)]
     return tuple(values[id(node)] for node in roots)
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .crq import ConditionalRandomQuantity, Rational, _conjoin, conditional_event
-from .events import Event, Universe, set_bits, truth_tables
+from .events import Event, Universe, set_bits, split, truth_tables
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -88,7 +88,10 @@ class JointDistribution:
     def probability(self, event: Event) -> Fraction:
         """Exact probability of an event: the total mass of the assignments
         its truth table over :attr:`atoms` selects."""
-        (table,) = truth_tables((event,), self._atoms)
+        return self._mass(truth_tables((event,), self._atoms)[0])
+
+    def _mass(self, table: int) -> Fraction:
+        """Total mass of the assignments a truth table over :attr:`atoms` selects."""
         return sum((self._masses[i] for i in set_bits(table)), _ZERO)
 
     def conditional_probability(self, event: Event, given: Event) -> Fraction:
@@ -174,11 +177,10 @@ def conjunction_prevision(
     quantity = _conjunction(
         dist, first_antecedent, first_consequent, second_antecedent, second_consequent
     )
-    given = quantity.conditioning
-    paid = sum(
-        (value * dist.probability(event & given) for event, value in quantity.cells), _ZERO
-    )
-    return paid / dist.probability(given)
+    member = ([event for event, _ in quantity.cells], quantity.conditioning)
+    _, ((given, parts),) = split([member], dist.atoms)
+    paid = sum(value * dist._mass(part) for part, (_, value) in zip(parts, quantity.cells))
+    return paid / dist._mass(given)
 
 
 def finite_n_fixed_point(p_antecedent: Rational, p_joint: Rational, n: int) -> Fraction:
@@ -232,12 +234,12 @@ def _sample(
 ) -> SimEstimate:
     """First-success estimate of a quantity: each trial draws worlds until
     its conditioning holds and records the value of the cell there."""
-    events = [quantity.conditioning, *(event for event, _ in quantity.cells)]
-    stop, *tables = truth_tables(events, dist.atoms)
+    member = ([event for event, _ in quantity.cells], quantity.conditioning)
+    _, ((_, parts),) = split([member], dist.atoms)
     # Per assignment, the value paid there, or None outside the conditioning.
     values: list[float | None] = [None] * len(dist._masses)
-    for table, (_, value) in zip(tables, quantity.cells):
-        for i in set_bits(table & stop):
+    for part, (_, value) in zip(parts, quantity.cells):
+        for i in set_bits(part):
             values[i] = float(value)
     thresholds = [float(running) for running in itertools.accumulate(dist._masses)][:-1]
     rng = random.Random(seed)

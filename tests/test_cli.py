@@ -21,8 +21,10 @@ from previsions.cli import (
     ATOM_CAP_ENV,
     AssessmentDocument,
     DocumentError,
+    _exact_text,
     main,
     parse_rational,
+    realize,
 )
 
 
@@ -129,6 +131,15 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert "member 0" in err and "position 5" in err
 
+    def test_duplicate_atoms_rejected(self, tmp_path, capsys):
+        payload = coherent_pair_payload()
+        payload["atoms"] = ["A", "A", "H", "B", "K"]
+        path = write_doc(tmp_path, payload)
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: atom 'A' is listed twice\n"
+
     def test_impossible_given_rejected(self, tmp_path, capsys):
         payload = coherent_pair_payload()
         payload["members"][0]["given"] = "H & ~H"
@@ -227,6 +238,52 @@ class TestCheckCommand:
         main(["check", path])
         second = capsys.readouterr().out
         assert first == second
+
+
+def read_rational(text):
+    """A report's rational, however many digits it has."""
+    with _exact_text():
+        return F(text)
+
+
+class TestResultsOfAnySize:
+    """Previsions within the input guard can have exact results longer
+    than Python turns into text by default (4300 digits from 3.10.7 on):
+    the report prints them in full and leaves that limit as it was."""
+
+    @pytest.mark.parametrize(
+        "command", [["check"], ["extend", "--target", "conjunction:0,0"]], ids=["check", "extend"]
+    )
+    @pytest.mark.parametrize(
+        "previsions",
+        [
+            ["1/" + str(10**2500 + 7), "1/" + str(10**2500 + 9)],
+            ["0." + "1" * 4300, "1/2"],
+        ],
+        ids=["large-denominators", "long-decimal"],
+    )
+    def test_report_reproduces_the_previsions(self, tmp_path, capsys, command, previsions):
+        payload = {
+            "atoms": ["A", "B"],
+            "members": [
+                {"quantity": atom, "given": "1", "prevision": prevision}
+                for atom, prevision in zip("AB", previsions)
+            ],
+        }
+        path = write_doc(tmp_path, payload)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        name, *options = command
+        assert main([name, path, *options]) == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        report = json.loads(capsys.readouterr().out)
+        witness = [read_rational(w) for w in report["trace"][0]["witness"]]
+        system = Assessment(realize(AssessmentDocument.from_payload(payload))[1]).system
+        assert all(w >= 0 for w in witness) and sum(witness) == 1
+        paid = [sum(w * value for w, value in zip(witness, row)) for row in system.rows]
+        assert paid == list(system.target) == [parse_rational(p) for p in previsions]
+        if name == "extend":  # the conjunction of a member with itself is the member
+            interval = report["interval"]
+            assert read_rational(interval["lower"]) == read_rational(interval["upper"]) == paid[0]
 
 
 class TestExtendCommand:
@@ -630,6 +687,11 @@ class TestHostileDocuments:
         document={"members": [VALID_MEMBER], "compounds": [5]}, command=("check",), cap=None
     )
     @example(document={"members": [VALID_MEMBER]}, command=("check",), cap="x")
+    @example(
+        document={"atoms": ["A", "A", "B"], "members": [VALID_MEMBER]},
+        command=("check",),
+        cap=None,
+    )
     def test_exit_code_contract(self, document, command, cap):
         with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
             os.environ.pop(ATOM_CAP_ENV, None)

@@ -12,6 +12,7 @@ from previsions.events import (
     AtomLimitError,
     EventSyntaxError,
     Universe,
+    _fold,
     constituents,
     logically_independent,
     truth_tables,
@@ -423,19 +424,20 @@ class TestAtomTables:
 
 
 @st.composite
-def formula_pools(draw):
-    """A pool of ``(event, predicate)`` pairs over one to six atoms.
+def formula_pools(draw, atoms=6, steps=14):
+    """A pool of ``(event, predicate)`` pairs over one to ``atoms`` atoms.
 
     The pool starts with the atoms, in a drawn registration order, and
-    both constants; each further entry combines earlier ones, so later
-    formulas share subformulas.  Each predicate computes its event's truth
-    value directly from an assignment, independently of the library.
+    both constants; each of up to ``steps`` further entries combines
+    earlier ones, so later formulas share subformulas.  Each predicate
+    computes its event's truth value directly from an assignment,
+    independently of the library.
     """
-    names = draw(st.permutations([f"X{i}" for i in range(draw(st.integers(1, 6)))]))
+    names = draw(st.permutations([f"X{i}" for i in range(draw(st.integers(1, atoms)))]))
     u = Universe()
     pool = [(u.atom(n), lambda a, n=n: a[n]) for n in names]
     pool += [(u.true(), lambda a: True), (u.false(), lambda a: False)]
-    for _ in range(draw(st.integers(0, 14))):
+    for _ in range(draw(st.integers(0, steps))):
         op = draw(st.sampled_from(("not", "and", "or")))
         e, p = draw(st.sampled_from(pool))
         f, q = draw(st.sampled_from(pool))
@@ -503,6 +505,34 @@ class TestTruthTablesAgainstEnumeration:
         assert logically_independent(events) == brute_logically_independent(
             [p for _, p in picks], names_of(*events)
         )
+
+    @DIFFERENTIAL
+    @given(st.data())
+    def test_shared_subformulas_fold_once(self, data):
+        """Roots drawn from one pool share compound subformulas, repeat,
+        and contain one another; one fold tables them all, each atom once."""
+        pool = data.draw(formula_pools(atoms=4, steps=30))
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        roots = [e for e, _ in picks]
+        names = pool[0][0].universe.atoms
+        assignments = list(truth_assignments(names))
+
+        def brute_table(predicate):
+            return sum(1 << i for i, a in enumerate(assignments) if predicate(a))
+
+        expected = [brute_table(p) for _, p in picks]
+        assert list(truth_tables(roots, names)) == expected
+        tabled = []
+
+        def atom(name):
+            tabled.append(name)
+            return brute_table(lambda a: a[name])
+
+        assert list(_fold(roots, atom, (1 << len(assignments)) - 1)) == expected
+        assert sorted(tabled) == sorted(set().union(*(e.atoms for e in roots)))
+        for (e, _), table in zip(picks, expected):
+            for i, assignment in enumerate(assignments):
+                assert e.evaluate(assignment) == bool(table >> i & 1)
 
     @DIFFERENTIAL
     @given(st.data())

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from previsions import bounds, cli, coherence, lp
+from previsions import bounds, cli, coherence, events, lp
 from previsions.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -155,3 +155,25 @@ def test_phase_two_count(name, monkeypatch, capsys):
     *_, solvable, optimizes = count_calls(name, monkeypatch)
     endpoints = 2 if CASES[name][0][0] == "extend" else 0
     assert len(optimizes) == sum(solvable) + endpoints
+
+
+@pytest.mark.parametrize(
+    "name, folds",
+    zip(sorted(CASES), [8, 7, 11, 9, 10, 4, 9, 9, 9, 12, 9]),
+)
+def test_fold_count(name, folds, monkeypatch, capsys):
+    """Truth-table folds per golden command: one per quantity built
+    (members, compounds and the quantities a compound is built through)
+    to split its conditioning, two for each compound's ``implies`` query
+    on its operands, and one for the command's constituent enumeration."""
+    calls = []
+    fold = events._fold
+
+    def counting_fold(*args):
+        calls.append(None)
+        return fold(*args)
+
+    monkeypatch.setattr(events, "_fold", counting_fold)
+    (command, *options), code = CASES[name]
+    assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
+    assert len(calls) == folds
