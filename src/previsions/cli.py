@@ -192,30 +192,38 @@ def _atom_cap() -> int:
 
 
 def realize(document: AssessmentDocument) -> tuple[Universe, list[ConditionalRandomQuantity]]:
-    """Build the universe and the member quantities of a document."""
+    """Build the universe and the member quantities of a document.
+
+    Every member is parsed first, up to the first one that fails; the
+    parsed ones are then built in order from one fold of all their
+    events, so a member's own error still comes before a later member's
+    parse error."""
     universe = Universe(atom_limit=_atom_cap())
     try:
         for name in document.atoms:
             universe.atom(name)
-        members = []
-        for i, spec in enumerate(document.members):
-            try:
-                given = universe.parse(spec.given)
-                if isinstance(spec.quantity, str):
-                    member = crq.conditional_event(
-                        universe.parse(spec.quantity), given, spec.prevision
-                    )
-                else:
-                    cells = [
-                        (universe.parse(cell), value)
-                        for cell, value in spec.quantity.items()
-                    ]
-                    member = ConditionalRandomQuantity(given, cells, spec.prevision)
-            except (EventSyntaxError, ValueError) as exc:
-                raise DocumentError(f"member {i}: {exc}") from None
-            members.append(member)
     except AtomLimitError as exc:
         raise DocumentError(str(exc)) from None
+    parsed, failure = [], None
+    for i, spec in enumerate(document.members):
+        try:
+            given = universe.parse(spec.given)
+            if isinstance(spec.quantity, str):
+                cells = crq._indicator(universe.parse(spec.quantity), given)
+            else:
+                cells = [(universe.parse(cell), value) for cell, value in spec.quantity.items()]
+        except (EventSyntaxError, ValueError) as exc:
+            failure = DocumentError(f"member {i}: {exc}")
+            break
+        parsed.append((given, cells, spec.prevision))
+    members: list[ConditionalRandomQuantity] = []
+    try:
+        for member in crq._family(parsed):
+            members.append(member)
+    except ValueError as exc:
+        raise DocumentError(f"member {len(members)}: {exc}") from None
+    if failure is not None:
+        raise failure
     return universe, members
 
 

@@ -15,10 +15,13 @@ re-checked recursively on their own; the assessment is coherent when
 each level is solvable and the zero-mass set empties out.
 
 The constituents depend only on the members, not on the previsions, so
-an :class:`Assessment` enumerates them at most once and hands them on:
-a subfamily's coarser partition merges them (each of its blocks is the
-union of the blocks that agree on the subfamily's labels) instead of
-building truth tables again.  Every level of a check is a sub-assessment
+an :class:`Assessment` enumerates them at most once and hands them on.
+When every member carries its truth tables over the atoms the family
+uses, as the members of one document and their compounds do, the blocks
+are refined from those tables with no fold at all.  A subfamily's
+coarser partition merges them (each of its blocks is the union of the
+blocks that agree on the subfamily's labels) instead of building truth
+tables again.  Every level of a check is a sub-assessment
 of the checked one.  An assessment owns its feasibility system too,
 built at most once, so ``extend`` optimizes on its base check's level 1.
 
@@ -47,7 +50,7 @@ from typing import Iterable, Sequence
 
 from . import lp
 from .crq import ConditionalRandomQuantity, Rational
-from .events import ConstituentPartition, constituents
+from .events import ConstituentPartition, constituents, refine, used_atoms
 
 
 class IncoherentAssessmentError(ValueError):
@@ -107,11 +110,16 @@ class Assessment:
 
     @property
     def partition(self) -> ConstituentPartition:
-        """The constituents generated by the members, enumerated once."""
+        """The constituents generated by the members, enumerated once:
+        refined from the members' truth tables when those are all over
+        the atoms the family uses, else folded again."""
         if self._partition is None:
-            self._partition = constituents(
-                [([event for event, _ in m.cells], m.conditioning) for m in self._members]
-            )
+            family = tuple((tuple(e for e, _ in m.cells), m.conditioning) for m in self._members)
+            atoms = used_atoms(e for cells, given in family for e in (given, *cells))
+            if all(m._atoms == atoms for m in self._members):
+                self._partition = refine(atoms, [m._split() for m in self._members], family)
+            else:
+                self._partition = constituents(family)
         return self._partition
 
     @property

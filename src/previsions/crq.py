@@ -16,15 +16,21 @@ quantity, and the disjunction is the negated conjunction of the negated
 operands (De Morgan).  Apart from the quasi conjunction they are
 generally *random quantities* rather than events: their values include
 the operand previsions themselves.
+
+Every quantity keeps the truth tables of its conditioning event and of
+its kept cell events, over a tuple of atoms holding every atom they use.
+Its checks read them, and so do the compounds: when both operands' tables
+are over one tuple of atoms, a compound's tables are Boolean combinations
+of theirs, computed bitwise, and no event is folded again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 # The constructor raises ImpossibleConditioningError; it is importable here too.
-from .events import Assignment, Event, ImpossibleConditioningError, constituents, split
+from .events import Assignment, Event, ImpossibleConditioningError, constituents, cut, split
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -40,9 +46,14 @@ class ConditionalRandomQuantity:
     conditioning event are dropped.  ``prevision`` is the optional agreed
     price, which also serves as the value taken when the conditioning
     event is false.  Instances are immutable.
+
+    A quantity keeps the truth tables its checks read: its conditioning
+    event's and each kept cell event's, over a tuple of atoms that holds
+    every atom they use (its own, or those of the document it was built
+    with; see :func:`_family`).
     """
 
-    __slots__ = ("_conditioning", "_cells", "_prevision")
+    __slots__ = ("_conditioning", "_cells", "_prevision", "_atoms", "_given", "_raw")
 
     def __init__(
         self,
@@ -51,10 +62,40 @@ class ConditionalRandomQuantity:
         prevision: Rational | None = None,
     ):
         staged = [(event, Fraction(value)) for event, value in cells]
-        _, ((_, parts),) = split([([event for event, _ in staged], conditioning)])
+        atoms, ((given, raw),) = split([([event for event, _ in staged], conditioning)])
+        self._fill(conditioning, staged, prevision, atoms, given, raw)
+
+    @classmethod
+    def _from_tables(cls, conditioning, cells, prevision, atoms, given, raw):
+        """The quantity the constructor builds, from the truth tables over
+        ``atoms`` of its conditioning event (``given``) and of each cell
+        event (``raw``) instead of a fold; the same checks run on them, and
+        a failed one raises the constructor's error."""
+        staged = [(event, Fraction(value)) for event, value in cells]
+        quantity = cls.__new__(cls)
+        try:
+            quantity._fill(conditioning, staged, prevision, atoms, given, raw)
+        except ValueError:
+            # Raises again, naming an assignment over the quantity's own atoms.
+            cls(conditioning, staged, prevision)
+            raise
+        return quantity
+
+    def _fill(self, conditioning, staged, prevision, atoms, given, raw) -> None:
+        """Check the cells on their tables and keep the nonempty ones."""
+        parts = cut(given, raw, atoms)
+        kept = [k for k, part in enumerate(parts) if part]
         self._conditioning = conditioning
-        self._cells = tuple(cell for cell, part in zip(staged, parts) if part)
+        self._cells = tuple(staged[k] for k in kept)
         self._prevision = None if prevision is None else Fraction(prevision)
+        self._atoms = atoms
+        self._given = given
+        self._raw = tuple(raw[k] for k in kept)
+
+    def _split(self) -> tuple[int, tuple[int, ...]]:
+        """Truth tables over ``_atoms``: the conditioning event's and its
+        part inside each cell, as :func:`~previsions.events.refine` takes them."""
+        return self._given, tuple(table & self._given for table in self._raw)
 
     @property
     def conditioning(self) -> Event:
@@ -84,7 +125,14 @@ class ConditionalRandomQuantity:
 
     def with_prevision(self, prevision: Rational) -> "ConditionalRandomQuantity":
         """A copy with the prevision slot (re)filled."""
-        return ConditionalRandomQuantity(self._conditioning, self._cells, prevision)
+        return self._with(self._cells, prevision)
+
+    def _with(self, cells, prevision) -> "ConditionalRandomQuantity":
+        """The quantity on the same conditioning and cell events, with
+        these values and prevision, built from this one's truth tables."""
+        return ConditionalRandomQuantity._from_tables(
+            self._conditioning, cells, prevision, self._atoms, self._given, self._raw
+        )
 
     def value_at(self, assignment: Assignment) -> Fraction:
         """The amount received at a total truth assignment.
@@ -111,8 +159,27 @@ def conditional_event(
 ) -> ConditionalRandomQuantity:
     """The indicator of ``event`` given ``conditioning``: 1 where both hold,
     0 where the conditioning holds without the event."""
-    cells = [(event & conditioning, _ONE), (~event & conditioning, _ZERO)]
-    return ConditionalRandomQuantity(conditioning, cells, prevision)
+    return ConditionalRandomQuantity(conditioning, _indicator(event, conditioning), prevision)
+
+
+def _indicator(event: Event, conditioning: Event) -> list[tuple[Event, Fraction]]:
+    """The cells of :func:`conditional_event`."""
+    return [(event & conditioning, _ONE), (~event & conditioning, _ZERO)]
+
+
+def _family(
+    members: Sequence[tuple[Event, Sequence[tuple[Event, Rational]], Rational | None]],
+) -> Iterator[ConditionalRandomQuantity]:
+    """The quantities of ``(conditioning, cells, prevision)`` triples, in
+    order, as the constructor builds them; every event is folded to its
+    truth table in one pass, over the atoms the members use together."""
+    if not members:
+        return
+    atoms, tables = split([([cell for cell, _ in cells], given) for given, cells, _ in members])
+    for (conditioning, cells, prevision), (given, raw) in zip(members, tables):
+        yield ConditionalRandomQuantity._from_tables(
+            conditioning, cells, prevision, atoms, given, raw
+        )
 
 
 def scale(factor: Rational, quantity: ConditionalRandomQuantity) -> ConditionalRandomQuantity:
@@ -200,8 +267,8 @@ def gn_inclusion(
     being true forces the second true, and the second being false forces
     the first false.
     """
-    first_true, first_cond = _event_parts(first)
-    second_true, second_cond = _event_parts(second)
+    first_true, first_cond, *_ = _event_parts(first)
+    second_true, second_cond, *_ = _event_parts(second)
     first_false = first_cond & ~first_true
     second_false = second_cond & ~second_true
     return first_true.implies(second_true) and second_false.implies(first_false)
@@ -228,7 +295,7 @@ def negation(quantity: ConditionalRandomQuantity) -> ConditionalRandomQuantity:
     """One minus the quantity, pointwise and in the prevision; an involution."""
     cells = [(event, _ONE - value) for event, value in quantity.cells]
     prevision = None if quantity.prevision is None else _ONE - quantity.prevision
-    return ConditionalRandomQuantity(quantity.conditioning, cells, prevision)
+    return quantity._with(cells, prevision)
 
 
 def disjunction(
@@ -253,10 +320,13 @@ def quasi_conjunction(
 ) -> ConditionalRandomQuantity:
     """The three-valued conjunction: a genuine conditional event which is
     true when neither operand fails and at least one conditioning holds."""
-    a_true, a_cond = _event_parts(first)
-    b_true, b_cond = _event_parts(second)
+    a_true, a_cond, ta, ca = _event_parts(first)
+    b_true, b_cond, tb, cb = _event_parts(second)
     body = (a_true | ~a_cond) & (b_true | ~b_cond)
-    return conditional_event(body, a_cond | b_cond)
+    conditioning, given = a_cond | b_cond, ca | cb
+    table = (ta | ~ca) & (tb | ~cb)
+    cells = _indicator(body, conditioning)
+    return _joined(first, second, conditioning, cells, given, [table & given, ~table & given])
 
 
 def _conjoin(
@@ -267,15 +337,16 @@ def _conjoin(
     x, y = first.prevision, second.prevision
     if x is None or y is None:
         raise ValueError("both operand previsions must be set")
-    a_true, a_cond = _event_parts(first)
-    b_true, b_cond = _event_parts(second)
+    a_true, a_cond, ta, ca = _event_parts(first)
+    b_true, b_cond, tb, cb = _event_parts(second)
     cells = [
         (a_true & b_true, _ONE),
         ((a_cond & ~a_true) | (b_cond & ~b_true), _ZERO),
         (~a_cond & b_true, x),
         (a_true & ~b_cond, y),
     ]
-    return ConditionalRandomQuantity(a_cond | b_cond, cells)
+    raw = [ta & tb, (ca & ~ta) | (cb & ~tb), ~ca & tb, ta & ~cb]
+    return _joined(first, second, a_cond | b_cond, cells, ca | cb, raw)
 
 
 def _disjoin(
@@ -285,20 +356,35 @@ def _disjoin(
     return negation(_conjoin(negation(first), negation(second)))
 
 
-def _event_parts(quantity: ConditionalRandomQuantity) -> tuple[Event, Event]:
-    """Split a conditional event into (where it holds, its conditioning)."""
+def _joined(first, second, conditioning, cells, given, raw) -> ConditionalRandomQuantity:
+    """The quantity of ``cells`` on ``conditioning``, events built from
+    two operands.  ``given`` and ``raw`` are those events' truth tables,
+    derived bitwise from the operands' (see :func:`_event_parts`); they are
+    used when the operands' tables share one tuple of atoms, and otherwise
+    the constructor folds the events itself."""
+    if first._atoms != second._atoms:
+        return ConditionalRandomQuantity(conditioning, cells)
+    return ConditionalRandomQuantity._from_tables(
+        conditioning, cells, None, first._atoms, given, raw
+    )
+
+
+def _event_parts(quantity: ConditionalRandomQuantity) -> tuple[Event, Event, int, int]:
+    """Split a conditional event into (where it holds, its conditioning),
+    as events and then as truth tables over the quantity's atoms."""
     if not quantity.is_event:
         raise ValueError("operand must be a conditional event (values in {0, 1})")
-    conditioning = quantity.conditioning
-    ones = None
-    for event, value in quantity.cells:
+    conditioning, given = quantity.conditioning, quantity._given
+    ones, table = None, 0
+    for (event, value), raw in zip(quantity.cells, quantity._raw):
         if value == _ONE:
             ones = event if ones is None else ones | event
+            table |= raw
     if ones is None:
-        return conditioning.universe.false(), conditioning
-    if not ones.implies(conditioning):
-        ones = ones & conditioning
-    return ones, conditioning
+        return conditioning.universe.false(), conditioning, 0, given
+    if table & ~given:  # the cells reach outside the conditioning event
+        ones, table = ones & conditioning, table & given
+    return ones, conditioning, table, given
 
 
 def _require_coherent_operands(first, second) -> None:

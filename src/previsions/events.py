@@ -291,14 +291,25 @@ def constituents(
     part where it holds and the part where it fails).  Every total
     assignment over the atoms used by the family is mapped to its vector
     of cell labels, and assignments with identical vectors are merged
-    into one constituent: starting from one block of every assignment,
-    each member splits every block by its conditioning and its cells.
+    into one constituent (see :func:`refine`).
     """
     family = tuple((tuple(cells), conditioning) for cells, conditioning in family)
     if not family:
         raise ValueError("family must be nonempty")
-    names, members = split(family)
-    full = _full(len(names))
+    atoms, tables = split(family)
+    return refine(atoms, [(given, cut(given, cells, atoms)) for given, cells in tables], family)
+
+
+def refine(
+    atoms: tuple[str, ...],
+    members: Sequence[tuple[int, Sequence[int]]],
+    family: tuple[tuple[tuple[Event, ...], Event], ...],
+) -> ConstituentPartition:
+    """The partition of ``family`` from each member's conditioning event
+    and its parts inside the cells (see :func:`cut`), truth tables over
+    ``atoms``, the atoms the family uses: starting from one block of every
+    assignment, each member splits every block by those."""
+    full = _full(len(atoms))
     blocks = {(): full}
     for conditioning, parts in members:
         finer: dict[tuple[int | None, ...], int] = {}
@@ -308,7 +319,7 @@ def constituents(
                 if piece:
                     finer[labels + (label,)] = piece
         blocks = finer
-    return _partition(names, family, blocks)
+    return _partition(atoms, family, blocks)
 
 
 def _partition(
@@ -328,37 +339,39 @@ def _partition(
 
 
 def split(
-    family: Sequence[tuple[Sequence[Event], Event]], atoms: Sequence[str] | None = None
-) -> tuple[tuple[str, ...], list[tuple[int, tuple[int, ...]]]]:
-    """The ``atoms`` (by default those the family uses) and, from one fold,
-    each ``(cells, conditioning)`` member's conditioning event and its part
-    inside each cell, as truth tables over them.  ImpossibleConditioningError
-    for an impossible conditioning event; ValueError, naming the least
-    offending assignment, unless a member's cells partition it."""
+    family: Sequence[tuple[Sequence[Event], Event]],
+) -> tuple[tuple[str, ...], list[tuple[int, list[int]]]]:
+    """The atoms a family of ``(cells, conditioning)`` members uses and,
+    from one fold, each member's conditioning event and cell events as
+    truth tables over them."""
     events = [e for cells, conditioning in family for e in (conditioning, *cells)]
-    atoms = used_atoms(events) if atoms is None else tuple(atoms)
+    atoms = used_atoms(events)
     tables = iter(truth_tables(events, atoms))
-    members = []
-    for cells, _ in family:
-        conditioning = next(tables)
-        if not conditioning:
-            raise ImpossibleConditioningError("conditioning event is impossible")
-        parts = tuple(next(tables) & conditioning for _ in cells)
-        covered = overlap = 0
-        for part in parts:
-            overlap |= covered & part
-            covered |= part
-        bad = overlap | (conditioning & ~covered)
-        if bad:
-            index = (bad & -bad).bit_length() - 1
-            assignment = dict(zip(atoms, _decode(index, len(atoms))))
-            hits = sum(part >> index & 1 for part in parts)
-            raise ValueError(
-                "cells must partition the conditioning event "
-                f"(assignment {assignment} matched {hits} cells)"
-            )
-        members.append((conditioning, parts))
-    return atoms, members
+    return atoms, [(next(tables), [next(tables) for _ in cells]) for cells, _ in family]
+
+
+def cut(conditioning: int, cells: Sequence[int], atoms: Sequence[str]) -> tuple[int, ...]:
+    """The part of a conditioning event inside each cell, all truth tables
+    over ``atoms``.  ImpossibleConditioningError for an impossible
+    conditioning event; ValueError, naming the least offending assignment
+    over ``atoms``, unless the cells partition it."""
+    if not conditioning:
+        raise ImpossibleConditioningError("conditioning event is impossible")
+    parts = tuple(cell & conditioning for cell in cells)
+    covered = overlap = 0
+    for part in parts:
+        overlap |= covered & part
+        covered |= part
+    bad = overlap | (conditioning & ~covered)
+    if bad:
+        index = (bad & -bad).bit_length() - 1
+        assignment = dict(zip(atoms, _decode(index, len(atoms))))
+        hits = sum(part >> index & 1 for part in parts)
+        raise ValueError(
+            "cells must partition the conditioning event "
+            f"(assignment {assignment} matched {hits} cells)"
+        )
+    return parts
 
 
 def truth_tables(events: Sequence[Event], atoms: Sequence[str]) -> tuple[int, ...]:

@@ -25,10 +25,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .crq import ConditionalRandomQuantity, Rational, _conjoin, conditional_event
-from .events import Event, Universe, set_bits, split, truth_tables
+from .events import Event, Universe, set_bits, truth_tables
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -88,7 +88,25 @@ class JointDistribution:
     def probability(self, event: Event) -> Fraction:
         """Exact probability of an event: the total mass of the assignments
         its truth table over :attr:`atoms` selects."""
-        return self._mass(truth_tables((event,), self._atoms)[0])
+        (table,) = self._tables((event,))
+        return self._mass(table)
+
+    def _split(self, quantity: ConditionalRandomQuantity) -> tuple[int, list[int]]:
+        """A quantity's conditioning event and its part inside each cell, as
+        truth tables over :attr:`atoms`."""
+        given, *cells = self._tables((quantity.conditioning, *(e for e, _ in quantity.cells)))
+        return given, [cell & given for cell in cells]
+
+    def _tables(self, events: Sequence[Event]) -> tuple[int, ...]:
+        """The events' truth tables over :attr:`atoms`; ValueError for an
+        event of another universe or on an atom registered after the
+        distribution was built."""
+        for event in events:
+            if event.universe is not self._universe:
+                raise ValueError("events belong to different universes")
+            if not event.atoms.issubset(self._atoms):
+                raise ValueError("event uses an atom registered after the distribution")
+        return truth_tables(events, self._atoms)
 
     def _mass(self, table: int) -> Fraction:
         """Total mass of the assignments a truth table over :attr:`atoms` selects."""
@@ -177,8 +195,7 @@ def conjunction_prevision(
     quantity = _conjunction(
         dist, first_antecedent, first_consequent, second_antecedent, second_consequent
     )
-    member = ([event for event, _ in quantity.cells], quantity.conditioning)
-    _, ((given, parts),) = split([member], dist.atoms)
+    given, parts = dist._split(quantity)
     paid = sum(value * dist._mass(part) for part, (_, value) in zip(parts, quantity.cells))
     return paid / dist._mass(given)
 
@@ -234,8 +251,7 @@ def _sample(
 ) -> SimEstimate:
     """First-success estimate of a quantity: each trial draws worlds until
     its conditioning holds and records the value of the cell there."""
-    member = ([event for event, _ in quantity.cells], quantity.conditioning)
-    _, ((_, parts),) = split([member], dist.atoms)
+    _, parts = dist._split(quantity)
     # Per assignment, the value paid there, or None outside the conditioning.
     values: list[float | None] = [None] * len(dist._masses)
     for part, (_, value) in zip(parts, quantity.cells):

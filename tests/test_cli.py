@@ -240,6 +240,83 @@ class TestCheckCommand:
         assert first == second
 
 
+PARTITION_GAP = {"quantity": {"A": "1", "B": "0"}, "given": "H", "prevision": "1/2"}
+NAMES_C = {"quantity": "C", "given": "H", "prevision": "1/2"}
+UNCOVERED = (
+    "cells must partition the conditioning event "
+    "(assignment {'A': False, 'B': False, 'H': True} matched 0 cells)"
+)
+
+
+class TestRealizeErrors:
+    """``realize`` builds every member from one fold over the document's
+    atoms; its errors are still each member's own, word for word, and the
+    first member's in document order wins.  A partition error names an
+    assignment over its member's atoms only (here never ``C``)."""
+
+    @pytest.mark.parametrize(
+        "atoms, members, cap, message",
+        [
+            (["C", "A", "B", "H"], [PARTITION_GAP, NAMES_C], None, f"member 0: {UNCOVERED}"),
+            (["C", "A", "B", "H"], [NAMES_C, PARTITION_GAP], None, f"member 1: {UNCOVERED}"),
+            (
+                ["C", "A", "B", "H"],
+                [PARTITION_GAP, {"quantity": "A &", "given": "H", "prevision": "1"}],
+                None,
+                f"member 0: {UNCOVERED}",
+            ),
+            (
+                ["A", "B", "H"],
+                [PARTITION_GAP, {"quantity": "D", "given": "H", "prevision": "1"}],
+                "3",
+                f"member 0: {UNCOVERED}",
+            ),
+            (
+                ["A", "H"],
+                [
+                    {"quantity": "A", "given": "H & ~H", "prevision": "1/2"},
+                    {"quantity": "(A", "given": "H", "prevision": "1/2"},
+                ],
+                None,
+                "member 0: conditioning event is impossible",
+            ),
+            (
+                ["C", "H"],
+                [NAMES_C, {"quantity": "C", "given": "H & ~H", "prevision": "1/2"}],
+                None,
+                "member 1: conditioning event is impossible",
+            ),
+            (
+                ["C", "H"],
+                [NAMES_C, {"quantity": "C", "given": "H |", "prevision": "1/2"}],
+                None,
+                "member 1: unexpected end of input (position 3)",
+            ),
+            (
+                ["C", "H"],
+                [NAMES_C, {"quantity": "B", "given": "H", "prevision": "1/2"}],
+                "2",
+                "member 1: universe is capped at 2 atoms",
+            ),
+        ],
+        ids=[
+            "partition-over-own-atoms",
+            "partition-after-valid",
+            "partition-before-syntax",
+            "partition-before-atom-cap",
+            "impossible-before-syntax",
+            "impossible-after-valid",
+            "syntax-after-valid",
+            "atom-cap-after-valid",
+        ],
+    )
+    def test_message_and_order(self, tmp_path, monkeypatch, atoms, members, cap, message):
+        if cap is not None:
+            monkeypatch.setenv(ATOM_CAP_ENV, cap)
+        path = write_doc(tmp_path, {"atoms": atoms, "members": members})
+        assert run_in_process(["check", path]) == (2, "", f"error: {message}\n")
+
+
 def read_rational(text):
     """A report's rational, however many digits it has."""
     with _exact_text():

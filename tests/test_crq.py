@@ -1,9 +1,12 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import brute_value, truth_assignments
+from previsions import coherence, crq
+from previsions.cli import AssessmentDocument, DocumentError, realize
 from previsions.coherence import Assessment, IncoherentAssessmentError, check_coherence
 from previsions.crq import (
     ConditionalRandomQuantity,
@@ -19,7 +22,7 @@ from previsions.crq import (
     scale,
     values_agree_on_union,
 )
-from previsions.events import Universe
+from previsions.events import Universe, constituents, truth_tables, used_atoms
 
 
 def four_atoms():
@@ -487,3 +490,140 @@ class TestEqualValuesForceEqualPrevisions:
         assert check_coherence(agreeing).coherent
         disagreeing = Assessment([x, same], [F(1, 2), F(2, 5)])
         assert not check_coherence(disagreeing).coherent
+
+
+@st.composite
+def documents(draw):
+    """Documents of 2-4 members over 3-5 listed atoms, each member on some
+    of them: conditional events, {0, 1} value maps whose 1-cell reaches
+    outside the conditioning, and value maps with a cell that is empty
+    inside it.  Conditioning events are sometimes impossible."""
+    atoms = ["A", "B", "C", "D", "E"][: draw(st.integers(3, 5))]
+
+    def formula(depth=2):
+        if depth == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(["", "~"])) + draw(st.sampled_from(atoms))
+        glue = draw(st.sampled_from([" & ", " | "]))
+        return f"({formula(depth - 1)}{glue}{formula(depth - 1)})"
+
+    members = []
+    for _ in range(draw(st.integers(2, 4))):
+        given, f, g = formula(), formula(), formula()
+        quantity = draw(
+            st.sampled_from(
+                [
+                    f,
+                    {f: "1", f"~{f}": "0"},
+                    {
+                        f"{f} & {g}": "2",
+                        f"{f} & ~{g}": "-1/2",
+                        f"~{f}": "1",
+                        f"~{given} & {g}": "5",
+                    },
+                ]
+            )
+        )
+        prevision = draw(st.sampled_from(["0", "1/3", "1/2", "1"]))
+        members.append({"quantity": quantity, "given": given, "prevision": prevision})
+    return {"atoms": atoms, "members": members}
+
+
+def shown(quantity):
+    cells = [(event.to_text(), value) for event, value in quantity.cells]
+    return quantity.conditioning.to_text(), cells, quantity.prevision
+
+
+def tabled(quantity):
+    """Whether a quantity's tables are those of its events over its atoms."""
+    events = [quantity.conditioning, *(event for event, _ in quantity.cells)]
+    return (quantity._given, *quantity._raw) == truth_tables(events, quantity._atoms)
+
+
+def same_partition(found, expected):
+    assert found.atoms == expected.atoms
+    assert found.outside == expected.outside
+    assert [(b.labels, b.mask) for b in found.inside] == [
+        (b.labels, b.mask) for b in expected.inside
+    ]
+
+
+class TestSharedTables:
+    """Members that ``realize`` builds from one fold, the compounds derived
+    from their tables and the partition refined from them equal what the
+    public constructor and :func:`constituents` give."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(documents())
+    def test_against_public_path(self, document):
+        try:
+            _, members = realize(AssessmentDocument.from_payload(document))
+        except DocumentError as exc:
+            error = str(exc)
+        else:
+            error = None
+        # The public constructor, member by member, in a universe of its own.
+        reference = Universe()
+        for name in document["atoms"]:
+            reference.atom(name)
+        expected = []
+        for i, spec in enumerate(document["members"]):
+            given_ = reference.parse(spec["given"])
+            prevision = F(spec["prevision"])
+            try:
+                if isinstance(spec["quantity"], str):
+                    event = reference.parse(spec["quantity"])
+                    expected.append(conditional_event(event, given_, prevision))
+                else:
+                    cells = [(reference.parse(c), F(v)) for c, v in spec["quantity"].items()]
+                    expected.append(ConditionalRandomQuantity(given_, cells, prevision))
+            except ValueError as exc:
+                assert error == f"member {i}: {exc}"
+                return
+        assert error is None
+        assert [shown(m) for m in members] == [shown(m) for m in expected]
+        used = used_atoms(
+            e for m in members for e in (m.conditioning, *(c for c, _ in m.cells))
+        )
+        assert all(tabled(m) and set(used) <= set(m._atoms) for m in members)
+
+        compounds = []
+        for build in (crq._conjoin, crq._disjoin, quasi_conjunction):
+            try:
+                compound = build(members[0], members[1])
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    build(expected[0], expected[1])
+                assert str(raised.value) == str(exc)
+                continue
+            assert shown(compound) == shown(build(expected[0], expected[1]))
+            assert compound._atoms == members[0]._atoms and tabled(compound)
+            priced = compound.with_prevision(F(1, 7))
+            assert shown(priced)[:2] == shown(compound)[:2] and tabled(priced)
+            assert tabled(negation(compound))
+            compounds.append(priced)
+
+        for family in (members, members[:2], members + compounds):
+            events = [([e for e, _ in m.cells], m.conditioning) for m in family]
+            folds = used_atoms(e for cells, h in events for e in (h, *cells)) != members[0]._atoms
+            with mock.patch.object(coherence, "constituents", wraps=constituents) as fold:
+                found = Assessment(family).partition
+            assert fold.call_count == folds
+            same_partition(found, constituents(events))
+
+    def test_pair_over_fewer_atoms_folds(self):
+        document = {
+            "atoms": ["A", "H", "B", "K"],
+            "members": [
+                {"quantity": "A", "given": "H", "prevision": "1/2"},
+                {"quantity": {"A": "1", "~A": "0"}, "given": "H", "prevision": "1/2"},
+                {"quantity": "B", "given": "K", "prevision": "1/3"},
+            ],
+        }
+        _, members = realize(AssessmentDocument.from_payload(document))
+        pair = members[:2]
+        with mock.patch.object(coherence, "constituents", wraps=constituents) as fold:
+            found = Assessment(pair).partition
+        assert fold.call_count == 1
+        assert found.atoms == ("A", "H")
+        family = [([e for e, _ in m.cells], m.conditioning) for m in pair]
+        same_partition(found, constituents(family))

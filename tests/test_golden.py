@@ -7,13 +7,15 @@ across versions of the code: a different witness, mass, Dutch Book or
 interval, or a different formatting of any of them.  The documents come
 from the benchmark's generators (random single-level families, 0/1
 multi-level families, ``extend`` families) plus hand-written compound,
-value-map and 20-atom three-level cases.  Each command also runs as a
-real ``python -m previsions.cli`` process, so the entry point is held to
-the same exit status and bytes.
+value-map and 20-atom three-level cases, and ``conjoin`` and
+``constituents`` on a document with a value-map member and an atom no
+member uses.  Each command also runs as a real ``python -m
+previsions.cli`` process, so the entry point is held to the same exit
+status and bytes.
 
 To re-record after an intended change of output, run the command in
-``CASES`` on the document and write its standard output to the ``.out``
-file.
+``REPORTS`` on the document and write its standard output to the
+``.out`` file.
 """
 
 import json
@@ -44,23 +46,30 @@ CASES = {
     "extend-quasi-conjunction": (["extend", "--target", "quasi-conjunction:0,1"], 0),
 }
 
+# Every golden command; the work counts below run on the check and extend ones.
+REPORTS = {
+    **CASES,
+    "conjoin-value-map": (["conjoin", "--i", "0", "--j", "1"], 0),
+    "constituents-value-map": (["constituents"], 0),
+}
+
 
 def test_every_golden_file_has_a_case():
     stems = {path.stem for path in GOLDEN.iterdir()}
-    assert stems == set(CASES)
+    assert stems == set(REPORTS)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_bytes(name, capsys):
-    (command, *options), code = CASES[name]
+    (command, *options), code = REPORTS[name]
     assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(REPORTS))
 def test_entry_point_bytes(name):
-    (command, *options), code = CASES[name]
+    (command, *options), code = REPORTS[name]
     argv = [command, str(GOLDEN / f"{name}.json"), *options]
     done = subprocess.run(
         [sys.executable, "-m", "previsions.cli", *argv],
@@ -73,11 +82,12 @@ def test_entry_point_bytes(name):
 
 def count_calls(name, monkeypatch):
     """Run a golden command; return the sizes of the families it checks in
-    full and of those whose constituents it enumerates, the levels of
+    full and of those whose constituents it enumerates (by folding, or by
+    refining its members' truth tables), the levels of
     each check, the row counts of its phase-1 solves, the summed sizes of
     each check's solvable levels and the objectives of its phase-2 solves."""
     checks, enumerations, levels, solves, solvable, optimizes = [], [], [], [], [], []
-    check, enumerate_ = coherence.check_coherence, coherence.constituents
+    check, enumerate_, refine = coherence.check_coherence, coherence.constituents, coherence.refine
     solve, optimize = lp.solve, lp.optimize
 
     def counting_check(assessment):
@@ -91,6 +101,10 @@ def count_calls(name, monkeypatch):
         enumerations.append(len(family))
         return enumerate_(family)
 
+    def counting_refinement(atoms, members, family):
+        enumerations.append(len(family))
+        return refine(atoms, members, family)
+
     def counting_solve(rows, rhs):
         solves.append(len(rows))
         return solve(rows, rhs)
@@ -102,6 +116,7 @@ def count_calls(name, monkeypatch):
     for module in (coherence, cli, bounds):
         monkeypatch.setattr(module, "check_coherence", counting_check)
     monkeypatch.setattr(coherence, "constituents", counting_enumeration)
+    monkeypatch.setattr(coherence, "refine", counting_refinement)
     monkeypatch.setattr(lp, "solve", counting_solve)
     monkeypatch.setattr(lp, "optimize", counting_optimize)
     (command, *options), code = CASES[name]
@@ -131,9 +146,10 @@ def test_check_count(name, checks, monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_enumeration_count(name, monkeypatch, capsys):
-    """Constituents are enumerated once per command: a base checked after
-    its family merges the family's blocks, and ``extend`` enumerates the
-    base with its target and checks the base on their merged blocks."""
+    """Constituents are enumerated once per command, folded or refined
+    from the members' tables: a base checked after its family merges the
+    family's blocks, and ``extend`` enumerates the base with its target
+    and checks the base on their merged blocks."""
     assert len(count_calls(name, monkeypatch)[1]) == 1
 
 
@@ -157,15 +173,12 @@ def test_phase_two_count(name, monkeypatch, capsys):
     assert len(optimizes) == sum(solvable) + endpoints
 
 
-@pytest.mark.parametrize(
-    "name, folds",
-    zip(sorted(CASES), [8, 7, 11, 9, 10, 4, 9, 9, 9, 12, 9]),
-)
-def test_fold_count(name, folds, monkeypatch, capsys):
-    """Truth-table folds per golden command: one per quantity built
-    (members, compounds and the quantities a compound is built through)
-    to split its conditioning, two for each compound's ``implies`` query
-    on its operands, and one for the command's constituent enumeration."""
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fold_count(name, monkeypatch, capsys):
+    """One truth-table fold per golden command: ``realize`` folds every
+    event of the document at once, over the atoms its members use.  Each
+    compound derives its tables bitwise from its operands' tables, and
+    the constituents are refined from the members' tables."""
     calls = []
     fold = events._fold
 
@@ -176,4 +189,4 @@ def test_fold_count(name, folds, monkeypatch, capsys):
     monkeypatch.setattr(events, "_fold", counting_fold)
     (command, *options), code = CASES[name]
     assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
-    assert len(calls) == folds
+    assert len(calls) == 1

@@ -11,6 +11,7 @@ from previsions.bounds import extension_interval
 from previsions.coherence import Assessment
 from previsions.crq import conditional_event, conjunction
 from previsions.events import Universe
+from previsions import simulate
 from previsions.simulate import (
     JointDistribution,
     SimEstimate,
@@ -71,6 +72,35 @@ class TestJointDistribution:
         u, a, c = two_coin_universe()
         with pytest.raises(ValueError, match="marginal for C"):
             JointDistribution.independent(u, {"A": F(1, 2), "C": F(3, 2)})
+
+    def test_events_of_another_universe_rejected(self):
+        # The distribution's universe has an atom A but none called C.
+        u = Universe()
+        u.atom("A")
+        dist = JointDistribution.independent(u, {"A": F(1, 3)})
+        other = Universe()
+        a, c = other.atom("A"), other.atom("C")
+        for call in (
+            lambda: dist.probability(a),
+            lambda: dist.probability(c),
+            lambda: simulate._sample(dist, conditional_event(a, other.true()), 10, 5, 0),
+            lambda: simulate._sample(dist, conditional_event(c, a), 10, 5, 0),
+            lambda: conjunction_prevision(dist, a, c, a, a),
+        ):
+            with pytest.raises(ValueError, match="^events belong to different universes$"):
+                call()
+
+    def test_atom_registered_after_the_distribution_rejected(self):
+        u, a, c = two_coin_universe()
+        dist = JointDistribution.independent(u, {"A": F(1, 2), "C": F(1, 3)})
+        d = u.atom("D")
+        for call in (
+            lambda: dist.probability(d),
+            lambda: simulate._sample(dist, conditional_event(d, a), 10, 5, 0),
+            lambda: conjunction_prevision(dist, a, c, a, d),
+        ):
+            with pytest.raises(ValueError, match="registered after the distribution"):
+                call()
 
     def test_conditional_on_null_event(self):
         u, a, c = two_coin_universe()
