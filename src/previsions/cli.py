@@ -40,6 +40,7 @@ from .events import (
     AtomLimitError,
     EventSyntaxError,
     Universe,
+    used_atoms,
 )
 
 ATOM_CAP_ENV = "PREVISIONS_ATOM_CAP"
@@ -354,17 +355,16 @@ def cmd_constituents(args: argparse.Namespace) -> int:
     document = AssessmentDocument.load(args.file)
     _, members = realize(document)
     partition = Assessment(members).partition
+    # The report leaves out atoms of the frame that only dropped cells use.
+    atoms = used_atoms(e for cells, given in partition.family for e in (given, *cells))
+    keep = [k for k, name in enumerate(partition.atoms) if name in atoms]
 
     def block_payload(block):
-        return {
-            "labels": list(block.labels),
-            "assignments": [
-                dict(zip(partition.atoms, bits)) for bits in block.assignments
-            ],
-        }
+        shown = dict.fromkeys(tuple(bits[k] for k in keep) for bits in block.assignments)
+        return {"labels": list(block.labels), "assignments": [dict(zip(atoms, b)) for b in shown]}
 
     payload = {
-        "atoms": list(partition.atoms),
+        "atoms": list(atoms),
         "outside": None if partition.outside is None else block_payload(partition.outside),
         "inside": [block_payload(b) for b in partition.inside],
     }

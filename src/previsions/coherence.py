@@ -16,14 +16,14 @@ each level is solvable and the zero-mass set empties out.
 
 The constituents depend only on the members, not on the previsions, so
 an :class:`Assessment` enumerates them at most once and hands them on.
-When every member carries its truth tables over the atoms the family
-uses, as the members of one document and their compounds do, the blocks
-are refined from those tables with no fold at all.  A subfamily's
-coarser partition merges them (each of its blocks is the union of the
-blocks that agree on the subfamily's labels) instead of building truth
-tables again.  Every level of a check is a sub-assessment
-of the checked one.  An assessment owns its feasibility system too,
-built at most once, so ``extend`` optimizes on its base check's level 1.
+The blocks are refined from the members' truth tables over the one
+frame :mod:`previsions.crq` picks; members that share a frame, as a
+document's members and their compounds do, fold no event at all.  A
+subfamily's coarser partition merges them (each of its blocks is the
+union of the blocks that agree on the subfamily's labels) over the same
+atoms.  Every level of a check is a sub-assessment of the checked one.
+An assessment owns its feasibility system too, built at most once, so
+``extend`` optimizes on its base check's level 1.
 
 Everything runs in exact rational arithmetic.  The recursion hinges on
 deciding whether a maximal conditioning mass is exactly zero, which no
@@ -48,9 +48,9 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import lp
+from . import crq, lp
 from .crq import ConditionalRandomQuantity, Rational
-from .events import ConstituentPartition, constituents, refine, used_atoms
+from .events import ConstituentPartition
 
 
 class IncoherentAssessmentError(ValueError):
@@ -110,16 +110,11 @@ class Assessment:
 
     @property
     def partition(self) -> ConstituentPartition:
-        """The constituents generated by the members, enumerated once:
-        refined from the members' truth tables when those are all over
-        the atoms the family uses, else folded again."""
+        """The constituents generated by the members, refined once from
+        their truth tables over their shared frame, or else over the atoms
+        they use (see :func:`previsions.crq._frame`)."""
         if self._partition is None:
-            family = tuple((tuple(e for e, _ in m.cells), m.conditioning) for m in self._members)
-            atoms = used_atoms(e for cells, given in family for e in (given, *cells))
-            if all(m._atoms == atoms for m in self._members):
-                self._partition = refine(atoms, [m._split() for m in self._members], family)
-            else:
-                self._partition = constituents(family)
+            self._partition = crq._constituents(self._members)
         return self._partition
 
     @property

@@ -17,11 +17,10 @@ operands (De Morgan).  Apart from the quasi conjunction they are
 generally *random quantities* rather than events: their values include
 the operand previsions themselves.
 
-Every quantity keeps the truth tables of its conditioning event and of
-its kept cell events, over a tuple of atoms holding every atom they use.
-Its checks read them, and so do the compounds: when both operands' tables
-are over one tuple of atoms, a compound's tables are Boolean combinations
-of theirs, computed bitwise, and no event is folded again.
+Every quantity keeps the truth tables of its conditioning event and kept
+cell events over its *frame*, a tuple of atoms holding every atom they
+use.  Whatever combines several quantities' tables (a compound, their
+constituents) takes them over the one frame :func:`_frame` chooses.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 # The constructor raises ImpossibleConditioningError; it is importable here too.
-from .events import Assignment, Event, ImpossibleConditioningError, constituents, cut, split
+from .events import Assignment, Event, ImpossibleConditioningError, cut, refine, split
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -47,10 +46,9 @@ class ConditionalRandomQuantity:
     price, which also serves as the value taken when the conditioning
     event is false.  Instances are immutable.
 
-    A quantity keeps the truth tables its checks read: its conditioning
-    event's and each kept cell event's, over a tuple of atoms that holds
-    every atom they use (its own, or those of the document it was built
-    with; see :func:`_family`).
+    A quantity keeps the truth tables its checks read, its conditioning
+    event's and each kept cell event's, over its frame (see the module
+    docstring): its own atoms, or those of the document it was built with.
     """
 
     __slots__ = ("_conditioning", "_cells", "_prevision", "_atoms", "_given", "_raw")
@@ -91,11 +89,6 @@ class ConditionalRandomQuantity:
         self._atoms = atoms
         self._given = given
         self._raw = tuple(raw[k] for k in kept)
-
-    def _split(self) -> tuple[int, tuple[int, ...]]:
-        """Truth tables over ``_atoms``: the conditioning event's and its
-        part inside each cell, as :func:`~previsions.events.refine` takes them."""
-        return self._given, tuple(table & self._given for table in self._raw)
 
     @property
     def conditioning(self) -> Event:
@@ -187,7 +180,7 @@ def scale(factor: Rational, quantity: ConditionalRandomQuantity) -> ConditionalR
     factor = Fraction(factor)
     cells = [(event, factor * value) for event, value in quantity.cells]
     prevision = None if quantity.prevision is None else factor * quantity.prevision
-    return ConditionalRandomQuantity(quantity.conditioning, cells, prevision)
+    return quantity._with(cells, prevision)
 
 
 def add(
@@ -241,12 +234,8 @@ def _joint_values(first, second):
     """The constituents of two quantities and, per inside block, the pair
     of amounts they pay there (each prevision filling in outside its own
     conditioning event)."""
-    pair = (first, second)
-    partition = constituents([([e for e, _ in q.cells], q.conditioning) for q in pair])
-    paid = [
-        tuple(_filled(q, label) for q, label in zip(pair, block.labels))
-        for block in partition.inside
-    ]
+    partition = _constituents((first, second))
+    paid = [tuple(map(_filled, (first, second), block.labels)) for block in partition.inside]
     return partition, paid
 
 
@@ -267,11 +256,9 @@ def gn_inclusion(
     being true forces the second true, and the second being false forces
     the first false.
     """
-    first_true, first_cond, *_ = _event_parts(first)
-    second_true, second_cond, *_ = _event_parts(second)
-    first_false = first_cond & ~first_true
-    second_false = second_cond & ~second_true
-    return first_true.implies(second_true) and second_false.implies(first_false)
+    _, _, (first_true, first_cond, second_true, second_cond) = _event_parts(first, second)
+    first_false, second_false = first_cond & ~first_true, second_cond & ~second_true
+    return not first_true & ~second_true and not second_false & ~first_false
 
 
 def conjunction(
@@ -320,13 +307,12 @@ def quasi_conjunction(
 ) -> ConditionalRandomQuantity:
     """The three-valued conjunction: a genuine conditional event which is
     true when neither operand fails and at least one conditioning holds."""
-    a_true, a_cond, ta, ca = _event_parts(first)
-    b_true, b_cond, tb, cb = _event_parts(second)
-    body = (a_true | ~a_cond) & (b_true | ~b_cond)
-    conditioning, given = a_cond | b_cond, ca | cb
-    table = (ta | ~ca) & (tb | ~cb)
-    cells = _indicator(body, conditioning)
-    return _joined(first, second, conditioning, cells, given, [table & given, ~table & given])
+
+    def cases(a, a_cond, b, b_cond):
+        conditioning = a_cond | b_cond
+        return conditioning, _indicator((a | ~a_cond) & (b | ~b_cond), conditioning)
+
+    return _compound(first, second, cases)
 
 
 def _conjoin(
@@ -337,16 +323,16 @@ def _conjoin(
     x, y = first.prevision, second.prevision
     if x is None or y is None:
         raise ValueError("both operand previsions must be set")
-    a_true, a_cond, ta, ca = _event_parts(first)
-    b_true, b_cond, tb, cb = _event_parts(second)
-    cells = [
-        (a_true & b_true, _ONE),
-        ((a_cond & ~a_true) | (b_cond & ~b_true), _ZERO),
-        (~a_cond & b_true, x),
-        (a_true & ~b_cond, y),
-    ]
-    raw = [ta & tb, (ca & ~ta) | (cb & ~tb), ~ca & tb, ta & ~cb]
-    return _joined(first, second, a_cond | b_cond, cells, ca | cb, raw)
+
+    def cases(a, a_cond, b, b_cond):
+        return a_cond | b_cond, [
+            (a & b, _ONE),
+            ((a_cond & ~a) | (b_cond & ~b), _ZERO),
+            (~a_cond & b, x),
+            (a & ~b_cond, y),
+        ]
+
+    return _compound(first, second, cases)
 
 
 def _disjoin(
@@ -356,35 +342,54 @@ def _disjoin(
     return negation(_conjoin(negation(first), negation(second)))
 
 
-def _joined(first, second, conditioning, cells, given, raw) -> ConditionalRandomQuantity:
-    """The quantity of ``cells`` on ``conditioning``, events built from
-    two operands.  ``given`` and ``raw`` are those events' truth tables,
-    derived bitwise from the operands' (see :func:`_event_parts`); they are
-    used when the operands' tables share one tuple of atoms, and otherwise
-    the constructor folds the events itself."""
-    if first._atoms != second._atoms:
-        return ConditionalRandomQuantity(conditioning, cells)
+def _compound(first, second, cases) -> ConditionalRandomQuantity:
+    """The compound that ``cases`` builds from where each operand holds and
+    its conditioning: run on their events, then bitwise on their tables."""
+    atoms, events, tables = _event_parts(first, second)
+    conditioning, cells = cases(*events)
+    given, raw = cases(*tables)
     return ConditionalRandomQuantity._from_tables(
-        conditioning, cells, None, first._atoms, given, raw
+        conditioning, cells, None, atoms, given, [table for table, _ in raw]
     )
 
 
-def _event_parts(quantity: ConditionalRandomQuantity) -> tuple[Event, Event, int, int]:
-    """Split a conditional event into (where it holds, its conditioning),
-    as events and then as truth tables over the quantity's atoms."""
-    if not quantity.is_event:
+def _event_parts(first, second):
+    """The frame of two conditional events (see :func:`_frame`), then where
+    each holds and its conditioning, as events and as truth tables over it."""
+    if not (first.is_event and second.is_event):
         raise ValueError("operand must be a conditional event (values in {0, 1})")
-    conditioning, given = quantity.conditioning, quantity._given
-    ones, table = None, 0
-    for (event, value), raw in zip(quantity.cells, quantity._raw):
-        if value == _ONE:
-            ones = event if ones is None else ones | event
-            table |= raw
-    if ones is None:
-        return conditioning.universe.false(), conditioning, 0, given
-    if table & ~given:  # the cells reach outside the conditioning event
-        ones, table = ones & conditioning, table & given
-    return ones, conditioning, table, given
+    atoms, stored = _frame((first, second))
+    events, tables = (), ()
+    for quantity, (given, raw) in zip((first, second), stored):
+        conditioning, ones, table = quantity.conditioning, None, 0
+        for (event, value), cell in zip(quantity.cells, raw):
+            if value == _ONE:
+                ones = event if ones is None else ones | event
+                table |= cell
+        if ones is None:
+            ones = conditioning.universe.false()
+        elif table & ~given:  # the cells reach outside the conditioning event
+            ones, table = ones & conditioning, table & given
+        events += (ones, conditioning)
+        tables += (table, given)
+    return atoms, events, tables
+
+
+def _frame(quantities: Sequence[ConditionalRandomQuantity]):
+    """A frame and each quantity's conditioning and kept cell tables over
+    it: the stored ones if all share a frame and a universe, else one fold
+    of all their events over the atoms they use (or a universe error)."""
+    atoms, universe = quantities[0]._atoms, quantities[0].universe
+    if all(q._atoms == atoms and q.universe is universe for q in quantities):
+        return atoms, [(q._given, q._raw) for q in quantities]
+    return split([([event for event, _ in q.cells], q.conditioning) for q in quantities])
+
+
+def _constituents(quantities: Sequence[ConditionalRandomQuantity]):
+    """The constituents the quantities generate, over their frame."""
+    atoms, tables = _frame(quantities)
+    family = tuple((tuple(event for event, _ in q.cells), q.conditioning) for q in quantities)
+    return refine(atoms, [(given, [cell & given for cell in raw]) for given, raw in tables], family)
 
 
 def _require_coherent_operands(first, second) -> None:

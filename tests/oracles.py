@@ -240,6 +240,24 @@ def brute_constituents(family, names):
     )
 
 
+def lifted_blocks(partition, names):
+    """A partition's blocks, the outside one first (None when absent), as
+    ``(labels, mask)`` with each mask lifted to ``names``, a superset of
+    the partition's atoms: bit ``i`` is set when assignment ``i`` over
+    ``names``, restricted to the partition's atoms, lies in the block."""
+    atoms = partition.atoms
+    spots = [
+        sum(a[name] << (len(atoms) - 1 - k) for k, name in enumerate(atoms))
+        for a in truth_assignments(names)
+    ]
+    return [
+        None
+        if block is None
+        else (block.labels, sum(1 << i for i, j in enumerate(spots) if block.mask >> j & 1))
+        for block in (partition.outside, *partition.inside)
+    ]
+
+
 def brute_value(quantity, assignment):
     """Amount a ``(conditioning, [(cell, value)], prevision)`` quantity of
     predicates pays at an assignment."""

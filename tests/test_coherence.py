@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from previsions import bounds, coherence, lp
+from previsions import bounds, coherence, events, lp
 from previsions.coherence import (
     Assessment,
     CertificateVerificationError,
@@ -23,7 +23,7 @@ from previsions.crq import (
 )
 from previsions.events import Universe
 
-from oracles import brute_coherent, brute_masses, brute_rows
+from oracles import brute_coherent, brute_masses, brute_rows, lifted_blocks
 
 
 def four_atoms():
@@ -329,29 +329,29 @@ class TestRandomGain:
 
     def test_dutch_book_reuses_the_level_system(self, monkeypatch):
         # Level 1 puts all mass outside H; level 2 prices A|H twice,
-        # differently, and fails.  The constituents are enumerated once,
-        # each level builds its system once, and the Dutch Book comes from
-        # that system.
+        # differently, and fails.  The members' events are folded once (their
+        # frames differ), each level builds its system once, and the Dutch
+        # Book comes from that system.
         u, a, h, b, k = four_atoms()
         members = [conditional_event(h, u.true())] + [conditional_event(a, h)] * 2
         assessment = Assessment(members, [F(0), F(1, 2), F(1, 3)])
-        enumerations, systems = [], []
-        enumerate_, build = coherence.constituents, coherence.build_system
+        folds, systems = [], []
+        fold, build = events._fold, coherence.build_system
 
-        def counting_enumerations(family):
-            enumerations.append(len(family))
-            return enumerate_(family)
+        def counting_folds(*args):
+            folds.append(len(args[0]))
+            return fold(*args)
 
         def counting_systems(sub):
             systems.append(len(sub))
             return build(sub)
 
-        monkeypatch.setattr(coherence, "constituents", counting_enumerations)
+        monkeypatch.setattr(events, "_fold", counting_folds)
         monkeypatch.setattr(coherence, "build_system", counting_systems)
         report = check_coherence(assessment)
         assert not report.coherent
         assert len(report.levels) == 2
-        assert enumerations == [3]
+        assert folds == [9]  # one fold of 3 conditioning events and 6 cells
         assert systems == [3, 2]
         assert report.dutch_book.gains == random_gain(
             assessment.sub(report.dutch_book.members), report.dutch_book.coefficients
@@ -586,10 +586,11 @@ class TestSharedPartition:
         n = len(members)
         indices = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
         family = Assessment(members, previsions)
-        family.partition  # enumerated here, and nowhere below
-        with mock.patch.object(coherence, "constituents", side_effect=AssertionError):
-            shared = check_coherence(family.sub(indices))
-        fresh = check_coherence(
-            Assessment([members[i] for i in indices], [previsions[i] for i in indices])
-        )
-        assert shared == fresh
+        family.partition  # folded here, and nowhere below
+        sub = family.sub(indices)
+        with mock.patch.object(events, "_fold", side_effect=AssertionError):
+            shared = check_coherence(sub)
+        alone = Assessment([members[i] for i in indices], [previsions[i] for i in indices])
+        assert shared == check_coherence(alone)
+        frame = sub.partition.atoms
+        assert lifted_blocks(sub.partition, frame) == lifted_blocks(alone.partition, frame)

@@ -4,8 +4,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_value, truth_assignments
-from previsions import coherence, crq
+from oracles import brute_value, lifted_blocks, truth_assignments
+from previsions import crq, events
 from previsions.cli import AssessmentDocument, DocumentError, realize
 from previsions.coherence import Assessment, IncoherentAssessmentError, check_coherence
 from previsions.crq import (
@@ -491,6 +491,45 @@ class TestEqualValuesForceEqualPrevisions:
         disagreeing = Assessment([x, same], [F(1, 2), F(2, 5)])
         assert not check_coherence(disagreeing).coherent
 
+    def test_unpriced_member_needs_its_prevision_outside_its_conditioning(self):
+        u, a, h, b, k = four_atoms()
+        unpriced = conditional_event(a, h)
+        assert values_agree_on_union(unpriced, conditional_event(a, h, F(1, 2)))
+        with pytest.raises(ValueError, match="prevision is not set"):
+            values_agree_on_union(unpriced, conditional_event(b, k, F(1, 2)))
+
+
+def two_universes():
+    """A|H at 1/2 in each of two universes with the same atom names, so
+    both quantities are on the frame ("A", "H")."""
+    pair = []
+    for _ in range(2):
+        u = Universe()
+        pair.append(conditional_event(u.atom("A"), u.atom("H"), F(1, 2)))
+    return pair
+
+
+COMBINATIONS = {
+    "partition": lambda p, q: Assessment([p, q]).partition,
+    "check_coherence": lambda p, q: check_coherence(Assessment([p, q])),
+    "values_agree_on_union": values_agree_on_union,
+    "add": add,
+    "gn_inclusion": gn_inclusion,
+    "conjunction": conjunction,
+    "disjunction": disjunction,
+    "quasi_conjunction": quasi_conjunction,
+    "_conjoin": crq._conjoin,
+    "_disjoin": crq._disjoin,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMBINATIONS))
+def test_quantities_of_two_universes_do_not_combine(name):
+    first, second = two_universes()
+    assert first._atoms == second._atoms and first.universe is not second.universe
+    with pytest.raises(ValueError, match="^events belong to different universes$"):
+        COMBINATIONS[name](first, second)
+
 
 @st.composite
 def documents(draw):
@@ -540,17 +579,20 @@ def tabled(quantity):
 
 
 def same_partition(found, expected):
-    assert found.atoms == expected.atoms
-    assert found.outside == expected.outside
-    assert [(b.labels, b.mask) for b in found.inside] == [
-        (b.labels, b.mask) for b in expected.inside
-    ]
+    """``found`` is ``expected`` with its blocks lifted to ``found``'s atoms."""
+    assert set(expected.atoms) <= set(found.atoms)
+    assert lifted_blocks(found, found.atoms) == lifted_blocks(expected, found.atoms)
+
+
+def counting_folds():
+    return mock.patch.object(events, "_fold", wraps=events._fold)
 
 
 class TestSharedTables:
     """Members that ``realize`` builds from one fold, the compounds derived
     from their tables and the partition refined from them equal what the
-    public constructor and :func:`constituents` give."""
+    public constructor and :func:`constituents` give, the partition over
+    the members' shared frame."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(documents())
@@ -603,14 +645,13 @@ class TestSharedTables:
             compounds.append(priced)
 
         for family in (members, members[:2], members + compounds):
-            events = [([e for e, _ in m.cells], m.conditioning) for m in family]
-            folds = used_atoms(e for cells, h in events for e in (h, *cells)) != members[0]._atoms
-            with mock.patch.object(coherence, "constituents", wraps=constituents) as fold:
+            with counting_folds() as fold:
                 found = Assessment(family).partition
-            assert fold.call_count == folds
-            same_partition(found, constituents(events))
+            assert fold.call_count == 0 and found.atoms == members[0]._atoms
+            pairs = [([e for e, _ in m.cells], m.conditioning) for m in family]
+            same_partition(found, constituents(pairs))
 
-    def test_pair_over_fewer_atoms_folds(self):
+    def test_pair_over_fewer_atoms_keeps_the_frame(self):
         document = {
             "atoms": ["A", "H", "B", "K"],
             "members": [
@@ -619,11 +660,23 @@ class TestSharedTables:
                 {"quantity": "B", "given": "K", "prevision": "1/3"},
             ],
         }
-        _, members = realize(AssessmentDocument.from_payload(document))
+        universe, members = realize(AssessmentDocument.from_payload(document))
         pair = members[:2]
-        with mock.patch.object(coherence, "constituents", wraps=constituents) as fold:
+        with counting_folds() as fold:
             found = Assessment(pair).partition
-        assert fold.call_count == 1
-        assert found.atoms == ("A", "H")
+        assert fold.call_count == 0
+        assert found.atoms == ("A", "H", "B", "K")
         family = [([e for e, _ in m.cells], m.conditioning) for m in pair]
+        same_partition(found, constituents(family))
+        whole = Assessment(members).partition.restrict([0, 1])
+        assert (found.outside, found.inside) == (whole.outside, whole.inside)
+        # A quantity on a frame of its own: the family's events fold once,
+        # over the atoms they use.
+        b, k = universe.parse("B"), universe.parse("K")
+        mixed = [members[0], conditional_event(b, k, F(1, 3))]
+        with counting_folds() as fold:
+            found = Assessment(mixed).partition
+        assert fold.call_count == 1
+        assert found.atoms == ("A", "H", "B", "K")
+        family = [([e for e, _ in m.cells], m.conditioning) for m in mixed]
         same_partition(found, constituents(family))

@@ -92,6 +92,17 @@ class TestParsing:
         with pytest.raises(AtomLimitError):
             u.parse("C")
 
+    def test_atom_limit_is_kept(self):
+        assert Universe(atom_limit=3).atom_limit == 3
+        assert Universe().atom_limit == 20
+
+    def test_combining_with_a_non_event_is_a_type_error(self):
+        u, (a,) = fresh("A")
+        with pytest.raises(TypeError):
+            a & 1
+        with pytest.raises(TypeError):
+            1 | a
+
     def test_atom_limit_must_be_positive(self):
         with pytest.raises(ValueError, match="at least 1"):
             Universe(atom_limit=0)
@@ -288,6 +299,10 @@ class TestConstituents:
         assert any(r.equivalent(a & h) for r in regions)
         assert any(r.equivalent(~a & h) for r in regions)
         assert part.region(part.outside).equivalent(~h)
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="family must be nonempty"):
+            constituents([])
 
     def test_unconditional_family_has_no_outside(self):
         u, (a,) = fresh("A")

@@ -9,9 +9,11 @@ from the benchmark's generators (random single-level families, 0/1
 multi-level families, ``extend`` families) plus hand-written compound,
 value-map and 20-atom three-level cases, and ``conjoin`` and
 ``constituents`` on a document with a value-map member and an atom no
-member uses.  Each command also runs as a real ``python -m
-previsions.cli`` process, so the entry point is held to the same exit
-status and bytes.
+member uses.  ``conjoin-third-member`` conjoins two members that leave
+out an atom a third member uses, and ``constituents-empty-cell`` has a
+member whose cell empty inside its conditioning is the only one to use
+an atom.  Each command also runs as a real ``python -m previsions.cli``
+process, so the entry point is held to the same exit status and bytes.
 
 To re-record after an intended change of output, run the command in
 ``REPORTS`` on the document and write its standard output to the
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from previsions import bounds, cli, coherence, events, lp
+from previsions import bounds, cli, coherence, crq, events, lp
 from previsions.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,7 +52,9 @@ CASES = {
 REPORTS = {
     **CASES,
     "conjoin-value-map": (["conjoin", "--i", "0", "--j", "1"], 0),
+    "conjoin-third-member": (["conjoin", "--i", "0", "--j", "1"], 0),
     "constituents-value-map": (["constituents"], 0),
+    "constituents-empty-cell": (["constituents"], 0),
 }
 
 
@@ -81,47 +85,49 @@ def test_entry_point_bytes(name):
 
 
 def count_calls(name, monkeypatch):
-    """Run a golden command; return the sizes of the families it checks in
-    full and of those whose constituents it enumerates (by folding, or by
-    refining its members' truth tables), the levels of
-    each check, the row counts of its phase-1 solves, the summed sizes of
-    each check's solvable levels and the objectives of its phase-2 solves."""
-    checks, enumerations, levels, solves, solvable, optimizes = [], [], [], [], [], []
-    check, enumerate_, refine = coherence.check_coherence, coherence.constituents, coherence.refine
+    """Run a golden command; return, by kind, the sizes of the families it
+    checks in full and of those whose constituents it refines, the levels
+    of each check, the row counts of its phase-1 solves, the summed sizes
+    of each check's solvable levels, the objectives of its phase-2 solves
+    and the root counts of its truth-table folds."""
+    kinds = ("checks", "enumerations", "levels", "solves", "solvable", "optimizes", "folds")
+    counts = {kind: [] for kind in kinds}
+    check, refine, fold = coherence.check_coherence, crq.refine, events._fold
     solve, optimize = lp.solve, lp.optimize
 
     def counting_check(assessment):
-        checks.append(len(assessment))
+        counts["checks"].append(len(assessment))
         report = check(assessment)
-        levels.append(len(report.levels))
-        solvable.append(sum(len(level.members) for level in report.levels if level.solvable))
+        counts["levels"].append(len(report.levels))
+        solvable = sum(len(level.members) for level in report.levels if level.solvable)
+        counts["solvable"].append(solvable)
         return report
 
-    def counting_enumeration(family):
-        enumerations.append(len(family))
-        return enumerate_(family)
-
     def counting_refinement(atoms, members, family):
-        enumerations.append(len(family))
+        counts["enumerations"].append(len(family))
         return refine(atoms, members, family)
 
+    def counting_fold(roots, atom, full):
+        counts["folds"].append(len(roots))
+        return fold(roots, atom, full)
+
     def counting_solve(rows, rhs):
-        solves.append(len(rows))
+        counts["solves"].append(len(rows))
         return solve(rows, rhs)
 
     def counting_optimize(first, objective, maximize=False):
-        optimizes.append(objective)
+        counts["optimizes"].append(objective)
         return optimize(first, objective, maximize)
 
     for module in (coherence, cli, bounds):
         monkeypatch.setattr(module, "check_coherence", counting_check)
-    monkeypatch.setattr(coherence, "constituents", counting_enumeration)
-    monkeypatch.setattr(coherence, "refine", counting_refinement)
+    monkeypatch.setattr(crq, "refine", counting_refinement)
+    monkeypatch.setattr(events, "_fold", counting_fold)
     monkeypatch.setattr(lp, "solve", counting_solve)
     monkeypatch.setattr(lp, "optimize", counting_optimize)
-    (command, *options), code = CASES[name]
+    (command, *options), code = REPORTS[name]
     assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
-    return checks, enumerations, levels, solves, solvable, optimizes
+    return counts
 
 
 @pytest.mark.parametrize(
@@ -141,16 +147,16 @@ def test_check_count(name, checks, monkeypatch, capsys):
     only when the family is incoherent; for ``extend`` the base alone,
     since the interval endpoints are certified rather than re-checked and
     there is no separate operand pair check."""
-    assert len(count_calls(name, monkeypatch)[0]) == checks
+    assert len(count_calls(name, monkeypatch)["checks"]) == checks
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_enumeration_count(name, monkeypatch, capsys):
-    """Constituents are enumerated once per command, folded or refined
-    from the members' tables: a base checked after its family merges the
-    family's blocks, and ``extend`` enumerates the base with its target
-    and checks the base on their merged blocks."""
-    assert len(count_calls(name, monkeypatch)[1]) == 1
+    """Constituents are enumerated once per command, refined from the
+    members' tables over their frame: a base checked after its family
+    merges the family's blocks, and ``extend`` enumerates the base with
+    its target and checks the base on their merged blocks."""
+    assert len(count_calls(name, monkeypatch)["enumerations"]) == 1
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -158,35 +164,26 @@ def test_phase_one_count(name, monkeypatch, capsys):
     """One phase 1 per level of each check a command runs, and none
     besides: ``extend`` optimizes its interval on the base check's level
     1.  A command that runs one check prints that check's levels."""
-    checks, _, levels, solves, _, _ = count_calls(name, monkeypatch)
-    assert len(solves) == sum(levels)
-    if len(checks) == 1:
-        assert levels == [len(json.loads(capsys.readouterr().out)["trace"])]
+    counts = count_calls(name, monkeypatch)
+    assert len(counts["solves"]) == sum(counts["levels"])
+    if len(counts["checks"]) == 1:
+        assert counts["levels"] == [len(json.loads(capsys.readouterr().out)["trace"])]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_phase_two_count(name, monkeypatch, capsys):
     """One phase 2 per member of each solvable level, for its mass, and
     for ``extend`` two more, the interval's endpoints."""
-    *_, solvable, optimizes = count_calls(name, monkeypatch)
+    counts = count_calls(name, monkeypatch)
     endpoints = 2 if CASES[name][0][0] == "extend" else 0
-    assert len(optimizes) == sum(solvable) + endpoints
+    assert len(counts["optimizes"]) == sum(counts["solvable"]) + endpoints
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(REPORTS))
 def test_fold_count(name, monkeypatch, capsys):
     """One truth-table fold per golden command: ``realize`` folds every
     event of the document at once, over the atoms its members use.  Each
-    compound derives its tables bitwise from its operands' tables, and
-    the constituents are refined from the members' tables."""
-    calls = []
-    fold = events._fold
-
-    def counting_fold(*args):
-        calls.append(None)
-        return fold(*args)
-
-    monkeypatch.setattr(events, "_fold", counting_fold)
-    (command, *options), code = CASES[name]
-    assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
-    assert len(calls) == 1
+    compound, each partition and ``conjoin``'s operand pair check take
+    the members' tables over that shared frame, also for a pair that
+    leaves out an atom a third member uses."""
+    assert len(count_calls(name, monkeypatch)["folds"]) == 1

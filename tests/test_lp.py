@@ -563,5 +563,7 @@ class TestValidation:
             lp.solve([[1, 2], [1]], [1, 1])
         with pytest.raises(ValueError):
             lp.solve([[1]], [1, 2])
+        with pytest.raises(ValueError, match="no variables"):
+            lp.solve([[]], [0])
         with pytest.raises(ValueError):
             lp.optimize(lp.solve([[1]], [1]), [1, 2])

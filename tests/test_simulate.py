@@ -102,6 +102,12 @@ class TestJointDistribution:
             with pytest.raises(ValueError, match="registered after the distribution"):
                 call()
 
+    def test_atoms_are_the_universe_atoms_at_creation(self):
+        u, a, c = two_coin_universe()
+        dist = JointDistribution.independent(u, {"A": F(1, 2), "C": F(1, 3)})
+        u.atom("D")
+        assert dist.atoms == ("A", "C")
+
     def test_conditional_on_null_event(self):
         u, a, c = two_coin_universe()
         dist = JointDistribution.independent(u, {"A": 0, "C": F(1, 2)})
@@ -139,6 +145,14 @@ class TestSimulateConditional:
         dist = JointDistribution.independent(u, {"A": F(1, 2), "C": F(1, 2)})
         estimate = simulate_conditional(dist, a & c, a | c, trials=2_000, max_len=30, seed=1)
         assert estimate.mean == 1.0
+        assert estimate.std_error == 0.0
+
+    def test_one_recorded_trial_has_no_spread(self):
+        u, a, c = two_coin_universe()
+        dist = JointDistribution.independent(u, {"A": 1, "C": F(1, 2)})
+        estimate = simulate._sample(dist, conditional_event(c, a), 1, 1, 3)
+        assert (estimate.trials, estimate.indeterminate_count) == (1, 0)
+        assert estimate.mean in (0.0, 1.0)
         assert estimate.std_error == 0.0
 
     def test_zero_probability_antecedent_rejected(self):
