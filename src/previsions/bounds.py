@@ -4,9 +4,9 @@ Given a coherent base assessment and a target quantity whose
 conditioning event covers every constituent inside the base
 conditioning events, the coherent previsions for the target form a
 closed interval (Biazzo & Gilio, IJAR 2000, on extending a coherent
-assessment).  The extended family's constituents are enumerated once,
-and the base is checked in full as a sub-assessment of the extended
-family, merging them.
+assessment).  The extended family's events are folded at most once, and
+the base is checked in full as a sub-assessment of the extended family,
+on its slice of the family's truth tables.
 
 The endpoints need no recursive re-check.  The target carries mass one
 in every solution, so it never joins a zero-mass set: every deeper level
@@ -95,7 +95,7 @@ def _extend(
     base: Assessment, target: ConditionalRandomQuantity
 ) -> tuple[CoherenceReport, ExtensionInterval | None]:
     """The base's coherence report and, when the base is coherent, the
-    target's interval: one enumeration, one check and one phase 1.
+    target's interval: at most one fold, one check and one phase 1.
 
     The base is checked before the target's coverage, so an incoherent
     base is reported whatever the target.
@@ -103,7 +103,7 @@ def _extend(
     n = len(base)
     extended = Assessment(base.members + (target,), base.previsions + (_ZERO,))
     blocks = extended.partition.inside
-    base = extended.sub(range(n))  # the same base, on merged blocks
+    base = extended.sub(range(n))  # the same base, on a slice of the tables
     report = check_coherence(base)
     if not report.coherent:
         return report, None

@@ -15,13 +15,12 @@ re-checked recursively on their own; the assessment is coherent when
 each level is solvable and the zero-mass set empties out.
 
 The constituents depend only on the members, not on the previsions, so
-an :class:`Assessment` enumerates them at most once and hands them on.
-The blocks are refined from the members' truth tables over the one
-frame :mod:`previsions.crq` picks; members that share a frame, as a
-document's members and their compounds do, fold no event at all.  A
-subfamily's coarser partition merges them (each of its blocks is the
-union of the blocks that agree on the subfamily's labels) over the same
-atoms.  Every level of a check is a sub-assessment of the checked one.
+an :class:`Assessment` refines them at most once, from the members'
+truth tables over the one frame :mod:`previsions.crq` picks; members
+that share a frame, as a document's members and their compounds do,
+fold no event at all.  Every level of a check is a sub-assessment of the
+checked one, refining its own blocks from its members' slice of those
+tables, so no level below the first folds either.
 An assessment owns its feasibility system too, built at most once, so
 ``extend`` optimizes on its base check's level 1.
 
@@ -69,11 +68,11 @@ class Assessment:
     """An ordered family of conditional random quantities with previsions.
 
     Previsions can be passed explicitly or taken from the members'
-    prevision slots.  The members' constituent partition is enumerated
-    on first use and passed on to sub-assessments.
+    prevision slots.  The members' truth tables over one frame are taken
+    on first use, and each sub-assessment refines its blocks from a slice.
     """
 
-    __slots__ = ("_members", "_previsions", "_partition", "_system")
+    __slots__ = ("_members", "_previsions", "_frame", "_partition", "_system")
 
     def __init__(
         self,
@@ -94,6 +93,7 @@ class Assessment:
                 raise ValueError("previsions and members must have equal length")
         self._members = resolved
         self._previsions = values
+        self._frame: tuple[tuple[str, ...], list] | None = None
         self._partition: ConstituentPartition | None = None
         self._system: LinearSystem | None = None
 
@@ -111,10 +111,12 @@ class Assessment:
     @property
     def partition(self) -> ConstituentPartition:
         """The constituents generated by the members, refined once from
-        their truth tables over their shared frame, or else over the atoms
-        they use (see :func:`previsions.crq._frame`)."""
+        their truth tables over one frame: those :func:`previsions.crq._frame`
+        gives them, or in a sub-assessment its members' slice of the
+        tables of the assessment it came from."""
         if self._partition is None:
-            self._partition = crq._constituents(self._members)
+            self._frame = self._frame or crq._frame(self._members)
+            self._partition = crq._constituents(self._members, *self._frame)
         return self._partition
 
     @property
@@ -125,14 +127,17 @@ class Assessment:
         return self._system
 
     def sub(self, indices: Sequence[int]) -> "Assessment":
-        """The sub-assessment on the given member indices, in order; its
-        partition merges this one's blocks if they are already known."""
+        """The sub-assessment on the given member indices, in order, on
+        their slice of this one's tables (taken now if not yet): its
+        partition folds no event, and its blocks are the unions of this
+        one's that agree on its labels."""
         sub = Assessment(
             [self._members[i] for i in indices],
             [self._previsions[i] for i in indices],
         )
-        if self._partition is not None:
-            sub._partition = self._partition.restrict(indices)
+        self._frame = self._frame or crq._frame(self._members)
+        atoms, tables = self._frame
+        sub._frame = atoms, [tables[i] for i in indices]
         return sub
 
 
@@ -234,12 +239,12 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
     """Decide coherence by the recursive zero-mass procedure.
 
     Level by level: take the feasibility system of the current
-    subfamily, a sub-assessment of ``assessment`` on the constituents
-    it merges from the whole family's (see :meth:`Assessment.sub`); if
-    unsolvable the assessment is incoherent (and a Dutch Book is
-    extracted from the Farkas certificate); otherwise recurse on
-    the members whose maximal conditioning mass is exactly zero, until
-    that set is empty.  The zero-mass set is always a proper subset, so
+    subfamily, a sub-assessment of ``assessment`` on the constituents it
+    refines from its slice of the family's tables (see
+    :meth:`Assessment.sub`); if unsolvable the assessment is incoherent
+    (and a Dutch Book is extracted from the Farkas certificate);
+    otherwise recurse on the members whose maximal conditioning mass is
+    exactly zero, until that set is empty.  The zero-mass set is always a proper subset, so
     at most ``len(assessment)`` levels occur.
 
     Every witness and Dutch Book is re-checked exactly before the report

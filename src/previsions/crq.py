@@ -71,17 +71,14 @@ class ConditionalRandomQuantity:
         a failed one raises the constructor's error."""
         staged = [(event, Fraction(value)) for event, value in cells]
         quantity = cls.__new__(cls)
-        try:
-            quantity._fill(conditioning, staged, prevision, atoms, given, raw)
-        except ValueError:
-            # Raises again, naming an assignment over the quantity's own atoms.
-            cls(conditioning, staged, prevision)
-            raise
+        quantity._fill(conditioning, staged, prevision, atoms, given, raw)
         return quantity
 
     def _fill(self, conditioning, staged, prevision, atoms, given, raw) -> None:
-        """Check the cells on their tables and keep the nonempty ones."""
-        parts = cut(given, raw, atoms)
+        """Check the cells on their tables and keep the nonempty ones; an
+        error names an assignment over the atoms of the quantity's events."""
+        shown = conditioning.atoms.union(*(event.atoms for event, _ in staged))
+        parts = cut(given, raw, atoms, shown)
         kept = [k for k, part in enumerate(parts) if part]
         self._conditioning = conditioning
         self._cells = tuple(staged[k] for k in kept)
@@ -196,8 +193,12 @@ def add(
         raise ValueError("both previsions must be set to add conditional quantities")
     partition, paid = _joint_values(first, second)
     cells = [(partition.region(block), a + b) for block, (a, b) in zip(partition.inside, paid)]
-    return ConditionalRandomQuantity(
-        first.conditioning | second.conditioning, cells, first.prevision + second.prevision
+    # The blocks' masks are their regions' tables, and together the conditioning event's.
+    masks = [block.mask for block in partition.inside]
+    conditioning = first.conditioning | second.conditioning
+    prevision = first.prevision + second.prevision
+    return ConditionalRandomQuantity._from_tables(
+        conditioning, cells, prevision, partition.atoms, sum(masks), masks
     )
 
 
@@ -234,7 +235,7 @@ def _joint_values(first, second):
     """The constituents of two quantities and, per inside block, the pair
     of amounts they pay there (each prevision filling in outside its own
     conditioning event)."""
-    partition = _constituents((first, second))
+    partition = _constituents((first, second), *_frame((first, second)))
     paid = [tuple(map(_filled, (first, second), block.labels)) for block in partition.inside]
     return partition, paid
 
@@ -385,9 +386,9 @@ def _frame(quantities: Sequence[ConditionalRandomQuantity]):
     return split([([event for event, _ in q.cells], q.conditioning) for q in quantities])
 
 
-def _constituents(quantities: Sequence[ConditionalRandomQuantity]):
-    """The constituents the quantities generate, over their frame."""
-    atoms, tables = _frame(quantities)
+def _constituents(quantities: Sequence[ConditionalRandomQuantity], atoms, tables):
+    """The constituents the quantities generate, from their conditioning
+    and kept cell tables over the frame ``atoms`` (see :func:`_frame`)."""
     family = tuple((tuple(event for event, _ in q.cells), q.conditioning) for q in quantities)
     return refine(atoms, [(given, [cell & given for cell in raw]) for given, raw in tables], family)
 

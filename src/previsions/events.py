@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_ATOM_LIMIT = 20
 
@@ -263,23 +263,6 @@ class ConstituentPartition:
                 acc = acc & (conditioning & cells[label])
         return acc
 
-    def restrict(self, indices: Sequence[int]) -> "ConstituentPartition":
-        """The partition generated by the members at ``indices``, in that
-        order, over the same atoms, without enumerating truth tables again.
-
-        Each of its blocks is the union of the blocks here (outside
-        included) that agree on those members' labels.  It equals
-        :func:`constituents` of the subfamily once that one's tables are
-        lifted to these atoms: an unused atom leaves the order by least
-        assignment unchanged.
-        """
-        merged: dict[tuple[int | None, ...], int] = {}
-        for block in (self.outside, *self.inside):
-            if block is not None:
-                labels = tuple(block.labels[i] for i in indices)
-                merged[labels] = merged.get(labels, 0) | block.mask
-        return _partition(self.atoms, tuple(self.family[i] for i in indices), merged)
-
 
 def constituents(
     family: Iterable[tuple[Sequence[Event], Event]],
@@ -297,7 +280,8 @@ def constituents(
     if not family:
         raise ValueError("family must be nonempty")
     atoms, tables = split(family)
-    return refine(atoms, [(given, cut(given, cells, atoms)) for given, cells in tables], family)
+    members = [(given, cut(given, cells, atoms, atoms)) for given, cells in tables]
+    return refine(atoms, members, family)
 
 
 def refine(
@@ -307,8 +291,9 @@ def refine(
 ) -> ConstituentPartition:
     """The partition of ``family`` from each member's conditioning event
     and its parts inside the cells (see :func:`cut`), truth tables over
-    ``atoms``, the atoms the family uses: starting from one block of every
-    assignment, each member splits every block by those."""
+    ``atoms``, a frame holding every atom the family uses: starting from
+    one block of every assignment, each member splits every block by
+    those, so over one frame a subfamily's blocks merge the family's."""
     full = _full(len(atoms))
     blocks = {(): full}
     for conditioning, parts in members:
@@ -319,16 +304,6 @@ def refine(
                 if piece:
                     finer[labels + (label,)] = piece
         blocks = finer
-    return _partition(atoms, family, blocks)
-
-
-def _partition(
-    atoms: tuple[str, ...],
-    family: tuple[tuple[tuple[Event, ...], Event], ...],
-    blocks: dict[tuple[int | None, ...], int],
-) -> ConstituentPartition:
-    """The partition of nonempty ``blocks`` (labels to truth tables over
-    ``atoms``), its all-None block popped as the outside block."""
     outside = blocks.pop((None,) * len(family), 0)
     inside = [Constituent(labels, mask, len(atoms)) for labels, mask in blocks.items()]
     # Bit order is assignment order, so a block's least set bit is its
@@ -350,11 +325,14 @@ def split(
     return atoms, [(next(tables), [next(tables) for _ in cells]) for cells, _ in family]
 
 
-def cut(conditioning: int, cells: Sequence[int], atoms: Sequence[str]) -> tuple[int, ...]:
+def cut(
+    conditioning: int, cells: Sequence[int], atoms: Sequence[str], shown: Container[str]
+) -> tuple[int, ...]:
     """The part of a conditioning event inside each cell, all truth tables
     over ``atoms``.  ImpossibleConditioningError for an impossible
-    conditioning event; ValueError, naming the least offending assignment
-    over ``atoms``, unless the cells partition it."""
+    conditioning event; ValueError unless the cells partition it, naming
+    the least offending assignment restricted to the atoms in ``shown``:
+    if they hold the events' atoms, the least offending one over them."""
     if not conditioning:
         raise ImpossibleConditioningError("conditioning event is impossible")
     parts = tuple(cell & conditioning for cell in cells)
@@ -365,7 +343,8 @@ def cut(conditioning: int, cells: Sequence[int], atoms: Sequence[str]) -> tuple[
     bad = overlap | (conditioning & ~covered)
     if bad:
         index = (bad & -bad).bit_length() - 1
-        assignment = dict(zip(atoms, _decode(index, len(atoms))))
+        bits = zip(atoms, _decode(index, len(atoms)))
+        assignment = {name: bit for name, bit in bits if name in shown}
         hits = sum(part >> index & 1 for part in parts)
         raise ValueError(
             "cells must partition the conditioning event "

@@ -567,6 +567,32 @@ def documents(draw):
     return {"atoms": atoms, "members": members}
 
 
+@st.composite
+def failing_documents(draw):
+    """Documents listing 3-5 atoms in any order: a value-map member on
+    some of them, whose cells overlap or leave a gap in its conditioning
+    unless the draw happens to partition it, and a conditional event on
+    the others before or after it."""
+    atoms = draw(st.permutations(["A", "B", "C", "D", "E"]))[: draw(st.integers(3, 5))]
+    own = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=len(atoms) - 1, unique=True))
+    others = [name for name in atoms if name not in own]
+
+    def formula(depth=2):
+        if depth == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(["", "~"])) + draw(st.sampled_from(own))
+        glue = draw(st.sampled_from([" & ", " | "]))
+        return f"({formula(depth - 1)}{glue}{formula(depth - 1)})"
+
+    f, g = formula(), formula()
+    cells = draw(
+        st.sampled_from([{f: "1", f"({f} | {g})": "2"}, {f"{f} & {g}": "1", f"~{f} & {g}": "0"}])
+    )
+    members = [{"quantity": cells, "given": formula(), "prevision": "1/2"}]
+    other = {"quantity": draw(st.sampled_from(others)), "given": draw(st.sampled_from(others))}
+    members.insert(draw(st.integers(0, 1)), {**other, "prevision": "1/3"})
+    return {"atoms": atoms, "members": members}
+
+
 def shown(quantity):
     cells = [(event.to_text(), value) for event, value in quantity.cells]
     return quantity.conditioning.to_text(), cells, quantity.prevision
@@ -651,6 +677,51 @@ class TestSharedTables:
             pairs = [([e for e, _ in m.cells], m.conditioning) for m in family]
             same_partition(found, constituents(pairs))
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(failing_documents())
+    def test_partition_error_costs_one_fold(self, document):
+        """A member whose cells do not partition its conditioning fails on
+        the document's tables, with no second fold, naming the assignment
+        the public constructor names over the member's own atoms."""
+        reference = Universe()
+        for name in document["atoms"]:
+            reference.atom(name)
+        expected = None
+        for i, spec in enumerate(document["members"]):
+            if isinstance(spec["quantity"], dict):
+                cells = [(reference.parse(c), F(v)) for c, v in spec["quantity"].items()]
+                try:
+                    ConditionalRandomQuantity(reference.parse(spec["given"]), cells)
+                except ValueError as exc:
+                    expected = f"member {i}: {exc}"
+        with counting_folds() as fold:
+            try:
+                realize(AssessmentDocument.from_payload(document))
+            except DocumentError as exc:
+                error = str(exc)
+            else:
+                error = None
+        assert error == expected
+        assert fold.call_count == 1
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(documents())
+    def test_add_takes_the_shared_frame(self, document):
+        """The sum of two members of one document is built from their
+        partition's block masks: no fold, on their frame, and the quantity
+        the public constructor builds on the same events."""
+        try:
+            _, members = realize(AssessmentDocument.from_payload(document))
+        except DocumentError:
+            return
+        with counting_folds() as fold:
+            total = add(members[0], members[1])
+        assert fold.call_count == 0
+        assert total._atoms == members[0]._atoms and tabled(total)
+        public = ConditionalRandomQuantity(total.conditioning, total.cells, total.prevision)
+        assert shown(total) == shown(public)
+        assert values_agree_on_union(total, public)
+
     def test_pair_over_fewer_atoms_keeps_the_frame(self):
         document = {
             "atoms": ["A", "H", "B", "K"],
@@ -668,7 +739,7 @@ class TestSharedTables:
         assert found.atoms == ("A", "H", "B", "K")
         family = [([e for e, _ in m.cells], m.conditioning) for m in pair]
         same_partition(found, constituents(family))
-        whole = Assessment(members).partition.restrict([0, 1])
+        whole = Assessment(members).sub([0, 1]).partition
         assert (found.outside, found.inside) == (whole.outside, whole.inside)
         # A quantity on a frame of its own: the family's events fold once,
         # over the atoms they use.

@@ -487,18 +487,6 @@ def names_of(*events):
     return tuple(n for n in events[0].universe.atoms if n in used)
 
 
-def lift(mask, narrow, wide):
-    """A truth table over the ``narrow`` atoms as one over ``wide``, which
-    contains them: assignment ``j`` over ``wide`` takes the bit of its
-    restriction to ``narrow``."""
-    lifted = 0
-    for j, bits in enumerate(itertools.product((0, 1), repeat=len(wide))):
-        value = dict(zip(wide, bits))
-        i = sum(value[name] << (len(narrow) - 1 - k) for k, name in enumerate(narrow))
-        lifted |= (mask >> i & 1) << j
-    return lifted
-
-
 DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -572,42 +560,6 @@ class TestTruthTablesAgainstEnumeration:
             assert part.outside.labels == (None,) * len(family)
             assert part.outside.assignments == outside
         assert [(c.labels, c.assignments) for c in part.inside] == inside
-
-    @DIFFERENTIAL
-    @given(st.data())
-    def test_restrict(self, data):
-        """Merging a family's blocks gives a subfamily's own partition, its
-        tables lifted to the family's atoms."""
-        pool = data.draw(formula_pools())
-        drawn = data.draw(st.lists(members(pool), min_size=1, max_size=3))
-        family = [events for events, _ in drawn]
-        # A member on atoms of its own, so that subfamilies without it use
-        # fewer atoms than the family; given Z or the sure Z | ~Z, so that
-        # the family sometimes has no outside block.
-        y, z = pool[0][0].universe.atom("Y"), pool[0][0].universe.atom("Z")
-        h = data.draw(st.sampled_from((z, z | ~z)))
-        family.insert(data.draw(st.integers(0, len(family))), ([y & h, ~y & h], h))
-        try:
-            whole = constituents(family)
-        except ValueError:
-            return
-        size = data.draw(st.integers(1, len(family) - 1))
-        indices = data.draw(st.permutations(range(len(family))))[:size]
-        merged = whole.restrict(indices)
-        fresh = constituents([family[i] for i in indices])
-        assert merged.atoms == whole.atoms
-        assert merged.family == fresh.family
-
-        def lifted(block):
-            if block is None:
-                return None
-            return block.labels, lift(block.mask, fresh.atoms, whole.atoms), len(whole.atoms)
-
-        def kept(block):
-            return None if block is None else (block.labels, block.mask, block.width)
-
-        assert kept(merged.outside) == lifted(fresh.outside)
-        assert [kept(b) for b in merged.inside] == [lifted(b) for b in fresh.inside]
 
     @DIFFERENTIAL
     @given(st.data())

@@ -150,13 +150,35 @@ def test_check_count(name, checks, monkeypatch, capsys):
     assert len(count_calls(name, monkeypatch)["checks"]) == checks
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+# Partitions each golden command refines, in sorted order of the goldens.
+REFINEMENTS = {
+    "check-compound-coherent": 1,
+    "check-compound-dutch-book": 2,
+    "check-compound-incoherent-base": 3,
+    "check-random-family": 1,
+    "check-twenty-atoms": 3,
+    "check-value-map": 1,
+    "check-zero-mass-coherent": 2,
+    "check-zero-mass-incoherent": 3,
+    "conjoin-third-member": 1,
+    "conjoin-value-map": 1,
+    "constituents-empty-cell": 1,
+    "constituents-value-map": 1,
+    "extend-conjunction": 2,
+    "extend-disjunction": 2,
+    "extend-quasi-conjunction": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
 def test_enumeration_count(name, monkeypatch, capsys):
-    """Constituents are enumerated once per command, refined from the
-    members' tables over their frame: a base checked after its family
-    merges the family's blocks, and ``extend`` enumerates the base with
-    its target and checks the base on their merged blocks."""
-    assert len(count_calls(name, monkeypatch)["enumerations"]) == 1
+    """One refinement per partition a command reads: each level of each
+    check refines its own blocks from its members' slice of the family's
+    tables, ``extend`` refines the base with its target once more, and
+    ``constituents`` refines the members' without checking them."""
+    counts = count_calls(name, monkeypatch)
+    extra = REPORTS[name][0][0] in ("extend", "constituents")
+    assert len(counts["enumerations"]) == REFINEMENTS[name] == sum(counts["levels"]) + extra
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
