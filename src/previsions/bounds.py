@@ -59,6 +59,11 @@ class ExtensionVerificationError(RuntimeError):
     """
 
 
+class _UncoveredTargetError(ValueError):
+    """The target's conditioning misses a constituent inside the base
+    conditioning events: an input error, not a fault."""
+
+
 @dataclass(frozen=True)
 class ExtensionInterval:
     """Exact range of coherent previsions for a target quantity."""
@@ -108,7 +113,7 @@ def _extend(
     if not report.coherent:
         return report, None
     if any(block.labels[n] is None for block in blocks):
-        raise ValueError("target conditioning must cover every base conditioning event")
+        raise _UncoveredTargetError("target conditioning must cover every base conditioning event")
     # The target's values on each base block, and outside them all.
     values = {block.labels: [] for block in base.partition.inside}
     outside: list[Fraction] = []
@@ -116,13 +121,14 @@ def _extend(
         values.get(block.labels[:n], outside).append(target.cells[block.labels[n]][1])
     system, interval = base.system, []
     for maximize, extreme in ((False, min), (True, max)):
-        objective = [extreme(v) for v in values.values()]
-        endpoint = lp.optimize(system.feasibility, objective, maximize)
+        scale, costs = lp._scaled([extreme(v) for v in values.values()])
+        endpoint = lp._optimize(system.feasibility, costs, scale, maximize, point=True)
         # Lifted onto the extreme blocks, the optimal point must solve
         # level 1 of the extended system priced at the endpoint.
-        rows = (*system.rows, objective)
-        priced = base.previsions + (endpoint.objective,)
-        if not (endpoint.feasible and _reproduces(rows, endpoint.solution, priced)):
+        rows = (*system.scaled_rows, costs)
+        if not endpoint.feasible or not _reproduces(
+            rows, (*system.scaled_target, scale * endpoint.objective), endpoint.solution
+        ):
             raise ExtensionVerificationError(
                 f"endpoint {endpoint.objective} failed its exact certificate"
             )

@@ -28,12 +28,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from . import bounds, crq, simulate
-from .coherence import (
-    Assessment,
-    CoherenceReport,
-    IncoherentAssessmentError,
-    check_coherence,
-)
+from .coherence import Assessment, CoherenceReport, check_coherence
 from .crq import ConditionalRandomQuantity
 from .events import (
     DEFAULT_ATOM_LIMIT,
@@ -232,7 +227,10 @@ def build_compound(
     members: Sequence[ConditionalRandomQuantity], spec: CompoundSpec
 ) -> ConditionalRandomQuantity:
     i, j = spec.operands
-    compound = _COMPOUND_BUILDERS[spec.kind](members[i], members[j])
+    try:
+        compound = _COMPOUND_BUILDERS[spec.kind](members[i], members[j])
+    except ValueError as exc:  # an operand that is no conditional event
+        raise DocumentError(str(exc)) from None
     if spec.prevision is not None:
         compound = compound.with_prevision(spec.prevision)
     return compound
@@ -320,7 +318,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
     document = AssessmentDocument.load(args.file)
     _, members = realize(document)
     target = build_compound(members, _parse_target(args.target, len(members)))
-    report, interval = bounds._extend(Assessment(members), target)
+    try:
+        report, interval = bounds._extend(Assessment(members), target)
+    except bounds._UncoveredTargetError as exc:
+        raise DocumentError(str(exc)) from None
     if interval is None:
         _emit(report_payload(report, diagnostics=("base assessment is incoherent",)))
         return 1
@@ -334,9 +335,9 @@ def cmd_conjoin(args: argparse.Namespace) -> int:
     for index in (args.i, args.j):
         if not 0 <= index < len(members):
             raise DocumentError(f"member index {index} out of range")
-    try:
-        compound = crq.conjunction(members[args.i], members[args.j])
-    except IncoherentAssessmentError:
+    pair = CompoundSpec("conjunction", (args.i, args.j), None)
+    compound = build_compound(members, pair)
+    if not check_coherence(Assessment([members[args.i], members[args.j]])).coherent:
         _emit({"verdict": "incoherent", "detail": "operand previsions are incoherent"})
         return 1
     with _exact_text():
@@ -384,12 +385,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     consequent = universe.atom("C")
     # Complete the joint by making the consequent independent of the
     # antecedent; the target P(C|A) = pac/pa does not depend on the choice.
-    dist = simulate.JointDistribution.independent(
-        universe, {"A": pa, "C": pac / pa}
-    )
-    estimate = simulate.simulate_conditional(
-        dist, antecedent, consequent, args.trials, args.max_len, args.seed
-    )
+    try:
+        dist = simulate.JointDistribution.independent(universe, {"A": pa, "C": pac / pa})
+        estimate = simulate.simulate_conditional(
+            dist, antecedent, consequent, args.trials, args.max_len, args.seed
+        )
+    except ValueError as exc:  # a run parameter out of range
+        raise DocumentError(str(exc)) from None
     with _exact_text():
         exact = str(pac / pa)
     _emit(
@@ -467,8 +469,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, ValueError) as exc:
-        # Validation failures, wherever they surface, are exit code 2.
+    except DocumentError as exc:
+        # Input errors, turned into DocumentError where they surface, are
+        # exit code 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

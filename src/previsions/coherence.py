@@ -8,11 +8,12 @@ assessed prevision standing in for members whose conditioning fails),
 and the first-level condition is that the prevision vector lies in the
 convex hull of those points, i.e. that an exact linear feasibility
 system has a solution.  It is kept as the LP and every certificate
-read it, one row of values and one 0/1 indicator of the conditioning
-event per member; the points are derived only on request.  Members
-whose conditioning events carry zero mass in *every* solution are then
-re-checked recursively on their own; the assessment is coherent when
-each level is solvable and the zero-mass set empties out.
+read it, in integers: one row of values and one 0/1 indicator of the
+conditioning event per member, the row scaled once by the member's own
+scale; the rational rows and the points are derived only on request.
+Members whose conditioning events carry zero mass in *every* solution
+are then re-checked recursively on their own; the assessment is
+coherent when each level is solvable and the zero-mass set empties out.
 
 The constituents depend only on the members, not on the previsions, so
 an :class:`Assessment` refines them at most once, from the members'
@@ -35,9 +36,13 @@ is turned into betting stakes witnessing the incoherence: with those
 stakes every possible net gain over the level's subfamily is strictly
 negative (a Dutch Book).
 
-Before a report is returned its certificates are checked exactly: every
-witness must be a probability vector reproducing the level's previsions,
-and every Dutch-Book gain must be strictly negative.
+Before a report is returned its certificates are checked exactly, in
+integers on the level's own scaled rows, and on the very vectors the
+report prints.  A witness's weights are brought to one common
+denominator ``D``: they must be nonnegative, sum to ``D`` and reproduce
+each member's scaled prevision times ``D``.  A Dutch Book's stakes, each
+divided by its member's scale, are brought to one denominator too, and
+every gain must be strictly negative.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import crq, lp
@@ -146,20 +153,35 @@ class LinearSystem:
     """The exact feasibility system of an assessment, one row per member.
 
     One column per constituent inside the disjunction of the conditioning
-    events.  ``rows[i]`` is member ``i``'s value on each column inside its
-    conditioning event and its prevision elsewhere; ``indicators[i]`` is 1
-    inside that event and 0 elsewhere.  Solvability of ``rows . w =
+    events.  Member ``i``'s row holds its value on each column inside its
+    conditioning event and its prevision elsewhere; ``indicators[i]`` is
+    1 inside that event and 0 elsewhere.  Solvability of ``rows . w =
     target, sum(w) = 1, w >= 0`` is exactly convex-hull membership of the
     prevision vector in the :attr:`points`, the columns.
+
+    The system is stored in integers: ``scaled_rows[i]`` and
+    ``scaled_target[i]`` are ``scales[i] > 0`` times member ``i``'s row
+    and prevision.  The LP and every certificate read these; the rational
+    :attr:`rows`, :attr:`target` and :attr:`points` are derived on request.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
-    target: tuple[Fraction, ...]
+    scaled_rows: tuple[tuple[int, ...], ...]
+    scaled_target: tuple[int, ...]
+    scales: tuple[int, ...]
     indicators: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
-        return len(self.target)
+        return len(self.scales)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        scaled = zip(self.scaled_rows, self.scales)
+        return tuple(tuple(Fraction(v, s) for v in row) for row, s in scaled)
+
+    @cached_property
+    def target(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, s) for t, s in zip(self.scaled_target, self.scales))
 
     @cached_property
     def points(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -170,7 +192,10 @@ class LinearSystem:
     def feasibility(self) -> lp.LPResult:
         """Phase 1 (total mass row included), solved once: the level's
         witness or Farkas certificate, and the start of every later LP."""
-        return lp.solve([*self.rows, [1] * len(self.rows[0])], [*self.target, 1])
+        width = len(self.scaled_rows[0])
+        return lp._solve(
+            [*self.scaled_rows, (1,) * width], [*self.scaled_target, 1], [*self.scales, 1]
+        )
 
 
 @dataclass(frozen=True)
@@ -208,29 +233,38 @@ class CoherenceReport:
 
 
 def build_system(assessment: Assessment) -> LinearSystem:
-    """The feasibility system of an assessment on its partition."""
-    blocks = assessment.partition.inside
-    rows = []
-    indicators = []
-    for i, (member, prevision) in enumerate(zip(assessment.members, assessment.previsions)):
-        labels = [block.labels[i] for block in blocks]
-        rows.append(tuple(prevision if k is None else member.cells[k][1] for k in labels))
-        indicators.append(tuple(0 if k is None else 1 for k in labels))
-    return LinearSystem(tuple(rows), assessment.previsions, tuple(indicators))
+    """The feasibility system of an assessment on its partition, in
+    integers: each member is scaled once, by the lcm of the denominators
+    of its cell values and its prevision, so each cell is one lookup."""
+    labels = zip(*[block.labels for block in assessment.partition.inside])
+    rows, target, scales, indicators = [], [], [], []
+    for member, prevision, column in zip(assessment.members, assessment.previsions, labels):
+        values = [value for _, value in member.cells]
+        s = lcm(prevision.denominator, *[v.denominator for v in values])
+        scaled = {k: v.numerator * (s // v.denominator) for k, v in enumerate(values)}
+        scaled[None] = t = prevision.numerator * (s // prevision.denominator)
+        inside = dict.fromkeys(scaled, 1)
+        inside[None] = 0
+        rows.append(tuple(map(scaled.__getitem__, column)))
+        target.append(t)
+        scales.append(s)
+        indicators.append(tuple(map(inside.__getitem__, column)))
+    return LinearSystem(tuple(rows), tuple(target), tuple(scales), tuple(indicators))
 
 
 def upper_conditioning_masses(system: LinearSystem) -> tuple[Fraction, ...]:
     """For each member, the largest total mass its conditioning event can
     carry over all solutions of the system.
 
-    One phase 2 on each indicator from the system's shared phase 1; the
-    total mass row lets :func:`lp.optimize` stop each one at mass one.
+    One phase 2 on each indicator from the system's shared phase 1, as
+    integer costs of scale 1 that build no optimal point; the total mass
+    row lets it stop at mass one.
     """
     first = system.feasibility
     if not first.feasible:
         raise ValueError("system is infeasible")
     return tuple(
-        lp.optimize(first, indicator, maximize=True).objective
+        lp._optimize(first, indicator, 1, maximize=True).objective
         for indicator in system.indicators
     )
 
@@ -260,14 +294,15 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
         if not result.feasible:
             levels.append(CoherenceLevel(indices, False, None, None, ()))
             stakes = result.certificate[: len(indices)]
-            gains = _gains(system, stakes)
+            gains, denominator = _gains(system, stakes)
             if not all(g < 0 for g in gains):
                 raise CertificateVerificationError(
                     f"Dutch Book on members {list(indices)} has a gain that is not negative"
                 )
+            gains = tuple(Fraction(g, denominator) for g in gains)
             book = DutchBook(indices, tuple(stakes), gains)
             return CoherenceReport(False, tuple(levels), book)
-        if not _reproduces(system.rows, result.solution, system.target):
+        if not _reproduces(system.scaled_rows, system.scaled_target, result.solution):
             raise CertificateVerificationError(
                 f"witness on members {list(indices)} does not reproduce the previsions"
             )
@@ -297,25 +332,38 @@ def random_gain(
     stakes = [Fraction(s) for s in coefficients]
     if len(stakes) != len(assessment):
         raise ValueError("need exactly one coefficient per member")
-    return _gains(assessment.system, stakes)
+    gains, denominator = _gains(assessment.system, stakes)
+    return tuple(Fraction(g, denominator) for g in gains)
 
 
-def _gains(system: LinearSystem, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Net gain of the stakes on each column of the system."""
-    paid = sum(s * t for s, t in zip(stakes, system.target))
-    columns = range(len(system.rows[0]))
-    return tuple(sum(s * row[h] for s, row in zip(stakes, system.rows)) - paid for h in columns)
+def _gains(system: LinearSystem, stakes: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Net gain of the stakes on each column of the system, as ints over
+    one common positive denominator: stake ``y[i]`` counts ``y[i] /
+    scales[i]`` on the integer row, and those are brought to one
+    denominator (:func:`lp._scaled`), so every product and sum is of ints."""
+    denominator, ints = lp._scaled([y / s for y, s in zip(stakes, system.scales)])
+    paid = sum(map(mul, ints, system.scaled_target))
+    return [sum(map(mul, ints, column)) - paid for column in zip(*system.scaled_rows)], denominator
 
 
 def _reproduces(
-    rows: Sequence[Sequence[Fraction]],
+    rows: Sequence[Sequence[int]],
+    target: Sequence[int | Fraction],
     weights: Sequence[Fraction],
-    target: Sequence[Fraction],
 ) -> bool:
     """Whether ``w >= 0``, ``sum(w) = 1`` and ``rows[i] . w = target[i]``
-    for every ``i`` hold exactly; zero weights are skipped."""
-    if any(len(row) != len(weights) for row in rows) or any(w < 0 for w in weights):
+    hold exactly for integer rows and rational targets, each row and its
+    target scaled by the same positive factor.  The nonzero weights are
+    brought to one common denominator ``D`` (:func:`lp._scaled`), so every
+    check compares ints: the numerators sum to ``D``, and each row's dot
+    product with them equals its target times ``D``."""
+    if any(len(row) != len(weights) for row in rows):
         return False
-    support = [(h, w) for h, w in enumerate(weights) if w]
-    sums = [sum(w * row[h] for h, w in support) for row in rows]
-    return sum(w for _, w in support) == 1 and sums == list(target)
+    columns = [h for h, w in enumerate(weights) if w]
+    denominator, ints = lp._scaled([weights[h] for h in columns])
+    if any(v < 0 for v in ints) or sum(ints) != denominator:
+        return False
+    return all(
+        sum(map(mul, [row[h] for h in columns], ints)) * t.denominator == t.numerator * denominator
+        for row, t in zip(rows, target)
+    )

@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 # The constructor raises ImpossibleConditioningError; it is importable here too.
 from .events import Assignment, Event, ImpossibleConditioningError, cut, refine, split
+from .events import truth_tables
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -212,13 +213,22 @@ def iterated(
     elsewhere inside the new conditioning event.  When the old
     conditioning implies the new one, the result coincides with the
     operand as a value map.
+
+    When the operand's frame holds the new event's atoms, only that event
+    is folded, over the frame, and the result stays on it.
     """
     if quantity.prevision is None:
         raise ValueError("prevision must be set before iterating the conditioning")
     old = quantity.conditioning
     cells = [(event & old & new_condition, value) for event, value in quantity.cells]
     cells.append((~old & new_condition, quantity.prevision))
-    return ConditionalRandomQuantity(new_condition, cells)
+    atoms = quantity._atoms
+    if new_condition.universe is not quantity.universe or not new_condition.atoms <= set(atoms):
+        return ConditionalRandomQuantity(new_condition, cells)
+    (new,) = truth_tables([new_condition], atoms)
+    given = quantity._given
+    raw = [table & given & new for table in quantity._raw] + [new & ~given]
+    return ConditionalRandomQuantity._from_tables(new_condition, cells, None, atoms, new, raw)
 
 
 def values_agree_on_union(

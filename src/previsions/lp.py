@@ -44,22 +44,31 @@ endpoint gives each group its extreme value.
 Inputs are ints and :class:`fractions.Fraction`\\ s, read as given.  The
 tableau is kept fraction-free: an integer matrix ``M`` over one common
 positive denominator ``d``, so that the rational tableau is exactly
-``M / d`` after every pivot.  On entry row ``i`` (like an objective) is
-scaled by the lcm ``s_i`` of its denominators, and ``d`` starts at the
-product of the rows' ``s_i``.  A pivot on ``M[r][c]`` replaces every
-other entry by ``(M[r][c] * M[i][j] - M[i][c] * M[r][j]) / d`` and makes
-``M[r][c]`` the new ``d`` (Edmonds' all-integer form of Bareiss's
-elimination); the division is always exact because each entry is a
-minor of the scaled input.  A negative pivot, which only the step that
-drives artificial variables out of the basis can meet, negates the
-whole matrix so that ``d`` stays positive.  The integer reduced costs
-are the rational ones times a positive factor, so both entering rules
-read them directly, and the ratio test compares ``M[i][rhs] / M[i][c]``
-by cross-multiplication; the pivot sequence is the one the rational
-tableau would take.  Pivots replace rows rather than edit them, so a
-copy of the row list is a copy of the tableau.  Only the returned
-solution, objective and certificate are built as
-:class:`fractions.Fraction`\\ s.
+``M / d`` after every pivot.  :func:`solve` scales row ``i`` and its
+right-hand side by the lcm ``s_i`` of their denominators, and
+:func:`optimize` its objective likewise; each then calls the one integer
+core, ``_solve`` or ``_optimize``, which takes integer rows (or costs)
+and their positive scales as they are, without rescaling them.  A
+caller holding its rows in integers already calls the core directly: a
+coherence system scales each member once, which may exceed the lcm of
+the member's row.  ``d`` starts at the product of the scales, so the
+first tableau is ``d`` times the oriented rational rows whatever the
+scales are: a scale changes ``d`` and the integers, never the rational
+tableau, the pivots, the point or the certificate.  A pivot on
+``M[r][c]`` replaces every other entry by ``(M[r][c] * M[i][j] -
+M[i][c] * M[r][j]) / d`` and makes ``M[r][c]`` the new ``d`` (Edmonds'
+all-integer form of Bareiss's elimination); the division is always
+exact because each entry is a minor of the scaled input.  A negative
+pivot, which only the step that drives artificial variables out of the
+basis can meet, negates the whole matrix so that ``d`` stays positive.
+The integer reduced costs are the rational ones times a positive factor,
+so both entering rules read them directly, and the ratio test compares
+``M[i][rhs] / M[i][c]`` by cross-multiplication; the pivot sequence is
+the one the rational tableau would take.  Pivots replace rows rather
+than edit them, so a copy of the row list is a copy of the tableau.
+Only the returned solution, objective and certificate are built as
+:class:`fractions.Fraction`\\ s, and ``_optimize`` builds the optimal
+point only when asked: a mass program hands on its value alone.
 
 When a system is infeasible the solver returns a Farkas certificate: a
 vector ``y`` with ``y . A_j <= 0`` for every column ``A_j`` of the
@@ -116,21 +125,27 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LPResu
         raise ValueError("rhs length does not match constraint count")
     if nvar == 0:
         raise ValueError("no variables")
+    scales, scaled = zip(*[_scaled([*row, v]) for row, v in zip(rows, rhs)])
+    return _solve([row[:-1] for row in scaled], [row[-1] for row in scaled], scales)
 
+
+def _solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[int]) -> LPResult:
+    """:func:`solve` on integer rows: ``rows[i]`` and ``rhs[i]`` are
+    ``scales[i] > 0`` times the rational row and right-hand side, taken
+    as they are."""
+    neq, nvar = len(rows), len(rows[0])
     # Orient every row so the right-hand side is nonnegative, remembering
-    # the sign flips so the Farkas certificate can be mapped back, and
-    # clear each row's denominators by their lcm.
+    # the sign flips so the Farkas certificate can be mapped back.
     signs = [-1 if value < 0 else 1 for value in rhs]
-    lcms, scaled = zip(*[_scaled([*row, v], s) for row, v, s in zip(rows, rhs, signs)])
-    # A row k * sum(x) = k, oriented and scaled: k, ..., k, k with k > 0.
-    simplex = any(row[-1] and row.count(row[-1]) == len(row) for row in scaled)
+    # A row k * sum(x) = k with k != 0.
+    simplex = any(b and row.count(b) == nvar for row, b in zip(rows, rhs))
 
     # One tableau column per group of equal columns, the group's first;
     # scaling a row is one-to-one, so equal scaled columns are equal ones.
     index: dict[tuple[int, ...], int] = {}
     firsts = []
     repeats = []
-    for j, column in zip(range(nvar), zip(*scaled)):
+    for j, column in enumerate(zip(*rows)):
         g = index.setdefault(column, len(firsts))
         if g < len(firsts):
             repeats.append((g, j))
@@ -138,16 +153,16 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LPResu
             firsts.append(j)
     width = len(firsts)
 
-    # Phase 1 tableau d * [A | I | b] with one artificial variable per row,
-    # and below it the phase 1 reduced costs, also times d.
-    d = prod(lcms)
+    # Phase 1 tableau d * [A | I | b], rows oriented, with one artificial
+    # variable per row, and below it the phase 1 reduced costs, also times d.
+    d = prod(scales)
     total = width + neq
     tableau = []
-    for i, (row, s) in enumerate(zip(scaled, lcms)):
-        k = d // s
+    for i, (row, b, s, sign) in enumerate(zip(rows, rhs, scales, signs)):
+        k = sign * (d // s)
         unit = [0] * neq
         unit[i] = d
-        tableau.append([k * row[j] for j in firsts] + unit + [k * row[nvar]])
+        tableau.append([k * row[j] for j in firsts] + unit + [k * b])
     bottom = [-sum(col) for col in zip(*tableau)]
     bottom[width:total] = [0] * neq
     tableau.append(bottom)
@@ -197,26 +212,40 @@ def optimize(
         return first
     if first._tableau is None:
         raise ValueError("optimize needs the feasible result of solve(rows, rhs)")
-    rows, basis, d, firsts, repeats, simplex = first._tableau
-    nvar = len(firsts) + len(repeats)
-    if len(objective) != nvar:
+    _, _, _, firsts, repeats, _ = first._tableau
+    if len(objective) != len(firsts) + len(repeats):
         raise ValueError("objective length does not match variable count")
-    # Integer costs scale * c (negated to maximize); each tableau column
-    # takes the cheapest copy of its group, the first among equals.
+    scale, costs = _scaled(objective)
+    return _optimize(first, costs, scale, maximize, point=True)
+
+
+def _optimize(
+    first: LPResult,
+    costs: Sequence[int],
+    scale: int,
+    maximize: bool = False,
+    point: bool = False,
+) -> LPResult:
+    """:func:`optimize` on the feasible ``first`` for integer costs,
+    ``scale > 0`` times the objective, taken as they are; the optimal
+    point is built only when ``point`` asks for it."""
+    rows, basis, d, firsts, repeats, simplex = first._tableau
+    # Integer costs (negated to maximize); each tableau column takes the
+    # cheapest copy of its group, the first among equals.
     sign = -1 if maximize else 1
-    scale, cost = _scaled(objective, sign)
     chosen = list(firsts)
-    costs = [cost[j] for j in firsts]
+    group = [sign * costs[j] for j in firsts]
     for g, j in repeats:
-        if cost[j] < costs[g]:
-            costs[g] = cost[j]
+        cost = sign * costs[j]
+        if cost < group[g]:
+            group[g] = cost
             chosen[g] = j
     # The reduced-cost row below the tableau is d times those costs
     # reduced by the basis.
     width = len(firsts)
-    bottom = [d * v for v in costs] + [0]
+    bottom = [d * v for v in group] + [0]
     for row, bv in zip(rows, basis):
-        coef = costs[bv]
+        coef = group[bv]
         if coef != 0:
             for j in range(width + 1):
                 bottom[j] -= coef * row[j]
@@ -224,21 +253,23 @@ def optimize(
     basis = list(basis)
 
     # On the simplex sign * scale * (c . x) is at least the least cost.
-    floor = min(costs) if simplex else None
+    floor = min(group) if simplex else None
     status, d = _minimize(tableau, basis, d, dantzig=True, floor=floor)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     value = Fraction(-sign * tableau[-1][width], d * scale)
-    solution = _extract(tableau, [chosen[bv] for bv in basis], nvar, d)
+    solution = None
+    if point:
+        solution = _extract(tableau, [chosen[bv] for bv in basis], width + len(repeats), d)
     return LPResult(OPTIMAL, solution=solution, objective=value)
 
 
-def _scaled(values: Sequence[int | Fraction], sign: int) -> tuple[int, list[int]]:
-    """The lcm ``s`` of the denominators of ``values``, and ``sign * s * values``."""
+def _scaled(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
+    """The lcm ``s`` of the denominators of ``values``, and ``s * values``."""
     # A list, not a generator: unpacking a generator into the call
     # raised the benchmark's peak RSS on ``extend`` by about 2 MB.
     s = lcm(*[v.denominator for v in values])
-    return s, [sign * v.numerator * (s // v.denominator) for v in values]
+    return s, [v.numerator * (s // v.denominator) for v in values]
 
 
 def _minimize(

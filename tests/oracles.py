@@ -175,6 +175,18 @@ def brute_coherent(assessment: Assessment) -> bool:
 # -- event semantics by enumeration --------------------------------------------
 
 
+def brute_reproduces(rows, target, weights) -> bool:
+    """Whether ``weights`` is a probability vector with ``rows[i] . w =
+    target[i]`` for every row, all in Fractions: a witness check written
+    without the library's common denominator."""
+    if any(len(row) != len(weights) for row in rows) or any(w < 0 for w in weights):
+        return False
+    if sum(weights, ZERO) != ONE:
+        return False
+    dots = [sum((c * w for c, w in zip(row, weights)), ZERO) for row in rows]
+    return dots == list(target)
+
+
 def truth_assignments(names):
     """Every total assignment over ``names``, False before True, first
     name slowest."""

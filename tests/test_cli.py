@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_coherent
-from previsions import lp
+from previsions import coherence, crq, lp
 from previsions.coherence import Assessment
 from previsions.crq import conditional_event
 from previsions.events import Universe
@@ -214,15 +214,15 @@ class TestCheckCommand:
     def test_failed_self_check_is_internal_error(self, tmp_path, capsys, monkeypatch):
         # A solver that returns a wrong witness trips the report's own
         # verification, which must not read as a verdict.
-        solve = lp.solve
+        solve = lp._solve
 
-        def wrong_witness(rows, rhs):
-            result = solve(rows, rhs)
+        def wrong_witness(rows, rhs, scales):
+            result = solve(rows, rhs, scales)
             if result.feasible:
                 return lp.LPResult(lp.OPTIMAL, solution=(F(1),) + (F(0),) * (len(rows[0]) - 1))
             return result
 
-        monkeypatch.setattr(lp, "solve", wrong_witness)
+        monkeypatch.setattr(lp, "_solve", wrong_witness)
         path = write_doc(tmp_path, coherent_pair_payload())
         assert main(["check", path]) == 3
         captured = capsys.readouterr()
@@ -784,3 +784,67 @@ class TestHostileDocuments:
             assert err.startswith("error: ") and err.count("\n") == 1
         else:
             json.loads(out)
+
+
+class TestExitCodes:
+    """Exit 2 is for input errors alone: a library fault that raises
+    ``ValueError`` is an internal error (exit 3), and each input error
+    that surfaces inside the library keeps its exit-2 text word for word."""
+
+    @staticmethod
+    def fault(*args, **kwargs):
+        raise ValueError("injected fault")
+
+    # Where each command reads them: ``lp._solve`` and ``lp._optimize`` are
+    # the LP entries every command runs, and ``crq`` holds the
+    # ``events.refine`` that builds every partition.
+    @pytest.mark.parametrize(
+        "module, name",
+        [(lp, "_solve"), (lp, "_optimize"), (crq, "refine"), (coherence, "build_system")],
+        ids=["lp._solve", "lp._optimize", "events.refine", "coherence.build_system"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("check",),
+            ("extend", "--target", "conjunction:0,1"),
+            ("conjoin", "--i", "0", "--j", "1"),
+        ],
+        ids=["check", "extend", "conjoin"],
+    )
+    def test_library_value_error_is_internal(self, tmp_path, monkeypatch, module, name, command):
+        monkeypatch.setattr(module, name, self.fault)
+        path = write_doc(tmp_path, coherent_pair_payload())
+        code, out, err = run_in_process([command[0], path, *command[1:]])
+        assert (code, out) == (3, "")
+        assert err == "internal error: ValueError: injected fault\n"
+
+    def test_uncovered_target(self, tmp_path):
+        payload = coherent_pair_payload()
+        payload["atoms"] += ["C", "L"]
+        payload["members"].append({"quantity": "C", "given": "L", "prevision": "1/2"})
+        path = write_doc(tmp_path, payload)
+        code, out, err = run_in_process(["extend", path, "--target", "conjunction:0,1"])
+        assert (code, out) == (2, "")
+        assert err == "error: target conditioning must cover every base conditioning event\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [("extend", "--target", "disjunction:0,1"), ("conjoin", "--i", "0", "--j", "1")],
+        ids=["extend", "conjoin"],
+    )
+    def test_operand_no_conditional_event(self, tmp_path, command):
+        payload = coherent_pair_payload()
+        payload["members"][0]["quantity"] = {"A": "2", "~A": "0"}
+        path = write_doc(tmp_path, payload)
+        code, out, err = run_in_process([command[0], path, *command[1:]])
+        assert (code, out) == (2, "")
+        assert err == "error: operand must be a conditional event (values in {0, 1})\n"
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [("--trials", "trials must be positive"), ("--max-len", "max_len must be at least 1")],
+    )
+    def test_simulate_run_parameter(self, option, message):
+        argv = ["simulate", "--pa", "1/2", "--pac", "1/4", "--seed", "1", option, "0"]
+        assert run_in_process(argv) == (2, "", f"error: {message}\n")

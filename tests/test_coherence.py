@@ -166,17 +166,18 @@ class TestUpperConditioningMasses:
 
 
 class TestPhaseOneCount:
-    """All LPs over one system share its phase 1, the only ``lp.solve``."""
+    """All LPs over one system share its phase 1, the only ``lp._solve``
+    (the integer entry behind ``lp.solve``)."""
 
     def count_solves(self, monkeypatch):
         calls = []
-        solve = lp.solve
+        solve = lp._solve
 
-        def counting(rows, rhs):
+        def counting(rows, rhs, scales):
             calls.append(len(rows))
-            return solve(rows, rhs)
+            return solve(rows, rhs, scales)
 
-        monkeypatch.setattr(lp, "solve", counting)
+        monkeypatch.setattr(lp, "_solve", counting)
         return calls
 
     def test_one_solve_per_level(self, monkeypatch):
@@ -208,6 +209,14 @@ class TestPhaseOneCount:
         assert (interval.lower, interval.upper) == (F(3, 10), F(3, 5))
         assert in_base_check == [1]
         assert len(calls) == 1
+
+    def test_masses_build_no_point(self):
+        # The witness is the only optimal point built per level.
+        u, a, h, b, k = four_atoms()
+        members = [conditional_event(a, h), conditional_event(b, a & h)]
+        with mock.patch.object(lp, "_extract", wraps=lp._extract) as points:
+            report = check_coherence(Assessment(members, [F(0), F(1, 3)]))
+        assert len(report.levels) == points.call_count == 2
 
     def test_infeasible_system_still_raises(self, monkeypatch):
         u, a, h, b, k = four_atoms()
@@ -479,17 +488,59 @@ def _random_assessment(rng, coherent_only=False):
     return None
 
 
+def kernel_vector(rows):
+    """A nonzero ``v`` with ``rows . v = 0``, by exact elimination; the
+    rows must have fewer independent rows than columns."""
+    matrix = [[F(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(len(matrix[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
+        if p is None:
+            continue
+        matrix[r], matrix[p] = matrix[p], matrix[r]
+        matrix[r] = [v / matrix[r][c] for v in matrix[r]]
+        for i, row in enumerate(matrix):
+            if i != r and row[c]:
+                matrix[i] = [a - row[c] * b for a, b in zip(row, matrix[r])]
+        pivots.append(c)
+    free = next(c for c in range(len(matrix[0])) if c not in pivots)
+    v = [F(0)] * len(matrix[0])
+    v[free] = F(1)
+    for row, c in zip(matrix, pivots):
+        v[c] = -row[free]
+    return v
+
+
+def negative_weight(w, rows):
+    """Move the witness along the kernel of all rows, total mass row
+    included, until one weight is -1/97: the same mass and points."""
+    v = kernel_vector(rows)
+    j = next(j for j, x in enumerate(v) if x)
+    t = -(w[j] + F(1, 97)) / v[j]
+    return tuple(a + t * b for a, b in zip(w, v))
+
+
+def extra_mass(w, rows):
+    """Add 1/97 at a column where every member's row is zero (the last
+    row is the total mass row): the right points, mass above one."""
+    j = next(j for j in range(len(w)) if not any(row[j] for row in rows[:-1]))
+    return w[:j] + (w[j] + F(1, 97),) + w[j + 1 :]
+
+
 class TestCertificateVerification:
     """Reports are checked before they are returned; a solver that hands
-    back a wrong witness or a wrong Farkas certificate is caught."""
+    back a wrong witness or a wrong Farkas certificate is caught.  Each
+    perturbed witness fails one guard alone: the weights' sum, their
+    signs, or the rows."""
 
     def patch_solver(self, monkeypatch, perturb):
-        solve = lp.solve
+        solve = lp._solve
 
-        def patched(rows, rhs):
-            return perturb(solve(rows, rhs))
+        def patched(rows, rhs, scales):
+            return perturb(solve(rows, rhs, scales), rows)
 
-        monkeypatch.setattr(lp, "solve", patched)
+        monkeypatch.setattr(lp, "_solve", patched)
 
     def coherent_pair(self):
         u, a, h, b, k = four_atoms()
@@ -510,16 +561,18 @@ class TestCertificateVerification:
     @pytest.mark.parametrize(
         "shift",
         [
-            lambda w: (w[0] + F(1, 97),) + w[1:],  # total mass above one
-            lambda w: w[1:] + w[:1],  # right mass, wrong points
-            lambda w: tuple(-v for v in w),  # negative weights
+            lambda w, rows: (w[0] + F(1, 97),) + w[1:],  # total mass above one
+            extra_mass,
+            lambda w, rows: w[1:] + w[:1],  # right mass, wrong points
+            lambda w, rows: tuple(-v for v in w),  # negative weights
+            negative_weight,
         ],
     )
     def test_perturbed_witness_is_refused(self, monkeypatch, shift):
-        def perturb(result):
+        def perturb(result, rows):
             if not result.feasible:
                 return result
-            return lp.LPResult(lp.OPTIMAL, solution=shift(result.solution))
+            return lp.LPResult(lp.OPTIMAL, solution=shift(result.solution, rows))
 
         self.patch_solver(monkeypatch, perturb)
         with pytest.raises(CertificateVerificationError, match="witness"):
@@ -533,7 +586,7 @@ class TestCertificateVerification:
         ],
     )
     def test_perturbed_certificate_is_refused(self, monkeypatch, shift):
-        def perturb(result):
+        def perturb(result, rows):
             if result.feasible:
                 return result
             return lp.LPResult(lp.INFEASIBLE, certificate=shift(result.certificate))

@@ -722,6 +722,40 @@ class TestSharedTables:
         assert shown(total) == shown(public)
         assert values_agree_on_union(total, public)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(documents())
+    def test_iterated_takes_the_shared_frame(self, document):
+        """Conditioning a member of one document anew on an event over the
+        document's atoms folds that event alone, over the member's frame,
+        and gives the quantity the public constructor builds."""
+        try:
+            _, members = realize(AssessmentDocument.from_payload(document))
+        except DocumentError:
+            return
+        new = members[0].conditioning | members[1].conditioning
+        with counting_folds() as fold:
+            result = iterated(members[0], new)
+        assert fold.call_count == 1 and len(fold.call_args.args[0]) == 1
+        assert result._atoms == members[0]._atoms and tabled(result)
+        public = ConditionalRandomQuantity(result.conditioning, result.cells, result.prevision)
+        assert shown(result) == shown(public)
+        assert values_agree_on_union(result.with_prevision(0), public.with_prevision(0))
+
+    def test_iterated_lands_on_the_document_frame(self):
+        document = {
+            "atoms": ["A", "H", "B", "K"],
+            "members": [
+                {"quantity": "A", "given": "H", "prevision": "1/2"},
+                {"quantity": "B", "given": "K", "prevision": "1/3"},
+            ],
+        }
+        universe, (first, second) = realize(AssessmentDocument.from_payload(document))
+        with counting_folds() as fold:
+            result = iterated(first, universe.parse("H | K"))
+            found = Assessment([result.with_prevision(F(1, 2)), second]).partition
+        assert fold.call_count == 1
+        assert result._atoms == found.atoms == ("A", "H", "B", "K")
+
     def test_pair_over_fewer_atoms_keeps_the_frame(self):
         document = {
             "atoms": ["A", "H", "B", "K"],

@@ -1,14 +1,15 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from math import lcm
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from previsions import lp
-from previsions.coherence import LinearSystem, upper_conditioning_masses
-from oracles import brute_masses, polytope_vertices
+from previsions.coherence import LinearSystem, _reproduces, upper_conditioning_masses
+from oracles import brute_masses, brute_reproduces, polytope_vertices
 
 # Primes and prime powers up to 97: mixing coprime denominators makes the
 # row lcms, and with them the integer tableau's common denominator, grow fast.
@@ -312,7 +313,11 @@ def assert_masses_match(points, target, membership):
     indicators = tuple(
         tuple(int(i in present) for present in membership) for i in range(len(target))
     )
-    system = LinearSystem(rows, target, indicators)
+    # Each member scaled by the lcm of its row's and its prevision's denominators.
+    scales, scaled = zip(*[lp._scaled([*row, t]) for row, t in zip(rows, target)])
+    ints = tuple(tuple(row[:-1]) for row in scaled)
+    system = LinearSystem(ints, tuple(row[-1] for row in scaled), scales, indicators)
+    assert (system.rows, system.target) == (rows, target)
     try:
         expected = tuple(brute_masses(points, membership, target))
     except ValueError:
@@ -551,8 +556,142 @@ class TestRepeatedColumns:
         # One member priced 1 and valued 1 inside its conditioning: both
         # points are (1,), but only the second lies in the conditioning,
         # and all the mass can go there.
-        system = LinearSystem(((F(1), F(1)),), (F(1),), ((0, 1),))
+        system = LinearSystem(((1, 1),), (1,), (1,), ((0, 1),))
         assert upper_conditioning_masses(system) == (1,)
+
+
+@st.composite
+def member_systems(draw):
+    """Level systems as ``build_system`` scales them.  Each member has a
+    few cell values and a prevision, any of them negative, over mixed
+    denominators; each column takes one of its cell values or its
+    prevision.  The member's scale is the lcm of all their denominators,
+    so a cell value that no column takes can make it exceed the lcm of
+    the member's row.  The total mass row comes last, at scale 1."""
+    width = draw(st.integers(1, 7))
+    value = st.builds(F, st.integers(-6, 6), st.sampled_from(DENOMINATORS[:12]))
+    rows, target, scales, indicators = [], [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        cells = draw(st.lists(value, min_size=1, max_size=4))
+        prevision = draw(value)
+        used = len(cells) - draw(st.integers(0, len(cells) - 1))
+        picks = [draw(st.sampled_from([None, *range(used)])) for _ in range(width)]
+        rows.append([prevision if k is None else cells[k] for k in picks])
+        target.append(prevision)
+        scales.append(lp._scaled([*cells, prevision])[0])
+        indicators.append([int(k is not None) for k in picks])
+    rows.append([F(1)] * width)
+    target.append(F(1))
+    scales.append(1)
+    return rows, target, scales, indicators
+
+
+def counted(run):
+    """The result of ``run()`` and the number of pivots it took."""
+    with mock.patch.object(lp, "_pivot", side_effect=lp._pivot) as pivots:
+        return run(), pivots.call_count
+
+
+class TestIntegerEntry:
+    """``lp._solve`` and ``lp._optimize`` on rows scaled per member, as
+    the coherence check calls them, against the public entries on the
+    rational rows: the scales change the tableau's common denominator
+    and nothing else."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(member_systems())
+    def test_same_outcome_and_pivots_as_the_public_entry(self, system):
+        rows, target, scales, indicators = system
+        scaled = [[s * v for v in row] for row, s in zip(rows, scales)]
+        assert all(v.denominator == 1 for row in scaled for v in row)
+        ints = [[int(v) for v in row] for row in scaled]
+        rhs = [int(s * t) for s, t in zip(scales, target)]
+        public, pivots = counted(lambda: lp.solve(rows, target))
+        private, private_pivots = counted(lambda: lp._solve(ints, rhs, scales))
+        assert (private.status, private.solution, private.certificate) == (
+            public.status,
+            public.solution,
+            public.certificate,
+        )
+        assert private_pivots == pivots
+        if not public.feasible:
+            return
+        for indicator in indicators:
+            mass, pivots = counted(lambda: lp.optimize(public, indicator, maximize=True))
+            found, private_pivots = counted(lambda: lp._optimize(private, indicator, 1, True))
+            assert (found.status, found.objective) == (mass.status, mass.objective)
+            assert found.solution is None
+            assert private_pivots == pivots
+
+    def test_a_member_scale_beyond_its_row(self):
+        # Member 0's row is (1/2, 1/4), lcm 4; its unused cell value 1/3
+        # makes its scale 12.  The prevision -1/4 orients the row.
+        rows, target = [[F(1, 2), F(-1, 4)], [F(1), F(1)]], [F(-1, 4), F(1)]
+        public = lp.solve(rows, target)
+        private = lp._solve([[6, -3], [1, 1]], [-3, 1], [12, 1])
+        assert private.solution == public.solution == (F(0), F(1))
+
+
+@st.composite
+def witnessed_systems(draw):
+    """Rational rows and a probability vector of weights over their
+    columns, at least two of them."""
+    width = draw(st.integers(2, 6))
+    value = st.builds(F, st.integers(-5, 5), st.sampled_from(DENOMINATORS[:10]))
+    row = st.lists(value, min_size=width, max_size=width)
+    rows = [draw(row) for _ in range(draw(st.integers(1, 4)))]
+    counts = draw(st.lists(st.integers(0, 4), min_size=width, max_size=width))
+    counts[draw(st.integers(0, width - 1))] += 1
+    return rows, [F(c, sum(counts)) for c in counts]
+
+
+def reproduced(rows, weights):
+    """The target ``rows . weights`` and the integer rows and target, each
+    row with its target scaled by the lcm of their denominators."""
+    target = [sum((c * w for c, w in zip(row, weights)), F(0)) for row in rows]
+    scaled = [lp._scaled([*row, t]) for row, t in zip(rows, target)]
+    return target, [row[:-1] for _, row in scaled], [row[-1] for _, row in scaled]
+
+
+class TestIntegerWitnessCheck:
+    """``coherence._reproduces`` on integer rows agrees with a Fraction
+    oracle, and refuses each way a witness can fail: a weight shifted by
+    ``1/d`` against the target of the weights before, and a negative
+    weight or weights summing to ``1 +- epsilon`` that each reproduce
+    their own target."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(witnessed_systems(), st.data())
+    def test_agrees_with_the_fraction_oracle(self, system, data):
+        rows, weights = system
+        target, ints, rhs = reproduced(rows, weights)
+        assert brute_reproduces(rows, target, weights)
+        assert _reproduces(ints, rhs, weights)
+
+        d = lcm(*[w.denominator for w in weights])
+        h, g = data.draw(st.permutations(range(len(weights))))[:2]
+        shifted = list(weights)
+        shifted[h] += data.draw(st.sampled_from((1, -1))) * F(1, d)
+        assert not brute_reproduces(rows, target, shifted)
+        assert not _reproduces(ints, rhs, shifted)
+
+        epsilon = F(1, data.draw(st.sampled_from((d, 2 * d, 97 * d, 10**12))))
+        negative = list(weights)
+        negative[h] -= weights[h] + epsilon
+        negative[g] += weights[h] + epsilon
+        sign = data.draw(st.sampled_from((1, -1)))
+        off = [w * (1 + sign * epsilon) for w in weights]
+        for wrong in (negative, off):
+            target, ints, rhs = reproduced(rows, wrong)
+            assert not brute_reproduces(rows, target, wrong)
+            assert not _reproduces(ints, rhs, wrong)
+
+    def test_target_rational_times_the_scale(self):
+        # An endpoint row: integer costs, its target a scaled rational.
+        assert _reproduces([[1, 3], [2, 2]], [2, F(5, 2)], [F(1, 2), F(1, 2)]) is False
+        assert _reproduces([[1, 3], [2, 2]], [2, 2], [F(1, 2), F(1, 2)])
+        assert _reproduces([[1, 2]], [F(4, 3)], [F(2, 3), F(1, 3)])
+        assert not _reproduces([[1, 2]], [F(4, 3)], [F(2, 3), F(1, 3), F(0)])
 
 
 class TestValidation:
