@@ -30,13 +30,7 @@ from typing import Any, Mapping, Sequence
 from . import bounds, crq, simulate
 from .coherence import Assessment, CoherenceReport, check_coherence
 from .crq import ConditionalRandomQuantity
-from .events import (
-    DEFAULT_ATOM_LIMIT,
-    AtomLimitError,
-    EventSyntaxError,
-    Universe,
-    used_atoms,
-)
+from .events import DEFAULT_ATOM_LIMIT, EventSyntaxError, Universe, used_atoms
 
 ATOM_CAP_ENV = "PREVISIONS_ATOM_CAP"
 
@@ -182,9 +176,12 @@ def _atom_cap() -> int:
     if raw is None:
         return DEFAULT_ATOM_LIMIT
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise DocumentError(f"{ATOM_CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise DocumentError("atom_limit must be at least 1")
+    return cap
 
 
 def realize(document: AssessmentDocument) -> tuple[Universe, list[ConditionalRandomQuantity]]:
@@ -198,7 +195,7 @@ def realize(document: AssessmentDocument) -> tuple[Universe, list[ConditionalRan
     try:
         for name in document.atoms:
             universe.atom(name)
-    except AtomLimitError as exc:
+    except ValueError as exc:  # an invalid atom name, or too many atoms
         raise DocumentError(str(exc)) from None
     parsed, failure = [], None
     for i, spec in enumerate(document.members):
@@ -229,7 +226,7 @@ def build_compound(
     i, j = spec.operands
     try:
         compound = _COMPOUND_BUILDERS[spec.kind](members[i], members[j])
-    except ValueError as exc:  # an operand that is no conditional event
+    except crq._NotAnEventError as exc:
         raise DocumentError(str(exc)) from None
     if spec.prevision is not None:
         compound = compound.with_prevision(spec.prevision)
@@ -385,12 +382,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     consequent = universe.atom("C")
     # Complete the joint by making the consequent independent of the
     # antecedent; the target P(C|A) = pac/pa does not depend on the choice.
+    dist = simulate.JointDistribution.independent(universe, {"A": pa, "C": pac / pa})
     try:
-        dist = simulate.JointDistribution.independent(universe, {"A": pa, "C": pac / pa})
         estimate = simulate.simulate_conditional(
             dist, antecedent, consequent, args.trials, args.max_len, args.seed
         )
-    except ValueError as exc:  # a run parameter out of range
+    except simulate._RunError as exc:
         raise DocumentError(str(exc)) from None
     with _exact_text():
         exact = str(pac / pa)

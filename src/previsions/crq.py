@@ -38,6 +38,11 @@ _ONE = Fraction(1)
 Rational = Fraction | int | str
 
 
+class _NotAnEventError(ValueError):
+    """A compound's operand takes a value outside {0, 1}: an input error
+    where the operands come from a document."""
+
+
 class ConditionalRandomQuantity:
     """A finite quantity restricted to a conditioning event.
 
@@ -368,7 +373,7 @@ def _event_parts(first, second):
     """The frame of two conditional events (see :func:`_frame`), then where
     each holds and its conditioning, as events and as truth tables over it."""
     if not (first.is_event and second.is_event):
-        raise ValueError("operand must be a conditional event (values in {0, 1})")
+        raise _NotAnEventError("operand must be a conditional event (values in {0, 1})")
     atoms, stored = _frame((first, second))
     events, tables = (), ()
     for quantity, (given, raw) in zip((first, second), stored):

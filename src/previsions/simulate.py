@@ -34,6 +34,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class _RunError(ValueError):
+    """Run parameters that yield no estimate: an input error where they
+    come from the command line."""
+
+
 class JointDistribution:
     """An exact probability for every total truth assignment."""
 
@@ -223,9 +228,9 @@ def finite_n_fixed_point(p_antecedent: Rational, p_joint: Rational, n: int) -> F
 
 def _check_run_params(trials: int, max_len: int) -> None:
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise _RunError("trials must be positive")
     if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+        raise _RunError("max_len must be at least 1")
 
 
 def _conjunction(
@@ -270,7 +275,7 @@ def _sample(
         else:
             indeterminate += 1
     if not recorded:
-        raise ValueError("every trial was indeterminate; raise max_len")
+        raise _RunError("every trial was indeterminate; raise max_len")
     k = len(recorded)
     mean = math.fsum(recorded) / k
     if k > 1:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_coherent
-from previsions import coherence, crq, lp
+from previsions import coherence, crq, lp, simulate
 from previsions.coherence import Assessment
 from previsions.crq import conditional_event
 from previsions.events import Universe
@@ -764,6 +764,8 @@ class TestHostileDocuments:
         document={"members": [VALID_MEMBER], "compounds": [5]}, command=("check",), cap=None
     )
     @example(document={"members": [VALID_MEMBER]}, command=("check",), cap="x")
+    @example(document={"members": [VALID_MEMBER]}, command=("check",), cap="0")
+    @example(document={"atoms": ["1x"], "members": [VALID_MEMBER]}, command=("check",), cap=None)
     @example(
         document={"atoms": ["A", "A", "B"], "members": [VALID_MEMBER]},
         command=("check",),
@@ -818,6 +820,53 @@ class TestExitCodes:
         code, out, err = run_in_process([command[0], path, *command[1:]])
         assert (code, out) == (3, "")
         assert err == "internal error: ValueError: injected fault\n"
+
+    # ``crq._frame`` runs inside every compound builder, after the operand
+    # check; ``simulate._sample`` runs inside the simulation.
+    @pytest.mark.parametrize(
+        "command",
+        [("extend", "--target", "conjunction:0,1"), ("conjoin", "--i", "0", "--j", "1")],
+        ids=["extend", "conjoin"],
+    )
+    def test_compound_builder_value_error_is_internal(self, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(crq, "_frame", self.fault)
+        path = write_doc(tmp_path, coherent_pair_payload())
+        code, out, err = run_in_process([command[0], path, *command[1:]])
+        assert (code, out, err) == (3, "", "internal error: ValueError: injected fault\n")
+
+    @pytest.mark.parametrize("name", ["_sample", "conditional_event"])
+    def test_simulation_value_error_is_internal(self, monkeypatch, name):
+        monkeypatch.setattr(simulate, name, self.fault)
+        argv = ["simulate", "--pa", "1/2", "--pac", "1/4", "--trials", "10", "--seed", "1"]
+        assert run_in_process(argv) == (3, "", "internal error: ValueError: injected fault\n")
+
+    def test_simulation_without_estimate(self):
+        # The antecedent never comes true in one draw, so no trial decides.
+        argv = ["simulate", "--pa", "1/1000000", "--pac", "0", "--trials", "1"]
+        argv += ["--max-len", "1", "--seed", "1"]
+        message = "error: every trial was indeterminate; raise max_len\n"
+        assert run_in_process(argv) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "atoms, cap, message",
+        [
+            (["1x"], None, "invalid atom name '1x'"),
+            (["A", "H"], "0", "atom_limit must be at least 1"),
+            (["A", "H"], "-3", "atom_limit must be at least 1"),
+        ],
+        ids=["atom-name", "zero-cap", "negative-cap"],
+    )
+    def test_universe_argument(self, tmp_path, monkeypatch, atoms, cap, message):
+        if cap is not None:
+            monkeypatch.setenv(ATOM_CAP_ENV, cap)
+        payload = {"atoms": atoms, "members": coherent_pair_payload()["members"]}
+        path = write_doc(tmp_path, payload)
+        assert run_in_process(["check", path]) == (2, "", f"error: {message}\n")
+
+    def test_simulate_atom_cap(self, monkeypatch):
+        monkeypatch.setenv(ATOM_CAP_ENV, "0")
+        argv = ["simulate", "--pa", "1/2", "--pac", "1/4", "--trials", "10", "--seed", "1"]
+        assert run_in_process(argv) == (2, "", "error: atom_limit must be at least 1\n")
 
     def test_uncovered_target(self, tmp_path):
         payload = coherent_pair_payload()
