@@ -42,6 +42,7 @@ from .coherence import (
     CoherenceReport,
     IncoherentAssessmentError,
     _reproduces,
+    _scaled,
     check_coherence,
 )
 from .crq import ConditionalRandomQuantity, Rational
@@ -121,8 +122,8 @@ def _extend(
         values.get(block.labels[:n], outside).append(target.cells[block.labels[n]][1])
     system, interval = base.system, []
     for maximize, extreme in ((False, min), (True, max)):
-        scale, costs = lp._scaled([extreme(v) for v in values.values()])
-        endpoint = lp._optimize(system.feasibility, costs, scale, maximize, point=True)
+        scale, costs = _scaled([extreme(v) for v in values.values()])
+        endpoint = lp.optimize(system.feasibility, costs, scale, maximize, True)  # and its point
         # Lifted onto the extreme blocks, the optimal point must solve
         # level 1 of the extended system priced at the endpoint.
         rows = (*system.scaled_rows, costs)

@@ -46,6 +46,14 @@ class DocumentError(ValueError):
     """Anything wrong with an input document or command arguments."""
 
 
+# The documented forms, "p/q" or a finite decimal in ASCII digits, read
+# the same on every Python: ``Fraction``'s own grammar changes between
+# versions (underscores, spaces around "/") and takes any Unicode digit.
+# Exponent notation is refused too: a ten-character "1e-3000000" expands
+# to a million-digit denominator that no check finishes with.
+_RATIONAL = re.compile(r"[-+]?(?:\d+(?:/\d+|\.\d*)?|\.\d+)", re.ASCII)
+
+
 def parse_rational(text: Any) -> Fraction:
     """Parse "p/q" or a finite decimal string into an exact rational."""
     shown = reprlib.repr(text)  # at most a few dozen characters
@@ -57,9 +65,7 @@ def parse_rational(text: Any) -> Fraction:
     if limit and max(map(len, re.findall(r"\d+", source)), default=0) > limit:
         raise DocumentError(f"rational {shown} has over {limit} digits in a row, Python's limit")
     try:
-        # Exponent notation is refused: a ten-character "1e-3000000"
-        # expands to a million-digit denominator that no check finishes with.
-        if "e" in source.lower():
+        if not _RATIONAL.fullmatch(source.strip()):
             raise ValueError(source)
         return Fraction(source)
     except (ValueError, ZeroDivisionError):
@@ -162,12 +168,15 @@ class AssessmentDocument:
     def load(cls, path: str) -> "AssessmentDocument":
         try:
             with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
+                try:
+                    payload = json.load(handle)
+                except (ValueError, RecursionError) as exc:
+                    # Malformed JSON, bytes that are not UTF-8, an integer
+                    # literal past Python's int-string digit limit, or
+                    # nesting deeper than the decoder's recursion.
+                    raise DocumentError(f"invalid JSON in {path}: {exc}") from None
         except OSError as exc:
             raise DocumentError(f"cannot read {path}: {exc}") from None
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # Nesting deeper than the decoder's recursion is bad input too.
-            raise DocumentError(f"invalid JSON in {path}: {exc}") from None
         return cls.from_payload(payload)
 
 

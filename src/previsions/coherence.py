@@ -10,7 +10,7 @@ convex hull of those points, i.e. that an exact linear feasibility
 system has a solution.  It is kept as the LP and every certificate
 read it, in integers: one row of values and one 0/1 indicator of the
 conditioning event per member, the row scaled once by the member's own
-scale; the rational rows and the points are derived only on request.
+scale; only the points are derived as rationals, on request.
 Members whose conditioning events carry zero mass in *every* solution
 are then re-checked recursively on their own; the assessment is
 coherent when each level is solvable and the zero-mass set empties out.
@@ -162,7 +162,7 @@ class LinearSystem:
     The system is stored in integers: ``scaled_rows[i]`` and
     ``scaled_target[i]`` are ``scales[i] > 0`` times member ``i``'s row
     and prevision.  The LP and every certificate read these; the rational
-    :attr:`rows`, :attr:`target` and :attr:`points` are derived on request.
+    :attr:`points` are derived on request.
     """
 
     scaled_rows: tuple[tuple[int, ...], ...]
@@ -170,30 +170,18 @@ class LinearSystem:
     scales: tuple[int, ...]
     indicators: tuple[tuple[int, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.scales)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        scaled = zip(self.scaled_rows, self.scales)
-        return tuple(tuple(Fraction(v, s) for v in row) for row, s in scaled)
-
-    @cached_property
-    def target(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(t, s) for t, s in zip(self.scaled_target, self.scales))
-
     @cached_property
     def points(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The columns as value points, derived from the rows on demand."""
-        return tuple(zip(*self.rows))
+        """The columns as rational value points, derived on demand."""
+        scaled = zip(self.scaled_rows, self.scales)
+        return tuple(zip(*[[Fraction(v, s) for v in row] for row, s in scaled]))
 
     @cached_property
     def feasibility(self) -> lp.LPResult:
         """Phase 1 (total mass row included), solved once: the level's
         witness or Farkas certificate, and the start of every later LP."""
         width = len(self.scaled_rows[0])
-        return lp._solve(
+        return lp.solve(
             [*self.scaled_rows, (1,) * width], [*self.scaled_target, 1], [*self.scales, 1]
         )
 
@@ -235,14 +223,14 @@ class CoherenceReport:
 def build_system(assessment: Assessment) -> LinearSystem:
     """The feasibility system of an assessment on its partition, in
     integers: each member is scaled once, by the lcm of the denominators
-    of its cell values and its prevision, so each cell is one lookup."""
+    of its cell values and its prevision (:func:`_scaled`), so each cell
+    is one lookup."""
     labels = zip(*[block.labels for block in assessment.partition.inside])
     rows, target, scales, indicators = [], [], [], []
     for member, prevision, column in zip(assessment.members, assessment.previsions, labels):
-        values = [value for _, value in member.cells]
-        s = lcm(prevision.denominator, *[v.denominator for v in values])
-        scaled = {k: v.numerator * (s // v.denominator) for k, v in enumerate(values)}
-        scaled[None] = t = prevision.numerator * (s // prevision.denominator)
+        s, (*values, t) = _scaled([*[value for _, value in member.cells], prevision])
+        scaled = dict(enumerate(values))
+        scaled[None] = t
         inside = dict.fromkeys(scaled, 1)
         inside[None] = 0
         rows.append(tuple(map(scaled.__getitem__, column)))
@@ -264,7 +252,7 @@ def upper_conditioning_masses(system: LinearSystem) -> tuple[Fraction, ...]:
     if not first.feasible:
         raise ValueError("system is infeasible")
     return tuple(
-        lp._optimize(first, indicator, 1, maximize=True).objective
+        lp.optimize(first, indicator, 1, True).objective
         for indicator in system.indicators
     )
 
@@ -340,8 +328,8 @@ def _gains(system: LinearSystem, stakes: Sequence[Fraction]) -> tuple[list[int],
     """Net gain of the stakes on each column of the system, as ints over
     one common positive denominator: stake ``y[i]`` counts ``y[i] /
     scales[i]`` on the integer row, and those are brought to one
-    denominator (:func:`lp._scaled`), so every product and sum is of ints."""
-    denominator, ints = lp._scaled([y / s for y, s in zip(stakes, system.scales)])
+    denominator (:func:`_scaled`), so every product and sum is of ints."""
+    denominator, ints = _scaled([y / s for y, s in zip(stakes, system.scales)])
     paid = sum(map(mul, ints, system.scaled_target))
     return [sum(map(mul, ints, column)) - paid for column in zip(*system.scaled_rows)], denominator
 
@@ -354,16 +342,24 @@ def _reproduces(
     """Whether ``w >= 0``, ``sum(w) = 1`` and ``rows[i] . w = target[i]``
     hold exactly for integer rows and rational targets, each row and its
     target scaled by the same positive factor.  The nonzero weights are
-    brought to one common denominator ``D`` (:func:`lp._scaled`), so every
+    brought to one common denominator ``D`` (:func:`_scaled`), so every
     check compares ints: the numerators sum to ``D``, and each row's dot
     product with them equals its target times ``D``."""
     if any(len(row) != len(weights) for row in rows):
         return False
     columns = [h for h, w in enumerate(weights) if w]
-    denominator, ints = lp._scaled([weights[h] for h in columns])
+    denominator, ints = _scaled([weights[h] for h in columns])
     if any(v < 0 for v in ints) or sum(ints) != denominator:
         return False
     return all(
         sum(map(mul, [row[h] for h in columns], ints)) * t.denominator == t.numerator * denominator
         for row, t in zip(rows, target)
     )
+
+
+def _scaled(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
+    """The lcm ``s`` of the denominators of ``values``, and ``s * values``."""
+    # A list, not a generator: unpacking a generator into the call
+    # raised the benchmark's peak RSS on ``extend`` by about 2 MB.
+    s = lcm(*[v.denominator for v in values])
+    return s, [v.numerator * (s // v.denominator) for v in values]

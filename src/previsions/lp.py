@@ -26,7 +26,7 @@ maximize); :func:`solve` records whether there is one, and phase 2 then
 stops as soon as the objective reaches that cost.
 
 Equal columns take one tableau column.  :func:`solve` groups equal
-columns of its scaled integer rows and keeps the first of each group.  A
+columns of its integer rows and keeps the first of each group.  A
 pivot updates a column from its own entries, the pivot row and the
 pivot column alone, so at every step a repeated column would have the
 same tableau column and reduced cost as its first copy.  Bland's rule
@@ -41,33 +41,30 @@ there.  The optimal value is the full problem's.  A mass objective thus
 gives each group the union of its copies' memberships, and an interval
 endpoint gives each group its extreme value.
 
-Inputs are ints and :class:`fractions.Fraction`\\ s, read as given.  The
-tableau is kept fraction-free: an integer matrix ``M`` over one common
-positive denominator ``d``, so that the rational tableau is exactly
-``M / d`` after every pivot.  :func:`solve` scales row ``i`` and its
-right-hand side by the lcm ``s_i`` of their denominators, and
-:func:`optimize` its objective likewise; each then calls the one integer
-core, ``_solve`` or ``_optimize``, which takes integer rows (or costs)
-and their positive scales as they are, without rescaling them.  A
-caller holding its rows in integers already calls the core directly: a
-coherence system scales each member once, which may exceed the lcm of
-the member's row.  ``d`` starts at the product of the scales, so the
-first tableau is ``d`` times the oriented rational rows whatever the
-scales are: a scale changes ``d`` and the integers, never the rational
-tableau, the pivots, the point or the certificate.  A pivot on
-``M[r][c]`` replaces every other entry by ``(M[r][c] * M[i][j] -
-M[i][c] * M[r][j]) / d`` and makes ``M[r][c]`` the new ``d`` (Edmonds'
-all-integer form of Bareiss's elimination); the division is always
-exact because each entry is a minor of the scaled input.  A negative
-pivot, which only the step that drives artificial variables out of the
-basis can meet, negates the whole matrix so that ``d`` stays positive.
-The integer reduced costs are the rational ones times a positive factor,
-so both entering rules read them directly, and the ratio test compares
-``M[i][rhs] / M[i][c]`` by cross-multiplication; the pivot sequence is
-the one the rational tableau would take.  Pivots replace rows rather
-than edit them, so a copy of the row list is a copy of the tableau.
-Only the returned solution, objective and certificate are built as
-:class:`fractions.Fraction`\\ s, and ``_optimize`` builds the optimal
+Inputs are integers, each row with its positive scale: ``rows[i]`` and
+``rhs[i]`` are ``scales[i]`` times the rational row and right-hand side,
+and an objective's costs are ``scale`` times the rational costs, taken
+as they are.  A coherence system scales each member once, which may
+exceed the lcm of the member's row.  The tableau is kept fraction-free:
+an integer matrix ``M`` over one common positive denominator ``d``, so
+that the rational tableau is exactly ``M / d`` after every pivot.  ``d``
+starts at the product of the scales, so the first tableau is ``d`` times
+the oriented rational rows whatever the scales are: a scale changes
+``d`` and the integers, never the rational tableau, the pivots, the
+point or the certificate.  A pivot on ``M[r][c]`` replaces every other
+entry by ``(M[r][c] * M[i][j] - M[i][c] * M[r][j]) / d`` and makes
+``M[r][c]`` the new ``d`` (Edmonds' all-integer form of Bareiss's
+elimination); the division is always exact because each entry is a
+minor of the scaled input.  A negative pivot, which only the step that
+drives artificial variables out of the basis can meet, negates the
+whole matrix so that ``d`` stays positive.  The integer reduced costs
+are the rational ones times a positive factor, so both entering rules
+read them directly, and the ratio test compares ``M[i][rhs] / M[i][c]``
+by cross-multiplication; the pivot sequence is the one the rational
+tableau would take.  Pivots replace rows rather than edit them, so a
+copy of the row list is a copy of the tableau.  Only the returned
+solution, objective and certificate are built as
+:class:`fractions.Fraction`\\ s, and :func:`optimize` builds the optimal
 point only when asked: a mass program hands on its value alone.
 
 When a system is infeasible the solver returns a Farkas certificate: a
@@ -80,7 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -112,9 +109,11 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LPResult:
-    """Phase 1 for ``rows . x = rhs, x >= 0``: infeasible with a Farkas
-    certificate, or a basic feasible point ready for :func:`optimize`."""
+def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[int]) -> LPResult:
+    """Phase 1 for ``rows . x = rhs, x >= 0``, where ``rows[i]`` and
+    ``rhs[i]`` are ``scales[i] > 0`` times the rational row and
+    right-hand side: infeasible with a Farkas certificate, or a basic
+    feasible point ready for :func:`optimize`."""
     neq = len(rows)
     if neq == 0:
         raise ValueError("no constraints")
@@ -125,15 +124,6 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> LPResu
         raise ValueError("rhs length does not match constraint count")
     if nvar == 0:
         raise ValueError("no variables")
-    scales, scaled = zip(*[_scaled([*row, v]) for row, v in zip(rows, rhs)])
-    return _solve([row[:-1] for row in scaled], [row[-1] for row in scaled], scales)
-
-
-def _solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[int]) -> LPResult:
-    """:func:`solve` on integer rows: ``rows[i]`` and ``rhs[i]`` are
-    ``scales[i] > 0`` times the rational row and right-hand side, taken
-    as they are."""
-    neq, nvar = len(rows), len(rows[0])
     # Orient every row so the right-hand side is nonnegative, remembering
     # the sign flips so the Farkas certificate can be mapped back.
     signs = [-1 if value < 0 else 1 for value in rhs]
@@ -198,38 +188,29 @@ def _solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[i
 
 
 def optimize(
-    first: LPResult, objective: Sequence[Fraction], maximize: bool = False
-) -> LPResult:
-    """Phase 2: ``min/max objective . x`` over the constraints ``first`` solved.
-
-    ``first`` is the result of ``solve(rows, rhs)``; an infeasible one is
-    returned as it is.  When those rows include one that reads ``k *
-    sum(x) = k``, the objective cannot pass its least cost (its greatest,
-    to maximize), and the solve stops as soon as it equals that cost,
-    which proves the point optimal.
-    """
-    if not first.feasible:
-        return first
-    if first._tableau is None:
-        raise ValueError("optimize needs the feasible result of solve(rows, rhs)")
-    _, _, _, firsts, repeats, _ = first._tableau
-    if len(objective) != len(firsts) + len(repeats):
-        raise ValueError("objective length does not match variable count")
-    scale, costs = _scaled(objective)
-    return _optimize(first, costs, scale, maximize, point=True)
-
-
-def _optimize(
     first: LPResult,
     costs: Sequence[int],
     scale: int,
     maximize: bool = False,
     point: bool = False,
 ) -> LPResult:
-    """:func:`optimize` on the feasible ``first`` for integer costs,
-    ``scale > 0`` times the objective, taken as they are; the optimal
-    point is built only when ``point`` asks for it."""
+    """Phase 2: ``min/max objective . x`` over the constraints ``first`` solved.
+
+    ``costs`` are ``scale > 0`` times the objective, taken as they are.
+    ``first`` is the result of ``solve(rows, rhs, scales)``; an infeasible
+    one is returned as it is.  When those rows include one that reads ``k
+    * sum(x) = k``, the objective cannot pass its least cost (its
+    greatest, to maximize), and the solve stops as soon as it equals that
+    cost, which proves the point optimal.  The optimal point is built
+    only when ``point`` asks for it.
+    """
+    if not first.feasible:
+        return first
+    if first._tableau is None:
+        raise ValueError("optimize needs the feasible result of solve(rows, rhs, scales)")
     rows, basis, d, firsts, repeats, simplex = first._tableau
+    if len(costs) != len(firsts) + len(repeats):
+        raise ValueError("objective length does not match variable count")
     # Integer costs (negated to maximize); each tableau column takes the
     # cheapest copy of its group, the first among equals.
     sign = -1 if maximize else 1
@@ -262,14 +243,6 @@ def _optimize(
     if point:
         solution = _extract(tableau, [chosen[bv] for bv in basis], width + len(repeats), d)
     return LPResult(OPTIMAL, solution=solution, objective=value)
-
-
-def _scaled(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
-    """The lcm ``s`` of the denominators of ``values``, and ``s * values``."""
-    # A list, not a generator: unpacking a generator into the call
-    # raised the benchmark's peak RSS on ``extend`` by about 2 MB.
-    s = lcm(*[v.denominator for v in values])
-    return s, [v.numerator * (s // v.denominator) for v in values]
 
 
 def _minimize(

@@ -70,17 +70,24 @@ class JointDistribution:
     ) -> "JointDistribution":
         """Product measure with the given per-atom probabilities."""
         atoms = universe.atoms
-        probs = [Fraction(marginals[name]) for name in atoms]
-        for name, p in zip(atoms, probs):
+        probs = []
+        for name in atoms:
+            if name not in marginals:
+                raise ValueError(f"no marginal for atom {name}")
+            p = Fraction(marginals[name])
             if not _ZERO <= p <= _ONE:
                 raise ValueError(f"marginal for {name} is outside [0, 1]")
-        table = {}
-        for bits in itertools.product((False, True), repeat=len(atoms)):
-            mass = _ONE
-            for p, bit in zip(probs, bits):
-                mass *= p if bit else _ONE - p
-            table[bits] = mass
-        return cls(universe, table)
+            probs.append(p)
+        # Each atom, last to first, doubles the masses, false half first,
+        # so the first atom is the highest bit of an assignment's index.
+        # The masses are nonnegative and sum to one by construction.
+        masses = [_ONE]
+        for p in reversed(probs):
+            masses = [m * (_ONE - p) for m in masses] + [m * p for m in masses]
+        distribution = cls.__new__(cls)
+        distribution._universe, distribution._atoms = universe, atoms
+        distribution._masses = tuple(masses)
+        return distribution
 
     @property
     def universe(self) -> Universe:

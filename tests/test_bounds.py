@@ -331,10 +331,10 @@ class TestEndpointCertificate:
     @pytest.fixture(autouse=True)
     def mutant(self, monkeypatch, mutate):
         def optimize(*args, **kwargs):
-            return mutate(lp._optimize(*args, **kwargs))
+            return mutate(lp.optimize(*args, **kwargs))
 
         # Only the interval's programs are mutated, not the base check's.
-        monkeypatch.setattr(bounds, "lp", SimpleNamespace(_scaled=lp._scaled, _optimize=optimize))
+        monkeypatch.setattr(bounds, "lp", SimpleNamespace(optimize=optimize))
 
     def test_extension_interval_raises(self):
         first, second = pair(F(7, 10), F(3, 5))

@@ -66,7 +66,10 @@ class TestRationals:
     def test_malformed(self):
         exponents = ("1e-3", "1E5", "2.5e1", "1e-3000000")
         long_decimal = "0." + "1" * 5000  # past Python's int-string digit limit
-        for bad in ("0.1.2", "1/0", "one half", None, 1.5, long_decimal, *exponents):
+        # Underscores, spaces around "/" and non-ASCII digits: forms whose
+        # reading by ``Fraction`` differs between Python versions.
+        versioned = ("1_000", "1_0/20", "1 / 2", "1/ 2", "\u0661/2", "1/\u0662")
+        for bad in ("0.1.2", "1/0", "one half", None, 1.5, long_decimal, *exponents, *versioned):
             with pytest.raises(DocumentError):
                 parse_rational(bad)
 
@@ -150,11 +153,18 @@ class TestCheckCommand:
         assert main(["check", "/nonexistent/file.json"]) == 2
 
     @pytest.mark.parametrize(
-        "text", ["{not json", "[" * 100000], ids=["malformed", "deeply-nested"]
+        "text",
+        [
+            b"{not json",
+            b"[" * 100000,
+            json.dumps(coherent_pair_payload()).encode().replace(b'"7/10"', b'"7/10\xff"'),
+            json.dumps(coherent_pair_payload()).replace('"7/10"', "1" + "0" * 4300).encode(),
+        ],
+        ids=["malformed", "deeply-nested", "not-utf-8", "integer-past-the-digit-limit"],
     )
     def test_invalid_json(self, text, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text(text)
+        path.write_bytes(text)
         assert main(["check", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -214,7 +224,7 @@ class TestCheckCommand:
     def test_failed_self_check_is_internal_error(self, tmp_path, capsys, monkeypatch):
         # A solver that returns a wrong witness trips the report's own
         # verification, which must not read as a verdict.
-        solve = lp._solve
+        solve = lp.solve
 
         def wrong_witness(rows, rhs, scales):
             result = solve(rows, rhs, scales)
@@ -222,7 +232,7 @@ class TestCheckCommand:
                 return lp.LPResult(lp.OPTIMAL, solution=(F(1),) + (F(0),) * (len(rows[0]) - 1))
             return result
 
-        monkeypatch.setattr(lp, "_solve", wrong_witness)
+        monkeypatch.setattr(lp, "solve", wrong_witness)
         path = write_doc(tmp_path, coherent_pair_payload())
         assert main(["check", path]) == 3
         captured = capsys.readouterr()
@@ -356,8 +366,8 @@ class TestResultsOfAnySize:
         witness = [read_rational(w) for w in report["trace"][0]["witness"]]
         system = Assessment(realize(AssessmentDocument.from_payload(payload))[1]).system
         assert all(w >= 0 for w in witness) and sum(witness) == 1
-        paid = [sum(w * value for w, value in zip(witness, row)) for row in system.rows]
-        assert paid == list(system.target) == [parse_rational(p) for p in previsions]
+        paid = [sum(w * value for w, value in zip(witness, point)) for point in zip(*system.points)]
+        assert paid == [parse_rational(p) for p in previsions]
         if name == "extend":  # the conjunction of a member with itself is the member
             interval = report["interval"]
             assert read_rational(interval["lower"]) == read_rational(interval["upper"]) == paid[0]
@@ -797,12 +807,13 @@ class TestExitCodes:
     def fault(*args, **kwargs):
         raise ValueError("injected fault")
 
-    # Where each command reads them: ``lp._solve`` and ``lp._optimize`` are
-    # the LP entries every command runs, and ``crq`` holds the
+    # Where each command reads them: ``lp.solve`` and ``lp.optimize`` are
+    # the LP entries every command runs (the ids keep the names these
+    # entries had when they were private), and ``crq`` holds the
     # ``events.refine`` that builds every partition.
     @pytest.mark.parametrize(
         "module, name",
-        [(lp, "_solve"), (lp, "_optimize"), (crq, "refine"), (coherence, "build_system")],
+        [(lp, "solve"), (lp, "optimize"), (crq, "refine"), (coherence, "build_system")],
         ids=["lp._solve", "lp._optimize", "events.refine", "coherence.build_system"],
     )
     @pytest.mark.parametrize(

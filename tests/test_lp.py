@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from previsions import lp
-from previsions.coherence import LinearSystem, _reproduces, upper_conditioning_masses
+from previsions.coherence import LinearSystem, _reproduces, _scaled, upper_conditioning_masses
 from oracles import brute_masses, brute_reproduces, polytope_vertices
 
 # Primes and prime powers up to 97: mixing coprime denominators makes the
@@ -17,6 +17,30 @@ DENOMINATORS = (
     1, 2, 3, 4, 5, 7, 9, 11, 13, 16, 17, 19, 23, 25, 29,
     31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
+
+
+def scaled(rows, rhs, scales=None):
+    """Rational rows and right-hand sides as the LP takes them: integer
+    rows and right-hand sides, row ``i`` and ``rhs[i]`` times
+    ``scales[i]``, by default the lcm of their denominators, and the
+    scales."""
+    if scales is None:
+        scales = [_scaled([*row, b])[0] for row, b in zip(rows, rhs)]
+    products = [[s * v for v in [*row, b]] for row, b, s in zip(rows, rhs, scales)]
+    assert all(v.denominator == 1 for row in products for v in row)
+    ints = [[int(v) for v in row] for row in products]
+    return [row[:-1] for row in ints], [row[-1] for row in ints], list(scales)
+
+
+def solve(rows, rhs):
+    """:func:`lp.solve` on rational rows and right-hand sides."""
+    return lp.solve(*scaled(rows, rhs))
+
+
+def optimize(first, objective, maximize=False):
+    """:func:`lp.optimize` for a rational objective, optimal point included."""
+    scale, costs = _scaled(objective)
+    return lp.optimize(first, costs, scale, maximize, point=True)
 
 
 def check_solution(rows, rhs, x):
@@ -36,7 +60,7 @@ class TestFeasibility:
     def test_simplex_point(self):
         rows = [[1, 1]]
         rhs = [1]
-        result = lp.solve(rows, rhs)
+        result = solve(rows, rhs)
         assert result.feasible
         check_solution(rows, rhs, result.solution)
 
@@ -44,28 +68,28 @@ class TestFeasibility:
         # w1 = 1/2 and w2 = 3/5 cannot also sum to 1.
         rows = [[1, 0], [0, 1], [1, 1]]
         rhs = [F(1, 2), F(3, 5), 1]
-        result = lp.solve(rows, rhs)
+        result = solve(rows, rhs)
         assert result.status == lp.INFEASIBLE
         check_certificate(rows, rhs, result.certificate)
 
     def test_negative_rhs_handled(self):
         rows = [[1, -1]]
         rhs = [F(-2)]
-        result = lp.solve(rows, rhs)
+        result = solve(rows, rhs)
         assert result.feasible
         check_solution(rows, rhs, result.solution)
 
     def test_redundant_rows_dropped(self):
         rows = [[1, 1], [2, 2]]
         rhs = [1, 2]
-        result = lp.optimize(lp.solve(rows, rhs), [1, 0], maximize=True)
+        result = optimize(solve(rows, rhs), [1, 0], maximize=True)
         assert result.feasible
         assert result.objective == 1
 
     def test_inconsistent_duplicate_rows(self):
         rows = [[1, 1], [1, 1]]
         rhs = [1, 2]
-        result = lp.solve(rows, rhs)
+        result = solve(rows, rhs)
         assert result.status == lp.INFEASIBLE
         check_certificate(rows, rhs, result.certificate)
 
@@ -74,29 +98,29 @@ class TestOptimization:
     def test_maximize_coordinate_on_simplex(self):
         rows = [[1, 1, 1]]
         rhs = [1]
-        result = lp.optimize(lp.solve(rows, rhs), [0, 1, 0], maximize=True)
+        result = optimize(solve(rows, rhs), [0, 1, 0], maximize=True)
         assert result.objective == 1
 
     def test_minimize_with_coupling(self):
         # x1 + x2 = 1, x1 - x3 = 1/4: minimize x1 gives x1 = 1/4 (x3 = 0).
         rows = [[1, 1, 0], [1, 0, -1]]
         rhs = [1, F(1, 4)]
-        low = lp.optimize(lp.solve(rows, rhs), [1, 0, 0])
-        high = lp.optimize(lp.solve(rows, rhs), [1, 0, 0], maximize=True)
+        low = optimize(solve(rows, rhs), [1, 0, 0])
+        high = optimize(solve(rows, rhs), [1, 0, 0], maximize=True)
         assert low.objective == F(1, 4)
         assert high.objective == 1
 
     def test_unbounded(self):
         rows = [[1, -1]]
         rhs = [1]
-        result = lp.optimize(lp.solve(rows, rhs), [1, 0], maximize=True)
+        result = optimize(solve(rows, rhs), [1, 0], maximize=True)
         assert result.status == lp.UNBOUNDED
 
     def test_exactness_no_drift(self):
         # Tenths stay exact; any float path would leak binary noise.
         rows = [[F(1, 10), F(3, 10)], [1, 1]]
         rhs = [F(1, 5), 1]
-        result = lp.optimize(lp.solve(rows, rhs), [1, 0], maximize=True)
+        result = optimize(solve(rows, rhs), [1, 0], maximize=True)
         assert result.feasible
         assert result.solution == (F(1, 2), F(1, 2))
 
@@ -115,7 +139,7 @@ class TestAgainstVertexEnumeration:
             rows = [[p[i] for p in points] for i in range(n)]
             rows.append([F(1)] * m)
             rhs = list(target) + [F(1)]
-            result = lp.solve(rows, rhs)
+            result = solve(rows, rhs)
             expected = bool(polytope_vertices(points, target))
             assert result.feasible == expected
             if result.feasible:
@@ -139,7 +163,7 @@ class TestAgainstVertexEnumeration:
             rows = [[p[i] for p in points] for i in range(n)]
             rows.append([F(1)] * m)
             rhs = list(target) + [F(1)]
-            result = lp.optimize(lp.solve(rows, rhs), cost, maximize=True)
+            result = optimize(solve(rows, rhs), cost, maximize=True)
             best = max(sum(c * w for c, w in zip(cost, v)) for v in vertices)
             assert result.objective == best
 
@@ -205,14 +229,14 @@ class TestDifferentialAgainstVertexEnumeration:
         points, target, rows, rhs, cost, maximize = problem
         vertices = polytope_vertices(points, target)
 
-        result = lp.solve(rows, rhs)
+        result = solve(rows, rhs)
         assert result.feasible == bool(vertices)
         if result.feasible:
             check_solution(rows, rhs, result.solution)
         else:
             check_certificate(rows, rhs, result.certificate)
 
-        result = lp.optimize(lp.solve(rows, rhs), cost, maximize)
+        result = optimize(solve(rows, rhs), cost, maximize)
         if not vertices:
             assert result.status == lp.INFEASIBLE
             check_certificate(rows, rhs, result.certificate)
@@ -267,7 +291,7 @@ PHASE_ONE_DIGEST = "9c70b13727bcf4ef958f52c1a049d3da6188e8466c671cb91c4bbe6ce1f9
 def phase_one_digest(systems):
     digest = hashlib.sha256()
     for rows, rhs in systems:
-        result = lp.solve(rows, rhs)
+        result = solve(rows, rhs)
         digest.update(f"{result.status} {result.solution} {result.certificate}\n".encode())
     return digest.hexdigest()
 
@@ -314,10 +338,9 @@ def assert_masses_match(points, target, membership):
         tuple(int(i in present) for present in membership) for i in range(len(target))
     )
     # Each member scaled by the lcm of its row's and its prevision's denominators.
-    scales, scaled = zip(*[lp._scaled([*row, t]) for row, t in zip(rows, target)])
-    ints = tuple(tuple(row[:-1]) for row in scaled)
-    system = LinearSystem(ints, tuple(row[-1] for row in scaled), scales, indicators)
-    assert (system.rows, system.target) == (rows, target)
+    ints, rhs, scales = scaled(rows, target)
+    system = LinearSystem(tuple(map(tuple, ints)), tuple(rhs), tuple(scales), indicators)
+    assert system.points == points
     try:
         expected = tuple(brute_masses(points, membership, target))
     except ValueError:
@@ -330,7 +353,7 @@ def assert_masses_match(points, target, membership):
 def bland_solve(rows, rhs, objective, maximize):
     """Phase 1 then phase 2, with Bland's rule in phase 2 as well."""
     with mock.patch.object(lp, "DEGENERATE_RUN", 0):
-        return lp.optimize(lp.solve(rows, rhs), objective, maximize)
+        return optimize(solve(rows, rhs), objective, maximize)
 
 
 class TestSharedPhaseOne:
@@ -352,7 +375,7 @@ class TestSharedPhaseOne:
     def test_optimize_matches_one_shot_bland(self, problem):
         points, target, rows, rhs, objectives = problem
         vertices = polytope_vertices(points, target)
-        first = lp.solve(rows, rhs)
+        first = solve(rows, rhs)
         assert first.feasible == bool(vertices)
         if first.feasible:
             check_solution(rows, rhs, first.solution)
@@ -361,7 +384,7 @@ class TestSharedPhaseOne:
         for cost in objectives:
             for maximize in (False, True):
                 reference = bland_solve(rows, rhs, cost, maximize)
-                result = lp.optimize(first, cost, maximize)
+                result = optimize(first, cost, maximize)
                 assert result.status == reference.status
                 assert result.objective == reference.objective
                 if not result.feasible:
@@ -392,7 +415,7 @@ class TestSharedPhaseOne:
             [0, 0, 1, 0, 0, 1, 0],
         ]
         cost = [0, 0, 0, F(-3, 4), 20, F(-1, 2), 6]
-        first = lp.solve(rows, [0, 0, 1])
+        first = solve(rows, [0, 0, 1])
         assert first.solution == (0, 0, 1, 0, 0, 0, 0)
         pivot = lp._pivot
 
@@ -404,11 +427,11 @@ class TestSharedPhaseOne:
 
         with mock.patch.object(lp, "_pivot", guarded):
             guarded.count = 0
-            assert lp.optimize(first, cost).objective == F(-5, 4)
+            assert optimize(first, cost).objective == F(-5, 4)
             guarded.count = 0
             with mock.patch.object(lp, "DEGENERATE_RUN", 10**9):
                 with pytest.raises(RuntimeError, match="cycling"):
-                    lp.optimize(first, cost)
+                    optimize(first, cost)
 
     @pytest.mark.parametrize(
         "k, total, pivots",
@@ -422,11 +445,11 @@ class TestSharedPhaseOne:
         # x2 improve and pivots once; when total = k, the greatest cost 1
         # proves the point optimal without a pivot.
         t = F(total) / k
-        first = lp.solve([[k, k, k], [1, -1, 0]], [total, t])
+        first = solve([[k, k, k], [1, -1, 0]], [total, t])
         assert first.solution == (t, 0, 0)
         pivot = lp._pivot
         with mock.patch.object(lp, "_pivot", side_effect=pivot) as counted:
-            assert lp.optimize(first, [1, 0, 1], maximize=True).objective == t
+            assert optimize(first, [1, 0, 1], maximize=True).objective == t
         assert counted.call_count == pivots
 
     @pytest.mark.parametrize(
@@ -442,13 +465,13 @@ class TestSharedPhaseOne:
         # leaves a point where x0 + x2 (or x0) equals the greatest cost,
         # 1, and phase 2 must still go on past it.
         cost = [1, 0, 1][: len(rows[0])]
-        result = lp.optimize(lp.solve(rows, rhs), cost, maximize=True)
+        result = optimize(solve(rows, rhs), cost, maximize=True)
         assert (result.status, result.objective) == (status, objective)
 
     def test_optimize_needs_a_phase_one_result(self):
-        result = lp.optimize(lp.solve([[1, 1]], [1]), [1, 0])
+        result = optimize(solve([[1, 1]], [1]), [1, 0])
         with pytest.raises(ValueError, match="solve"):
-            lp.optimize(result, [1, 0])
+            lp.optimize(result, [1, 0], 1)
 
 
 @st.composite
@@ -503,8 +526,8 @@ class TestRepeatedColumns:
     @given(repeated_columns())
     def test_phase_one_is_that_without_copies(self, problem):
         _, _, rows, rhs, origin, copied, _, _ = problem
-        plain = lp.solve(rows, rhs)
-        result = lp.solve(copied, rhs)
+        plain = solve(rows, rhs)
+        result = solve(copied, rhs)
         expected = None
         if plain.solution is not None:
             expected = tuple(
@@ -525,7 +548,7 @@ class TestRepeatedColumns:
     def test_optimize_weights_only_a_cheapest_copy(self, problem):
         points, target, _, rhs, origin, copied, costs, maximize = problem
         vertices = polytope_vertices([points[h] for h in origin], target)
-        result = lp.optimize(lp.solve(copied, rhs), costs, maximize)
+        result = optimize(solve(copied, rhs), costs, maximize)
         if not vertices:
             assert result.status == lp.INFEASIBLE
             return
@@ -578,7 +601,7 @@ def member_systems(draw):
         picks = [draw(st.sampled_from([None, *range(used)])) for _ in range(width)]
         rows.append([prevision if k is None else cells[k] for k in picks])
         target.append(prevision)
-        scales.append(lp._scaled([*cells, prevision])[0])
+        scales.append(_scaled([*cells, prevision])[0])
         indicators.append([int(k is not None) for k in picks])
     rows.append([F(1)] * width)
     target.append(F(1))
@@ -593,43 +616,40 @@ def counted(run):
 
 
 class TestIntegerEntry:
-    """``lp._solve`` and ``lp._optimize`` on rows scaled per member, as
-    the coherence check calls them, against the public entries on the
-    rational rows: the scales change the tableau's common denominator
-    and nothing else."""
+    """``lp.solve`` and ``lp.optimize`` on rows scaled per member, as the
+    coherence check calls them, against the same rows scaled by the lcm
+    of each row's denominators, the public entry's scaling before it took
+    integers: the scales change the tableau's common denominator and
+    nothing else."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(member_systems())
     def test_same_outcome_and_pivots_as_the_public_entry(self, system):
         rows, target, scales, indicators = system
-        scaled = [[s * v for v in row] for row, s in zip(rows, scales)]
-        assert all(v.denominator == 1 for row in scaled for v in row)
-        ints = [[int(v) for v in row] for row in scaled]
-        rhs = [int(s * t) for s, t in zip(scales, target)]
-        public, pivots = counted(lambda: lp.solve(rows, target))
-        private, private_pivots = counted(lambda: lp._solve(ints, rhs, scales))
-        assert (private.status, private.solution, private.certificate) == (
-            public.status,
-            public.solution,
-            public.certificate,
+        least, pivots = counted(lambda: solve(rows, target))
+        member, member_pivots = counted(lambda: lp.solve(*scaled(rows, target, scales)))
+        assert (member.status, member.solution, member.certificate) == (
+            least.status,
+            least.solution,
+            least.certificate,
         )
-        assert private_pivots == pivots
-        if not public.feasible:
+        assert member_pivots == pivots
+        if not least.feasible:
             return
         for indicator in indicators:
-            mass, pivots = counted(lambda: lp.optimize(public, indicator, maximize=True))
-            found, private_pivots = counted(lambda: lp._optimize(private, indicator, 1, True))
+            mass, pivots = counted(lambda: optimize(least, indicator, maximize=True))
+            found, member_pivots = counted(lambda: lp.optimize(member, indicator, 1, True))
             assert (found.status, found.objective) == (mass.status, mass.objective)
             assert found.solution is None
-            assert private_pivots == pivots
+            assert member_pivots == pivots
 
     def test_a_member_scale_beyond_its_row(self):
         # Member 0's row is (1/2, 1/4), lcm 4; its unused cell value 1/3
         # makes its scale 12.  The prevision -1/4 orients the row.
         rows, target = [[F(1, 2), F(-1, 4)], [F(1), F(1)]], [F(-1, 4), F(1)]
-        public = lp.solve(rows, target)
-        private = lp._solve([[6, -3], [1, 1]], [-3, 1], [12, 1])
-        assert private.solution == public.solution == (F(0), F(1))
+        least = solve(rows, target)
+        member = lp.solve([[6, -3], [1, 1]], [-3, 1], [12, 1])
+        assert member.solution == least.solution == (F(0), F(1))
 
 
 @st.composite
@@ -649,8 +669,8 @@ def reproduced(rows, weights):
     """The target ``rows . weights`` and the integer rows and target, each
     row with its target scaled by the lcm of their denominators."""
     target = [sum((c * w for c, w in zip(row, weights)), F(0)) for row in rows]
-    scaled = [lp._scaled([*row, t]) for row, t in zip(rows, target)]
-    return target, [row[:-1] for _, row in scaled], [row[-1] for _, row in scaled]
+    ints, rhs, _ = scaled(rows, target)
+    return target, ints, rhs
 
 
 class TestIntegerWitnessCheck:
@@ -696,13 +716,13 @@ class TestIntegerWitnessCheck:
 
 class TestValidation:
     def test_shape_errors(self):
-        with pytest.raises(ValueError):
-            lp.solve([], [])
-        with pytest.raises(ValueError):
-            lp.solve([[1, 2], [1]], [1, 1])
-        with pytest.raises(ValueError):
-            lp.solve([[1]], [1, 2])
+        with pytest.raises(ValueError, match="no constraints"):
+            lp.solve([], [], [])
+        with pytest.raises(ValueError, match="ragged"):
+            lp.solve([[1, 2], [1]], [1, 1], [1, 1])
+        with pytest.raises(ValueError, match="rhs length"):
+            lp.solve([[1]], [1, 2], [1])
         with pytest.raises(ValueError, match="no variables"):
-            lp.solve([[]], [0])
-        with pytest.raises(ValueError):
-            lp.optimize(lp.solve([[1]], [1]), [1, 2])
+            lp.solve([[]], [0], [1])
+        with pytest.raises(ValueError, match="objective length"):
+            lp.optimize(lp.solve([[1]], [1], [1]), [1, 2], 1)

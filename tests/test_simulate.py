@@ -73,6 +73,23 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="marginal for C"):
             JointDistribution.independent(u, {"A": F(1, 2), "C": F(3, 2)})
 
+    def test_missing_marginal_is_named(self):
+        u, a, c = two_coin_universe()
+        with pytest.raises(ValueError, match="^no marginal for atom C$"):
+            JointDistribution.independent(u, {"A": F(1, 2)})
+
+    def test_independent_masses_are_the_products(self):
+        u = Universe()
+        atoms = [u.atom(n) for n in "ABCD"]
+        marginals = dict(zip("ABCD", (F(1, 2), F(1, 3), F(0), F(4, 7))))
+        dist = JointDistribution.independent(u, marginals)
+        for bits in itertools.product((False, True), repeat=4):
+            world, product = u.true(), F(1)
+            for name, atom, bit in zip("ABCD", atoms, bits):
+                world &= atom if bit else ~atom
+                product *= marginals[name] if bit else 1 - marginals[name]
+            assert dist.probability(world) == product
+
     def test_events_of_another_universe_rejected(self):
         # The distribution's universe has an atom A but none called C.
         u = Universe()
