@@ -48,6 +48,7 @@ from .events import (
     Event,
     EventSyntaxError,
     ImpossibleConditioningError,
+    InputError,
     Universe,
     constituents,
     logically_independent,
@@ -79,6 +80,7 @@ __all__ = [
     "ExtensionVerificationError",
     "ImpossibleConditioningError",
     "IncoherentAssessmentError",
+    "InputError",
     "JointDistribution",
     "LinearSystem",
     "SimEstimate",

@@ -46,6 +46,7 @@ from .coherence import (
     check_coherence,
 )
 from .crq import ConditionalRandomQuantity, Rational
+from .events import InputError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -58,11 +59,6 @@ class ExtensionVerificationError(RuntimeError):
     linear programs are exact, so a failure here indicates a bug rather
     than a legitimate outcome.
     """
-
-
-class _UncoveredTargetError(ValueError):
-    """The target's conditioning misses a constituent inside the base
-    conditioning events: an input error, not a fault."""
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,7 @@ def _extend(
     if not report.coherent:
         return report, None
     if any(block.labels[n] is None for block in blocks):
-        raise _UncoveredTargetError("target conditioning must cover every base conditioning event")
+        raise InputError("target conditioning must cover every base conditioning event")
     # The target's values on each base block, and outside them all.
     values = {block.labels: [] for block in base.partition.inside}
     outside: list[Fraction] = []

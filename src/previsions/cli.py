@@ -28,9 +28,9 @@ from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from . import bounds, crq, simulate
-from .coherence import Assessment, CoherenceReport, check_coherence
+from .coherence import Assessment, CoherenceReport, IncoherentAssessmentError, check_coherence
 from .crq import ConditionalRandomQuantity
-from .events import DEFAULT_ATOM_LIMIT, EventSyntaxError, Universe, used_atoms
+from .events import DEFAULT_ATOM_LIMIT, InputError, Universe, used_atoms
 
 ATOM_CAP_ENV = "PREVISIONS_ATOM_CAP"
 
@@ -42,7 +42,7 @@ _COMPOUND_BUILDERS = {
 }
 
 
-class DocumentError(ValueError):
+class DocumentError(InputError):
     """Anything wrong with an input document or command arguments."""
 
 
@@ -185,12 +185,9 @@ def _atom_cap() -> int:
     if raw is None:
         return DEFAULT_ATOM_LIMIT
     try:
-        cap = int(raw)
+        return int(raw)  # a cap below 1 is refused by Universe
     except ValueError:
         raise DocumentError(f"{ATOM_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise DocumentError("atom_limit must be at least 1")
-    return cap
 
 
 def realize(document: AssessmentDocument) -> tuple[Universe, list[ConditionalRandomQuantity]]:
@@ -201,11 +198,8 @@ def realize(document: AssessmentDocument) -> tuple[Universe, list[ConditionalRan
     events, so a member's own error still comes before a later member's
     parse error."""
     universe = Universe(atom_limit=_atom_cap())
-    try:
-        for name in document.atoms:
-            universe.atom(name)
-    except ValueError as exc:  # an invalid atom name, or too many atoms
-        raise DocumentError(str(exc)) from None
+    for name in document.atoms:
+        universe.atom(name)  # an invalid atom name, or too many atoms
     parsed, failure = [], None
     for i, spec in enumerate(document.members):
         try:
@@ -214,7 +208,7 @@ def realize(document: AssessmentDocument) -> tuple[Universe, list[ConditionalRan
                 cells = crq._indicator(universe.parse(spec.quantity), given)
             else:
                 cells = [(universe.parse(cell), value) for cell, value in spec.quantity.items()]
-        except (EventSyntaxError, ValueError) as exc:
+        except InputError as exc:
             failure = DocumentError(f"member {i}: {exc}")
             break
         parsed.append((given, cells, spec.prevision))
@@ -222,7 +216,7 @@ def realize(document: AssessmentDocument) -> tuple[Universe, list[ConditionalRan
     try:
         for member in crq._family(parsed):
             members.append(member)
-    except ValueError as exc:
+    except InputError as exc:
         raise DocumentError(f"member {len(members)}: {exc}") from None
     if failure is not None:
         raise failure
@@ -233,10 +227,7 @@ def build_compound(
     members: Sequence[ConditionalRandomQuantity], spec: CompoundSpec
 ) -> ConditionalRandomQuantity:
     i, j = spec.operands
-    try:
-        compound = _COMPOUND_BUILDERS[spec.kind](members[i], members[j])
-    except crq._NotAnEventError as exc:
-        raise DocumentError(str(exc)) from None
+    compound = _COMPOUND_BUILDERS[spec.kind](members[i], members[j])
     if spec.prevision is not None:
         compound = compound.with_prevision(spec.prevision)
     return compound
@@ -324,10 +315,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     document = AssessmentDocument.load(args.file)
     _, members = realize(document)
     target = build_compound(members, _parse_target(args.target, len(members)))
-    try:
-        report, interval = bounds._extend(Assessment(members), target)
-    except bounds._UncoveredTargetError as exc:
-        raise DocumentError(str(exc)) from None
+    report, interval = bounds._extend(Assessment(members), target)
     if interval is None:
         _emit(report_payload(report, diagnostics=("base assessment is incoherent",)))
         return 1
@@ -341,9 +329,9 @@ def cmd_conjoin(args: argparse.Namespace) -> int:
     for index in (args.i, args.j):
         if not 0 <= index < len(members):
             raise DocumentError(f"member index {index} out of range")
-    pair = CompoundSpec("conjunction", (args.i, args.j), None)
-    compound = build_compound(members, pair)
-    if not check_coherence(Assessment([members[args.i], members[args.j]])).coherent:
+    try:
+        compound = crq.conjunction(members[args.i], members[args.j])
+    except IncoherentAssessmentError:
         _emit({"verdict": "incoherent", "detail": "operand previsions are incoherent"})
         return 1
     with _exact_text():
@@ -392,12 +380,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Complete the joint by making the consequent independent of the
     # antecedent; the target P(C|A) = pac/pa does not depend on the choice.
     dist = simulate.JointDistribution.independent(universe, {"A": pa, "C": pac / pa})
-    try:
-        estimate = simulate.simulate_conditional(
-            dist, antecedent, consequent, args.trials, args.max_len, args.seed
-        )
-    except simulate._RunError as exc:
-        raise DocumentError(str(exc)) from None
+    estimate = simulate.simulate_conditional(
+        dist, antecedent, consequent, args.trials, args.max_len, args.seed
+    )
     with _exact_text():
         exact = str(pac / pa)
     _emit(
@@ -475,8 +460,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        # Input errors, turned into DocumentError where they surface, are
+    except InputError as exc:
+        # Input errors, marked as InputError where they are checked, are
         # exit code 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,18 +29,13 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 # The constructor raises ImpossibleConditioningError; it is importable here too.
-from .events import Assignment, Event, ImpossibleConditioningError, cut, refine, split
-from .events import truth_tables
+from .events import Assignment, Event, ImpossibleConditioningError, InputError, cut, refine
+from .events import split, truth_tables
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Rational = Fraction | int | str
-
-
-class _NotAnEventError(ValueError):
-    """A compound's operand takes a value outside {0, 1}: an input error
-    where the operands come from a document."""
 
 
 class ConditionalRandomQuantity:
@@ -373,7 +368,7 @@ def _event_parts(first, second):
     """The frame of two conditional events (see :func:`_frame`), then where
     each holds and its conditioning, as events and as truth tables over it."""
     if not (first.is_event and second.is_event):
-        raise _NotAnEventError("operand must be a conditional event (values in {0, 1})")
+        raise InputError("operand must be a conditional event (values in {0, 1})")
     atoms, stored = _frame((first, second))
     events, tables = (), ()
     for quantity, (given, raw) in zip((first, second), stored):

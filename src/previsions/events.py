@@ -32,7 +32,12 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 Assignment = Mapping[str, bool]
 
 
-class EventSyntaxError(ValueError):
+class InputError(ValueError):
+    """An argument the caller got wrong, such as an input document's; the
+    command line reports it as exit code 2, and any other error as a fault."""
+
+
+class EventSyntaxError(InputError):
     """Malformed event expression; ``position`` is the 0-based offset into
     the source text where parsing failed."""
 
@@ -41,11 +46,11 @@ class EventSyntaxError(ValueError):
         self.position = position
 
 
-class AtomLimitError(ValueError):
+class AtomLimitError(InputError):
     """Registering another atom would exceed the universe's atom cap."""
 
 
-class ImpossibleConditioningError(ValueError):
+class ImpossibleConditioningError(InputError):
     """Conditioning on the impossible event is meaningless."""
 
 
@@ -59,7 +64,7 @@ class Universe:
 
     def __init__(self, atom_limit: int = DEFAULT_ATOM_LIMIT):
         if atom_limit < 1:
-            raise ValueError("atom_limit must be at least 1")
+            raise InputError("atom_limit must be at least 1")
         self._limit = int(atom_limit)
         self._atoms: dict[str, Event] = {}
 
@@ -78,7 +83,7 @@ class Universe:
         if existing is not None:
             return existing
         if not _IDENT.fullmatch(name):
-            raise ValueError(f"invalid atom name {name!r}")
+            raise InputError(f"invalid atom name {name!r}")
         if len(self._atoms) >= self._limit:
             raise AtomLimitError(f"universe is capped at {self._limit} atoms")
         event = Event(self, "atom", name, frozenset((name,)))
@@ -330,7 +335,7 @@ def cut(
 ) -> tuple[int, ...]:
     """The part of a conditioning event inside each cell, all truth tables
     over ``atoms``.  ImpossibleConditioningError for an impossible
-    conditioning event; ValueError unless the cells partition it, naming
+    conditioning event; InputError unless the cells partition it, naming
     the least offending assignment restricted to the atoms in ``shown``:
     if they hold the events' atoms, the least offending one over them."""
     if not conditioning:
@@ -346,7 +351,7 @@ def cut(
         bits = zip(atoms, _decode(index, len(atoms)))
         assignment = {name: bit for name, bit in bits if name in shown}
         hits = sum(part >> index & 1 for part in parts)
-        raise ValueError(
+        raise InputError(
             "cells must partition the conditioning event "
             f"(assignment {assignment} matched {hits} cells)"
         )

@@ -65,7 +65,9 @@ tableau would take.  Pivots replace rows rather than edit them, so a
 copy of the row list is a copy of the tableau.  Only the returned
 solution, objective and certificate are built as
 :class:`fractions.Fraction`\\ s, and :func:`optimize` builds the optimal
-point only when asked: a mass program hands on its value alone.
+point only when asked: a mass program hands on its value alone.  Input
+that is not integers with positive scales, such as a missing scale or a
+``Fraction`` entry, raises ``ValueError``.
 
 When a system is infeasible the solver returns a Farkas certificate: a
 vector ``y`` with ``y . A_j <= 0`` for every column ``A_j`` of the
@@ -122,8 +124,12 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[in
         raise ValueError("ragged constraint matrix")
     if len(rhs) != neq:
         raise ValueError("rhs length does not match constraint count")
+    if len(scales) != neq:
+        raise ValueError("scales length does not match constraint count")
     if nvar == 0:
         raise ValueError("no variables")
+    if not all(isinstance(s, int) and s > 0 for s in scales):
+        raise ValueError("scales must be positive ints")
     # Orient every row so the right-hand side is nonnegative, remembering
     # the sign flips so the Farkas certificate can be mapped back.
     signs = [-1 if value < 0 else 1 for value in rhs]
@@ -154,6 +160,10 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[in
         unit[i] = d
         tableau.append([k * row[j] for j in firsts] + unit + [k * b])
     bottom = [-sum(col) for col in zip(*tableau)]
+    # Each entry sums a kept column (a repeat equals one) or the right-hand
+    # side: a Fraction among them, which "//" would floor, makes it no int.
+    if not all(isinstance(v, int) for v in bottom):
+        raise ValueError("constraint entries must be ints")
     bottom[width:total] = [0] * neq
     tableau.append(bottom)
     basis = [width + i for i in range(neq)]
@@ -211,6 +221,8 @@ def optimize(
     rows, basis, d, firsts, repeats, simplex = first._tableau
     if len(costs) != len(firsts) + len(repeats):
         raise ValueError("objective length does not match variable count")
+    if not (isinstance(scale, int) and scale > 0 and all(isinstance(c, int) for c in costs)):
+        raise ValueError("costs must be ints over a positive int scale")
     # Integer costs (negated to maximize); each tableau column takes the
     # cheapest copy of its group, the first among equals.
     sign = -1 if maximize else 1

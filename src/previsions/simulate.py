@@ -28,15 +28,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .crq import ConditionalRandomQuantity, Rational, _conjoin, conditional_event
-from .events import Event, Universe, set_bits, truth_tables
+from .events import Event, InputError, Universe, set_bits, truth_tables
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class _RunError(ValueError):
-    """Run parameters that yield no estimate: an input error where they
-    come from the command line."""
 
 
 class JointDistribution:
@@ -49,20 +44,20 @@ class JointDistribution:
         universe: Universe,
         probabilities: Mapping[tuple[bool, ...], Rational],
     ):
-        atoms = universe.atoms
-        masses = []
-        for bits in itertools.product((False, True), repeat=len(atoms)):
-            mass = Fraction(probabilities.get(bits, 0))
+        width = len(universe.atoms)
+        masses = [_ZERO] * (1 << width)
+        for bits, value in probabilities.items():
+            # A key equal to an assignment names it: (1, 0) is (True, False).
+            if not (isinstance(bits, tuple) and len(bits) == width and all(b in (0, 1) for b in bits)):
+                raise ValueError(f"key {bits!r} is not a truth assignment to {width} atoms")
+            mass = Fraction(value)
             if mass < 0:
                 raise ValueError("probabilities must be nonnegative")
-            masses.append(mass)
+            masses[sum(1 << k for k, bit in enumerate(reversed(bits)) if bit)] = mass
         total = sum(masses, _ZERO)
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        self._universe = universe
-        self._atoms = atoms
-        # One mass per assignment, in the bit order of the truth tables.
-        self._masses = tuple(masses)
+        self._set(universe, masses)
 
     @classmethod
     def independent(
@@ -85,9 +80,14 @@ class JointDistribution:
         for p in reversed(probs):
             masses = [m * (_ONE - p) for m in masses] + [m * p for m in masses]
         distribution = cls.__new__(cls)
-        distribution._universe, distribution._atoms = universe, atoms
-        distribution._masses = tuple(masses)
+        distribution._set(universe, masses)
         return distribution
+
+    def _set(self, universe: Universe, masses: Sequence[Fraction]) -> None:
+        self._universe = universe
+        self._atoms = universe.atoms
+        # One mass per assignment, in the bit order of the truth tables.
+        self._masses = tuple(masses)
 
     @property
     def universe(self) -> Universe:
@@ -235,9 +235,9 @@ def finite_n_fixed_point(p_antecedent: Rational, p_joint: Rational, n: int) -> F
 
 def _check_run_params(trials: int, max_len: int) -> None:
     if trials < 1:
-        raise _RunError("trials must be positive")
+        raise InputError("trials must be positive")
     if max_len < 1:
-        raise _RunError("max_len must be at least 1")
+        raise InputError("max_len must be at least 1")
 
 
 def _conjunction(
@@ -282,7 +282,7 @@ def _sample(
         else:
             indeterminate += 1
     if not recorded:
-        raise _RunError("every trial was indeterminate; raise max_len")
+        raise InputError("every trial was indeterminate; raise max_len")
     k = len(recorded)
     mean = math.fsum(recorded) / k
     if k > 1:

@@ -13,10 +13,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_coherent
-from previsions import coherence, crq, lp, simulate
+from previsions import coherence, crq, events, lp, simulate
 from previsions.coherence import Assessment
 from previsions.crq import conditional_event
-from previsions.events import Universe
+from previsions.events import (
+    AtomLimitError,
+    EventSyntaxError,
+    ImpossibleConditioningError,
+    InputError,
+    Universe,
+)
 from previsions.cli import (
     ATOM_CAP_ENV,
     AssessmentDocument,
@@ -831,6 +837,21 @@ class TestExitCodes:
         code, out, err = run_in_process([command[0], path, *command[1:]])
         assert (code, out) == (3, "")
         assert err == "internal error: ValueError: injected fault\n"
+
+    # The one fold of a document's events, inside ``realize``: ``crq``
+    # reads ``events.split`` as ``split``, and ``split`` runs ``_fold``.
+    @pytest.mark.parametrize("module, name", [(crq, "split"), (events, "_fold")])
+    def test_fold_value_error_is_internal(self, tmp_path, monkeypatch, module, name):
+        monkeypatch.setattr(module, name, self.fault)
+        path = write_doc(tmp_path, coherent_pair_payload())
+        code, out, err = run_in_process(["check", path])
+        assert (code, out, err) == (3, "", "internal error: ValueError: injected fault\n")
+
+    @pytest.mark.parametrize(
+        "error", [EventSyntaxError, AtomLimitError, ImpossibleConditioningError, DocumentError]
+    )
+    def test_input_errors_are_one_type(self, error):
+        assert issubclass(error, InputError) and issubclass(InputError, ValueError)
 
     # ``crq._frame`` runs inside every compound builder, after the operand
     # check; ``simulate._sample`` runs inside the simulation.

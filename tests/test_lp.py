@@ -726,3 +726,39 @@ class TestValidation:
             lp.solve([[]], [0], [1])
         with pytest.raises(ValueError, match="objective length"):
             lp.optimize(lp.solve([[1]], [1], [1]), [1, 2], 1)
+
+    # Input the integer tableau would get wrong: ``zip`` would drop a row
+    # with no scale, ``//`` would floor a Fraction row into an infeasible
+    # one, and a scale of 0 would divide by zero.
+    @pytest.mark.parametrize(
+        "rows, rhs, scales, message",
+        [
+            ([[1, 1], [1, 0]], [1, 0], [1], "scales length"),
+            ([[1, 1], [1, 0]], [1, 0], [1, 1, 1], "scales length"),
+            ([[1, 1]], [1], [0], "positive ints"),
+            ([[1, 1]], [1], [-2], "positive ints"),
+            ([[1, 1]], [1], [F(1)], "positive ints"),
+            ([[1, 1], [F(1), F(0)]], [1, F(1, 2)], [1, 1], "entries must be ints"),
+            ([[1, 1], [1, 0]], [1, F(1, 2)], [1, 1], "entries must be ints"),
+            ([[1, 0.5]], [1], [1], "entries must be ints"),
+        ],
+        ids=["scale-missing", "scale-extra", "scale-zero", "scale-negative", "scale-fraction",
+             "fraction-row", "fraction-rhs", "float-row"],
+    )
+    def test_solve_refuses_what_it_would_get_wrong(self, rows, rhs, scales, message):
+        with pytest.raises(ValueError, match=message):
+            lp.solve(rows, rhs, scales)
+
+    @pytest.mark.parametrize(
+        "costs, scale",
+        [([1, 1], 0), ([1, 1], -1), ([1, 1], F(1)), ([1, F(1, 2)], 1), ([1, 0.5], 2)],
+        ids=["scale-zero", "scale-negative", "scale-fraction", "fraction-cost", "float-cost"],
+    )
+    def test_optimize_refuses_what_it_would_get_wrong(self, costs, scale):
+        first = lp.solve([[1, 1]], [1], [1])
+        with pytest.raises(ValueError, match="costs must be ints over a positive int scale"):
+            lp.optimize(first, costs, scale)
+
+    def test_the_refused_problems_scaled_to_ints(self):
+        assert lp.solve([[1, 1], [1, 0]], [1, 0], [1, 1]).solution == (0, 1)
+        assert lp.solve([[2, 2], [2, 0]], [2, 1], [2, 2]).solution == (F(1, 2), F(1, 2))

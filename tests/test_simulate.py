@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +61,31 @@ class TestJointDistribution:
                     (False, False): F(-1, 2),
                 },
             )
+
+    @pytest.mark.parametrize(
+        "key",
+        [(True,), "junk", (True, False, True), (True, 2), (True, "1"), (None, True), None],
+    )
+    def test_key_that_is_no_assignment_rejected(self, key):
+        u, a, c = two_coin_universe()
+        message = re.escape(f"key {key!r} is not a truth assignment to 2 atoms")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            JointDistribution(u, {(True, True): 1, key: 0})
+
+    def test_unread_keys_are_read(self):
+        # A key that names no assignment, even with a negative mass.
+        u, a, c = two_coin_universe()
+        with pytest.raises(ValueError, match=r"^key \(True,\) is not a truth assignment"):
+            JointDistribution(u, {(True, True): 1, (True,): "1/2", "junk": -3})
+
+    def test_masses_in_assignment_order(self):
+        u, a, c = two_coin_universe()
+        dist = JointDistribution(u, {(1, 0): "1/4", (True, True): "3/4"})
+        assert dist._masses == (0, 0, F(1, 4), F(3, 4))
+        assert dist.probability(a) == 1 and dist.probability(c) == F(3, 4)
+        dist, _ = skewed_four_atoms()
+        weights = [3, 0, 1, 4, 0, 2, 5, 1, 2, 0, 3, 1, 6, 2, 0, 1]
+        assert dist._masses == tuple(F(w, sum(weights)) for w in weights)
 
     def test_independent_product(self):
         u, a, c = two_coin_universe()
