@@ -56,20 +56,20 @@ _RATIONAL = re.compile(r"[-+]?(?:\d+(?:/\d+|\.\d*)?|\.\d+)", re.ASCII)
 
 def parse_rational(text: Any) -> Fraction:
     """Parse "p/q" or a finite decimal string into an exact rational."""
-    shown = reprlib.repr(text)  # at most a few dozen characters
     if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise DocumentError(f"expected a rational string, got {shown}")
+        raise DocumentError(f"expected a rational string, got {reprlib.repr(text)}")
     source = str(text)
-    # From 3.10.7 on, Python refuses to convert a longer digit run to an int.
+    # From 3.10.7 on, Python refuses an int of a longer digit run (in a longer text).
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and max(map(len, re.findall(r"\d+", source)), default=0) > limit:
+    if 0 < limit < len(source) and max(map(len, re.findall(r"\d+", source)), default=0) > limit:
+        shown = reprlib.repr(text)  # at most a few dozen characters
         raise DocumentError(f"rational {shown} has over {limit} digits in a row, Python's limit")
     try:
         if not _RATIONAL.fullmatch(source.strip()):
             raise ValueError(source)
         return Fraction(source)
     except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"malformed rational {shown}") from None
+        raise DocumentError(f"malformed rational {reprlib.repr(text)}") from None
 
 
 @dataclass(frozen=True)

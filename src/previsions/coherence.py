@@ -137,11 +137,14 @@ class Assessment:
         """The sub-assessment on the given member indices, in order, on
         their slice of this one's tables (taken now if not yet): its
         partition folds no event, and its blocks are the unions of this
-        one's that agree on its labels."""
-        sub = Assessment(
-            [self._members[i] for i in indices],
-            [self._previsions[i] for i in indices],
-        )
+        one's that agree on its labels.  Its previsions are this one's,
+        taken as they are."""
+        if not indices:
+            raise ValueError("family must be nonempty")
+        sub = Assessment.__new__(Assessment)
+        sub._members = tuple(self._members[i] for i in indices)
+        sub._previsions = tuple(self._previsions[i] for i in indices)
+        sub._partition = sub._system = None
         self._frame = self._frame or crq._frame(self._members)
         atoms, tables = self._frame
         sub._frame = atoms, [tables[i] for i in indices]

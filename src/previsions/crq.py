@@ -61,6 +61,7 @@ class ConditionalRandomQuantity:
         prevision: Rational | None = None,
     ):
         staged = [(event, Fraction(value)) for event, value in cells]
+        prevision = None if prevision is None else Fraction(prevision)
         atoms, ((given, raw),) = split([([event for event, _ in staged], conditioning)])
         self._fill(conditioning, staged, prevision, atoms, given, raw)
 
@@ -69,21 +70,21 @@ class ConditionalRandomQuantity:
         """The quantity the constructor builds, from the truth tables over
         ``atoms`` of its conditioning event (``given``) and of each cell
         event (``raw``) instead of a fold; the same checks run on them, and
-        a failed one raises the constructor's error."""
-        staged = [(event, Fraction(value)) for event, value in cells]
+        a failed one raises the constructor's error.  The cell values and
+        a set prevision are taken as they are, already ``Fraction`` values."""
         quantity = cls.__new__(cls)
-        quantity._fill(conditioning, staged, prevision, atoms, given, raw)
+        quantity._fill(conditioning, cells, prevision, atoms, given, raw)
         return quantity
 
-    def _fill(self, conditioning, staged, prevision, atoms, given, raw) -> None:
+    def _fill(self, conditioning, cells, prevision, atoms, given, raw) -> None:
         """Check the cells on their tables and keep the nonempty ones; an
         error names an assignment over the atoms of the quantity's events."""
-        shown = conditioning.atoms.union(*(event.atoms for event, _ in staged))
+        shown = conditioning.atoms.union(*(event.atoms for event, _ in cells))
         parts = cut(given, raw, atoms, shown)
         kept = [k for k, part in enumerate(parts) if part]
         self._conditioning = conditioning
-        self._cells = tuple(staged[k] for k in kept)
-        self._prevision = None if prevision is None else Fraction(prevision)
+        self._cells = tuple(cells[k] for k in kept)
+        self._prevision = prevision
         self._atoms = atoms
         self._given = given
         self._raw = tuple(raw[k] for k in kept)
@@ -116,7 +117,7 @@ class ConditionalRandomQuantity:
 
     def with_prevision(self, prevision: Rational) -> "ConditionalRandomQuantity":
         """A copy with the prevision slot (re)filled."""
-        return self._with(self._cells, prevision)
+        return self._with(self._cells, None if prevision is None else Fraction(prevision))
 
     def _with(self, cells, prevision) -> "ConditionalRandomQuantity":
         """The quantity on the same conditioning and cell events, with
@@ -159,11 +160,12 @@ def _indicator(event: Event, conditioning: Event) -> list[tuple[Event, Fraction]
 
 
 def _family(
-    members: Sequence[tuple[Event, Sequence[tuple[Event, Rational]], Rational | None]],
+    members: Sequence[tuple[Event, Sequence[tuple[Event, Fraction]], Fraction | None]],
 ) -> Iterator[ConditionalRandomQuantity]:
     """The quantities of ``(conditioning, cells, prevision)`` triples, in
-    order, as the constructor builds them; every event is folded to its
-    truth table in one pass, over the atoms the members use together."""
+    order, as the constructor builds them from the same ``Fraction``
+    values; every event is folded to its truth table in one pass, over the
+    atoms the members use together."""
     if not members:
         return
     atoms, tables = split([([cell for cell, _ in cells], given) for given, cells, _ in members])

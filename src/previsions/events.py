@@ -406,23 +406,24 @@ def _fold(roots: Sequence[Event], atom: Callable[[str], int], full: int) -> tupl
     operand of larger ``_need`` first, and counts its readers: each
     parent, plus one per root.  One pass then evaluates the list and
     drops each value after its last reader, so a long chain holds a few
-    values at a time, whichever side it grows on.
+    values at a time, whichever side it grows on.  Readers and values are
+    keyed by the node itself, since an event hashes by identity.
     """
-    reads: dict[int, int] = {}
+    reads: dict[Event, int] = {}
     order: list[tuple[Event, tuple[Event, ...]]] = []
     pending: list = list(roots)
     while pending:
         node = pending.pop()
         if isinstance(node, tuple):  # a node and its operands, all listed
             order.append(node)
-        elif id(node) in reads:
-            reads[id(node)] += 1
+        elif node in reads:
+            reads[node] += 1
         else:
-            reads[id(node)] = 1
+            reads[node] = 1
             args = node._args if node._op in ("not", "and", "or") else ()
             pending.append((node, args))
             pending += args[::-1] if args and args[0]._need > args[-1]._need else args
-    values: dict[int, int] = {}
+    values: dict[Event, int] = {}
     for node, args in order:
         op = node._op
         if op == "atom":
@@ -430,16 +431,16 @@ def _fold(roots: Sequence[Event], atom: Callable[[str], int], full: int) -> tupl
         elif op == "const":
             value = full if node._args else 0
         elif op == "not":
-            value = full ^ values[id(args[0])]
+            value = full ^ values[args[0]]
         else:
-            left, right = (values[id(child)] for child in args)
+            left, right = (values[child] for child in args)
             value = left & right if op == "and" else left | right
-        values[id(node)] = value
+        values[node] = value
         for child in args:
-            reads[id(child)] -= 1
-            if not reads[id(child)]:
-                del values[id(child)]
-    return tuple(values[id(node)] for node in roots)
+            reads[child] -= 1
+            if not reads[child]:
+                del values[child]
+    return tuple(values[node] for node in roots)
 
 
 def _tables(*events: Event) -> tuple[int, ...]:

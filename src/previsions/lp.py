@@ -23,7 +23,8 @@ every optimal basis shares.  A row ``k * sum(x) = k`` (``k != 0``), such
 as a coherence system's total mass row, keeps the feasible points on the
 simplex, where no objective passes its least cost (greatest, to
 maximize); :func:`solve` records whether there is one, and phase 2 then
-stops as soon as the objective reaches that cost.
+stops as soon as the objective reaches that cost, at once and with no
+reduced-cost row if the phase-1 point already does.
 
 Equal columns take one tableau column.  :func:`solve` groups equal
 columns of its integer rows and keeps the first of each group.  A
@@ -211,8 +212,8 @@ def optimize(
     one is returned as it is.  When those rows include one that reads ``k
     * sum(x) = k``, the objective cannot pass its least cost (its
     greatest, to maximize), and the solve stops as soon as it equals that
-    cost, which proves the point optimal.  The optimal point is built
-    only when ``point`` asks for it.
+    cost, which proves the point optimal, at once if the phase-1 point
+    does.  The optimal point is built only when ``point`` asks for it.
     """
     if not first.feasible:
         return first
@@ -221,7 +222,11 @@ def optimize(
     rows, basis, d, firsts, repeats, simplex = first._tableau
     if len(costs) != len(firsts) + len(repeats):
         raise ValueError("objective length does not match variable count")
-    if not (isinstance(scale, int) and scale > 0 and all(isinstance(c, int) for c in costs)):
+    try:  # one type check of the sum, an int only if every cost is one
+        ints = isinstance(sum(costs), int)
+    except TypeError:  # a str cost, say
+        ints = False
+    if not (ints and isinstance(scale, int) and scale > 0):
         raise ValueError("costs must be ints over a positive int scale")
     # Integer costs (negated to maximize); each tableau column takes the
     # cheapest copy of its group, the first among equals.
@@ -233,27 +238,30 @@ def optimize(
         if cost < group[g]:
             group[g] = cost
             chosen[g] = j
-    # The reduced-cost row below the tableau is d times those costs
-    # reduced by the basis.
+    # On the simplex sign * scale * (c . x) is at least the least cost; a
+    # phase-1 point at it is optimal, read off the right-hand sides alone.
     width = len(firsts)
-    bottom = [d * v for v in group] + [0]
-    for row, bv in zip(rows, basis):
-        coef = group[bv]
-        if coef != 0:
-            for j in range(width + 1):
-                bottom[j] -= coef * row[j]
-    tableau = [*rows, bottom]
-    basis = list(basis)
-
-    # On the simplex sign * scale * (c . x) is at least the least cost.
+    at = sum(group[bv] * row[width] for row, bv in zip(rows, basis))
     floor = min(group) if simplex else None
-    status, d = _minimize(tableau, basis, d, dantzig=True, floor=floor)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
-    value = Fraction(-sign * tableau[-1][width], d * scale)
+    if floor is None or at != floor * d:
+        # The reduced-cost row below the tableau is d times those costs
+        # reduced by the basis.
+        bottom = [d * v for v in group] + [-at]
+        for row, bv in zip(rows, basis):
+            coef = group[bv]
+            if coef != 0:
+                for j in range(width):
+                    bottom[j] -= coef * row[j]
+        tableau = [*rows, bottom]
+        basis = list(basis)
+        status, d = _minimize(tableau, basis, d, dantzig=True, floor=floor)
+        if status == UNBOUNDED:
+            return LPResult(UNBOUNDED)
+        rows, at = tableau, -tableau[-1][width]
+    value = Fraction(sign * at, d * scale)
     solution = None
     if point:
-        solution = _extract(tableau, [chosen[bv] for bv in basis], width + len(repeats), d)
+        solution = _extract(rows, [chosen[bv] for bv in basis], width + len(repeats), d)
     return LPResult(OPTIMAL, solution=solution, objective=value)
 
 

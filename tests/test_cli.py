@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import reprlib
 import sys
 import tempfile
 import time
@@ -78,6 +79,20 @@ class TestRationals:
         for bad in ("0.1.2", "1/0", "one half", None, 1.5, long_decimal, *exponents, *versioned):
             with pytest.raises(DocumentError):
                 parse_rational(bad)
+
+    def test_digit_limit_boundary(self):
+        # Only a text longer than Python's int-string limit is scanned for
+        # a digit run over it: a run at the limit passes, one past it is
+        # refused, and padding past the limit's length alone is no run.
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational("0." + "0" * (limit - 1) + "1") == F(1, 10**limit)
+        over = "0." + "1" * (limit + 1)
+        shown = reprlib.repr(over)
+        message = f"rational {shown} has over {limit} digits in a row, Python's limit"
+        with pytest.raises(DocumentError) as refused:
+            parse_rational(over)
+        assert str(refused.value) == message
+        assert parse_rational(" " * limit + "1/2" + " " * limit) == F(1, 2)
 
 
 class TestCheckCommand:

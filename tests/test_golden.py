@@ -89,14 +89,17 @@ def count_calls(name, monkeypatch):
     checks in full and of those whose constituents it refines, the levels
     of each check, the row counts of its phase-1 solves, the summed sizes
     of each check's solvable levels, the integer costs of its phase-2
-    solves and the root counts of its truth-table folds.  The LP is
-    counted at ``lp.solve`` and ``lp.optimize``, patched positional-only:
-    the benchmark's tracer reads ``lp.solve``'s arguments by position, so
-    a keyword call fails here."""
-    kinds = ("checks", "enumerations", "levels", "solves", "solvable", "optimizes", "folds")
+    solves, the row counts of those that build a reduced-cost row (call
+    ``lp._minimize`` from ``lp.optimize``) and the root counts of its
+    truth-table folds.  The LP is counted at ``lp.solve`` and
+    ``lp.optimize``, patched positional-only: the benchmark's tracer reads
+    ``lp.solve``'s arguments by position, so a keyword call fails here."""
+    kinds = (
+        "checks", "enumerations", "levels", "solves", "solvable", "optimizes", "reduced", "folds"
+    )
     counts = {kind: [] for kind in kinds}
     check, refine, fold = coherence.check_coherence, crq.refine, events._fold
-    solve, optimize = lp.solve, lp.optimize
+    solve, optimize, minimize = lp.solve, lp.optimize, lp._minimize
 
     def counting_check(assessment):
         counts["checks"].append(len(assessment))
@@ -122,12 +125,18 @@ def count_calls(name, monkeypatch):
         counts["optimizes"].append(costs)
         return optimize(first, costs, scale, maximize, point)
 
+    def counting_minimize(tableau, basis, d, dantzig=False, floor=None):
+        if dantzig:  # phase 2
+            counts["reduced"].append(len(basis))
+        return minimize(tableau, basis, d, dantzig, floor)
+
     for module in (coherence, cli, bounds):
         monkeypatch.setattr(module, "check_coherence", counting_check)
     monkeypatch.setattr(crq, "refine", counting_refinement)
     monkeypatch.setattr(events, "_fold", counting_fold)
     monkeypatch.setattr(lp, "solve", counting_solve)
     monkeypatch.setattr(lp, "optimize", counting_optimize)
+    monkeypatch.setattr(lp, "_minimize", counting_minimize)
     (command, *options), code = REPORTS[name]
     assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
     return counts
@@ -202,6 +211,30 @@ def test_phase_two_count(name, monkeypatch, capsys):
     counts = count_calls(name, monkeypatch)
     endpoints = 2 if CASES[name][0][0] == "extend" else 0
     assert len(counts["optimizes"]) == sum(counts["solvable"]) + endpoints
+
+
+# Phase 2s that build a reduced-cost row, of those test_phase_two_count
+# pins; each of the others starts at a phase-1 point whose cost is
+# already the least (greatest) on the simplex.
+REDUCED = {
+    "check-compound-coherent": 3,
+    "check-compound-dutch-book": 1,
+    "check-compound-incoherent-base": 2,
+    "check-random-family": 6,
+    "check-twenty-atoms": 13,
+    "check-value-map": 1,
+    "check-zero-mass-coherent": 4,
+    "check-zero-mass-incoherent": 6,
+    "extend-conjunction": 4,
+    "extend-disjunction": 6,
+    "extend-quasi-conjunction": 6,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reduced_cost_row_count(name, monkeypatch, capsys):
+    counts = count_calls(name, monkeypatch)
+    assert len(counts["reduced"]) == REDUCED[name] <= len(counts["optimizes"])
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))

@@ -468,6 +468,39 @@ class TestSharedPhaseOne:
         result = optimize(solve(rows, rhs), cost, maximize=True)
         assert (result.status, result.objective) == (status, objective)
 
+    @pytest.mark.parametrize(
+        "rows, rhs, costs, maximize, value, point",
+        [
+            ([[1, 1, 1], [0, 1, 2]], [1, 1], [0, 1, 0], True, 1, (0, 1, 0)),
+            ([[1, 1, 1], [0, 1, 2]], [1, 1], [1, 0, 1], False, 0, (0, 1, 0)),
+            ([[1, 1]], [1], [0, 5], True, 5, (0, 1)),
+        ],
+        ids=["maximize", "minimize", "cheapest-copy"],
+    )
+    def test_phase_one_point_at_the_floor_settles_at_once(
+        self, rows, rhs, costs, maximize, value, point
+    ):
+        # The first row keeps x on the simplex, and phase 1's point already
+        # has the greatest (least) cost there: optimize reads its value off
+        # the right-hand sides and runs no phase 2.  Of two equal columns,
+        # where phase 1 leaves (1, 0), the point is on the copy that the
+        # objective prices best.
+        first = lp.solve(rows, rhs, [1] * len(rows))
+        with mock.patch.object(lp, "_minimize", side_effect=AssertionError("phase 2 ran")):
+            result = lp.optimize(first, costs, 1, maximize, point=True)
+            assert (result.status, result.objective, result.solution) == (lp.OPTIMAL, value, point)
+            assert lp.optimize(first, costs, 3, maximize).objective == F(value, 3)
+
+    def test_phase_one_point_above_the_floor_still_pivots(self):
+        # Phase 1 leaves (0, 1, 0), of cost 2 against the least cost 0:
+        # phase 2 runs and pivots to the other vertex, (1/2, 0, 1/2).
+        first = lp.solve([[1, 1, 1], [0, 1, 2]], [1, 1], [1, 1])
+        assert first.solution == (0, 1, 0)
+        with mock.patch.object(lp, "_minimize", side_effect=lp._minimize) as phase_two:
+            result, pivots = counted(lambda: lp.optimize(first, [1, 2, 0], 1, point=True))
+        assert (result.objective, result.solution) == (F(1, 2), (F(1, 2), 0, F(1, 2)))
+        assert phase_two.call_count == 1 and pivots > 0
+
     def test_optimize_needs_a_phase_one_result(self):
         result = optimize(solve([[1, 1]], [1]), [1, 0])
         with pytest.raises(ValueError, match="solve"):
@@ -751,8 +784,16 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "costs, scale",
-        [([1, 1], 0), ([1, 1], -1), ([1, 1], F(1)), ([1, F(1, 2)], 1), ([1, 0.5], 2)],
-        ids=["scale-zero", "scale-negative", "scale-fraction", "fraction-cost", "float-cost"],
+        [
+            ([1, 1], 0),
+            ([1, 1], -1),
+            ([1, 1], F(1)),
+            ([1, F(1, 2)], 1),
+            ([1, 0.5], 2),
+            ([1, "1"], 1),
+        ],
+        ids=["scale-zero", "scale-negative", "scale-fraction", "fraction-cost", "float-cost",
+             "str-cost"],
     )
     def test_optimize_refuses_what_it_would_get_wrong(self, costs, scale):
         first = lp.solve([[1, 1]], [1], [1])
