@@ -54,6 +54,17 @@ class DocumentError(InputError):
 _RATIONAL = re.compile(r"[-+]?(?:\d+(?:/\d+|\.\d*)?|\.\d+)", re.ASCII)
 
 
+def _integer(text: str) -> int:
+    """Parse an integer in ASCII digits, as documents spell rationals:
+    ``int`` alone takes "1_0" (as 10) and any Unicode digit."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse's refusal reads "invalid int value"
+
+
 def parse_rational(text: Any) -> Fraction:
     """Parse "p/q" or a finite decimal string into an exact rational."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
@@ -185,7 +196,7 @@ def _atom_cap() -> int:
     if raw is None:
         return DEFAULT_ATOM_LIMIT
     try:
-        return int(raw)  # a cap below 1 is refused by Universe
+        return _integer(raw)  # a cap below 1 is refused by Universe
     except ValueError:
         raise DocumentError(f"{ATOM_CAP_ENV} must be an integer, got {raw!r}") from None
 
@@ -404,7 +415,7 @@ def _parse_target(text: str, member_count: int) -> CompoundSpec:
     kind, _, rest = text.partition(":")
     operands: list[Any] = rest.split(",")
     with contextlib.suppress(ValueError):  # text is refused as no index
-        operands = [int(part) for part in operands]
+        operands = [_integer(part) for part in operands]
     return _compound_spec({"kind": kind, "operands": operands}, member_count, "--target")
 
 
@@ -433,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         "conjoin", help="realize the conjunction of two members"
     )
     conjoin.add_argument("file")
-    conjoin.add_argument("--i", type=int, required=True)
-    conjoin.add_argument("--j", type=int, required=True)
+    conjoin.add_argument("--i", type=_integer, required=True)
+    conjoin.add_argument("--j", type=_integer, required=True)
     conjoin.set_defaults(func=cmd_conjoin)
 
     consts = subparsers.add_parser(
@@ -448,9 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--pa", required=True, help="antecedent probability")
     sim.add_argument("--pac", required=True, help="joint probability")
-    sim.add_argument("--trials", type=int, default=100_000)
-    sim.add_argument("--max-len", type=int, default=40, dest="max_len")
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--trials", type=_integer, default=100_000)
+    sim.add_argument("--max-len", type=_integer, default=40, dest="max_len")
+    sim.add_argument("--seed", type=_integer, required=True)
     sim.set_defaults(func=cmd_simulate)
 
     return parser

@@ -160,7 +160,8 @@ class LinearSystem:
     conditioning event and its prevision elsewhere; ``indicators[i]`` is
     1 inside that event and 0 elsewhere.  Solvability of ``rows . w =
     target, sum(w) = 1, w >= 0`` is exactly convex-hull membership of the
-    prevision vector in the :attr:`points`, the columns.
+    prevision vector in the :attr:`points`, the columns.  The rows are the
+    members' alone: :func:`previsions.lp.solve` adds ``sum(w) = 1``.
 
     The system is stored in integers: ``scaled_rows[i]`` and
     ``scaled_target[i]`` are ``scales[i] > 0`` times member ``i``'s row
@@ -181,12 +182,9 @@ class LinearSystem:
 
     @cached_property
     def feasibility(self) -> lp.LPResult:
-        """Phase 1 (total mass row included), solved once: the level's
-        witness or Farkas certificate, and the start of every later LP."""
-        width = len(self.scaled_rows[0])
-        return lp.solve(
-            [*self.scaled_rows, (1,) * width], [*self.scaled_target, 1], [*self.scales, 1]
-        )
+        """Phase 1, solved once: the level's witness or Farkas
+        certificate, and the start of every later LP."""
+        return lp.solve(self.scaled_rows, self.scaled_target, self.scales)
 
 
 @dataclass(frozen=True)
@@ -248,8 +246,8 @@ def upper_conditioning_masses(system: LinearSystem) -> tuple[Fraction, ...]:
     carry over all solutions of the system.
 
     One phase 2 on each indicator from the system's shared phase 1, as
-    integer costs of scale 1 that build no optimal point; the total mass
-    row lets it stop at mass one.
+    integer costs of scale 1 that build no optimal point; on the simplex
+    it stops at mass one.
     """
     first = system.feasibility
     if not first.feasible:

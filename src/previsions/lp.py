@@ -1,7 +1,9 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming over the rationals, on the probability simplex.
 
-A dense two-phase primal simplex for equality-constrained problems in
-standard form (``A x = b``, ``x >= 0``), with no tolerances anywhere.
+A dense two-phase primal simplex for ``A x = b, sum(x) = 1, x >= 0``,
+with no tolerances anywhere.  Every program the library poses weights
+points on the simplex, so callers pass ``A`` and ``b`` alone and
+:func:`solve` appends ``sum(x) = 1`` as the last row, which bounds them.
 
 The two phases are separate calls.  :func:`solve` runs phase 1 on the
 constraints alone: it minimizes the sum of one artificial variable per
@@ -19,12 +21,10 @@ far fewer pivots; after :data:`DEGENERATE_RUN` consecutive degenerate
 pivots it falls back to Bland's rule for good, so it cannot cycle
 (Bland 1977).  Both phases leave by the minimum ratio, ties going to the
 smallest basic index.  Phase 2 hands on only the optimal value, which
-every optimal basis shares.  A row ``k * sum(x) = k`` (``k != 0``), such
-as a coherence system's total mass row, keeps the feasible points on the
-simplex, where no objective passes its least cost (greatest, to
-maximize); :func:`solve` records whether there is one, and phase 2 then
-stops as soon as the objective reaches that cost, at once and with no
-reduced-cost row if the phase-1 point already does.
+every optimal basis shares.  On the simplex no objective passes its
+least cost (greatest, to maximize), so phase 2 stops as soon as the
+objective reaches that cost, at once and with no reduced-cost row if the
+phase-1 point already does.
 
 Equal columns take one tableau column.  :func:`solve` groups equal
 columns of its integer rows and keeps the first of each group.  A
@@ -45,12 +45,11 @@ endpoint gives each group its extreme value.
 Inputs are integers, each row with its positive scale: ``rows[i]`` and
 ``rhs[i]`` are ``scales[i]`` times the rational row and right-hand side,
 and an objective's costs are ``scale`` times the rational costs, taken
-as they are.  A coherence system scales each member once, which may
-exceed the lcm of the member's row.  The tableau is kept fraction-free:
-an integer matrix ``M`` over one common positive denominator ``d``, so
-that the rational tableau is exactly ``M / d`` after every pivot.  ``d``
-starts at the product of the scales, so the first tableau is ``d`` times
-the oriented rational rows whatever the scales are: a scale changes
+as they are; ``sum(x) = 1`` comes at scale 1.  The tableau is kept
+fraction-free: an integer matrix ``M`` over one common positive
+denominator ``d``, so that the rational tableau is exactly ``M / d``
+after every pivot.  ``d`` starts at the product of the scales, so the
+first tableau is ``d`` times the oriented rational rows: a scale changes
 ``d`` and the integers, never the rational tableau, the pivots, the
 point or the certificate.  A pivot on ``M[r][c]`` replaces every other
 entry by ``(M[r][c] * M[i][j] - M[i][c] * M[r][j]) / d`` and makes
@@ -66,14 +65,13 @@ tableau would take.  Pivots replace rows rather than edit them, so a
 copy of the row list is a copy of the tableau.  Only the returned
 solution, objective and certificate are built as
 :class:`fractions.Fraction`\\ s, and :func:`optimize` builds the optimal
-point only when asked: a mass program hands on its value alone.  Input
-that is not integers with positive scales, such as a missing scale or a
-``Fraction`` entry, raises ``ValueError``.
+point only when asked.  Input that is not integers with positive scales,
+such as a missing scale or a ``Fraction`` entry, raises ``ValueError``.
 
 When a system is infeasible the solver returns a Farkas certificate: a
-vector ``y`` with ``y . A_j <= 0`` for every column ``A_j`` of the
-constraint matrix while ``y . b > 0``, which witnesses that ``b`` is
-not a nonnegative combination of the columns.
+vector ``y``, one entry per row and the last for ``sum(x) = 1``, with
+``y . (A_j, 1) <= 0`` for every column ``A_j`` of ``A`` while ``y . (b,
+1) > 0``, which witnesses that ``b`` is no convex combination of them.
 """
 
 from __future__ import annotations
@@ -85,7 +83,6 @@ from typing import Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 # Consecutive degenerate phase-2 pivots after which Dantzig's entering
 # rule gives way to Bland's for the rest of the solve.
@@ -97,8 +94,8 @@ class LPResult:
     """Outcome of one exact solve.
 
     A feasible result of :func:`solve` also holds its final phase-1
-    tableau, one column per group of equal columns, those groups and
-    whether a row fixes ``sum(x)``: the start of every :func:`optimize`.
+    tableau, one column per group of equal columns, and those groups:
+    the start of every :func:`optimize`.
     """
 
     status: str
@@ -113,10 +110,10 @@ class LPResult:
 
 
 def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[int]) -> LPResult:
-    """Phase 1 for ``rows . x = rhs, x >= 0``, where ``rows[i]`` and
-    ``rhs[i]`` are ``scales[i] > 0`` times the rational row and
-    right-hand side: infeasible with a Farkas certificate, or a basic
-    feasible point ready for :func:`optimize`."""
+    """Phase 1 for ``rows . x = rhs, sum(x) = 1, x >= 0``, the last row
+    appended here, where ``rows[i]`` and ``rhs[i]`` are ``scales[i] > 0``
+    times the rational row and right-hand side: infeasible with a Farkas
+    certificate, or a basic feasible point ready for :func:`optimize`."""
     neq = len(rows)
     if neq == 0:
         raise ValueError("no constraints")
@@ -133,12 +130,11 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[in
         raise ValueError("scales must be positive ints")
     # Orient every row so the right-hand side is nonnegative, remembering
     # the sign flips so the Farkas certificate can be mapped back.
-    signs = [-1 if value < 0 else 1 for value in rhs]
-    # A row k * sum(x) = k with k != 0.
-    simplex = any(b and row.count(b) == nvar for row, b in zip(rows, rhs))
+    signs = [-1 if value < 0 else 1 for value in rhs] + [1]
 
     # One tableau column per group of equal columns, the group's first;
-    # scaling a row is one-to-one, so equal scaled columns are equal ones.
+    # scaling a row is one-to-one, so equal scaled columns are equal ones,
+    # and the sum row is 1 in every column.
     index: dict[tuple[int, ...], int] = {}
     firsts = []
     repeats = []
@@ -150,9 +146,10 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[in
             firsts.append(j)
     width = len(firsts)
 
-    # Phase 1 tableau d * [A | I | b], rows oriented, with one artificial
-    # variable per row, and below it the phase 1 reduced costs, also times d.
+    # Phase 1 tableau d * [A | I | b], rows oriented, the sum row last, one
+    # artificial variable per row; below it the reduced costs, also times d.
     d = prod(scales)
+    neq += 1
     total = width + neq
     tableau = []
     for i, (row, b, s, sign) in enumerate(zip(rows, rhs, scales, signs)):
@@ -160,6 +157,7 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[in
         unit = [0] * neq
         unit[i] = d
         tableau.append([k * row[j] for j in firsts] + unit + [k * b])
+    tableau.append([d] * width + [0] * (neq - 1) + [d, d])
     bottom = [-sum(col) for col in zip(*tableau)]
     # Each entry sums a kept column (a repeat equals one) or the right-hand
     # side: a Fraction among them, which "//" would floor, makes it no int.
@@ -169,15 +167,11 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[in
     tableau.append(bottom)
     basis = [width + i for i in range(neq)]
 
-    status, d = _minimize(tableau, basis, d)
-    if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
-        raise AssertionError("phase 1 cannot be unbounded")
+    d = _minimize(tableau, basis, d)
     bottom = tableau[-1]
     if bottom[total] != 0:
         # Infeasible; read the simplex multipliers off the artificial columns.
-        certificate = tuple(
-            Fraction(signs[i] * (d - bottom[width + i]), d) for i in range(neq)
-        )
+        certificate = tuple(Fraction(signs[i] * (d - bottom[width + i]), d) for i in range(neq))
         return LPResult(INFEASIBLE, certificate=certificate)
 
     # Drive leftover artificial variables out of the basis; rows where that
@@ -193,9 +187,7 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[in
     tableau = tuple(tuple(tableau[r][:width]) + (tableau[r][total],) for r in keep)
     basis = tuple(basis[r] for r in keep)
     solution = _extract(tableau, [firsts[bv] for bv in basis], nvar, d)
-    return LPResult(
-        OPTIMAL, solution=solution, _tableau=(tableau, basis, d, firsts, repeats, simplex)
-    )
+    return LPResult(OPTIMAL, solution=solution, _tableau=(tableau, basis, d, firsts, repeats))
 
 
 def optimize(
@@ -207,19 +199,18 @@ def optimize(
 ) -> LPResult:
     """Phase 2: ``min/max objective . x`` over the constraints ``first`` solved.
 
-    ``costs`` are ``scale > 0`` times the objective, taken as they are.
-    ``first`` is the result of ``solve(rows, rhs, scales)``; an infeasible
-    one is returned as it is.  When those rows include one that reads ``k
-    * sum(x) = k``, the objective cannot pass its least cost (its
-    greatest, to maximize), and the solve stops as soon as it equals that
-    cost, which proves the point optimal, at once if the phase-1 point
-    does.  The optimal point is built only when ``point`` asks for it.
+    ``costs`` are ``scale > 0`` times the objective, taken as they are,
+    and ``first`` is the result of :func:`solve`; an infeasible one is
+    returned as it is.  The solve stops as soon as the objective equals
+    its least cost (greatest, to maximize), which on the simplex proves
+    the point optimal, at once if the phase-1 point does.  The optimal
+    point is built only when ``point`` asks for it.
     """
     if not first.feasible:
         return first
     if first._tableau is None:
         raise ValueError("optimize needs the feasible result of solve(rows, rhs, scales)")
-    rows, basis, d, firsts, repeats, simplex = first._tableau
+    rows, basis, d, firsts, repeats = first._tableau
     if len(costs) != len(firsts) + len(repeats):
         raise ValueError("objective length does not match variable count")
     try:  # one type check of the sum, an int only if every cost is one
@@ -242,8 +233,8 @@ def optimize(
     # phase-1 point at it is optimal, read off the right-hand sides alone.
     width = len(firsts)
     at = sum(group[bv] * row[width] for row, bv in zip(rows, basis))
-    floor = min(group) if simplex else None
-    if floor is None or at != floor * d:
+    floor = min(group)
+    if at != floor * d:
         # The reduced-cost row below the tableau is d times those costs
         # reduced by the basis.
         bottom = [d * v for v in group] + [-at]
@@ -254,9 +245,7 @@ def optimize(
                     bottom[j] -= coef * row[j]
         tableau = [*rows, bottom]
         basis = list(basis)
-        status, d = _minimize(tableau, basis, d, dantzig=True, floor=floor)
-        if status == UNBOUNDED:
-            return LPResult(UNBOUNDED)
+        d = _minimize(tableau, basis, d, dantzig=True, floor=floor)
         rows, at = tableau, -tableau[-1][width]
     value = Fraction(sign * at, d * scale)
     solution = None
@@ -271,14 +260,14 @@ def _minimize(
     d: int,
     dantzig: bool = False,
     floor: int | None = None,
-) -> tuple[str, int]:
-    """Run simplex iterations until optimal or unbounded.
+) -> int:
+    """Run simplex iterations until optimal; the program must be bounded.
 
     The last row of ``tableau`` holds the reduced costs, its last entry
     ``-d`` times the objective.  Enters on Bland's rule, or on Dantzig's
     until :data:`DEGENERATE_RUN` consecutive degenerate pivots; stops
-    early once the objective equals ``floor``.  Returns the status and
-    the final common denominator.
+    early once the objective equals ``floor``.  Returns the final common
+    denominator.
     """
     bottom = tableau[-1]
     width = len(bottom) - 1
@@ -287,15 +276,15 @@ def _minimize(
     degenerate = 0
     while True:
         if floor is not None and bottom[-1] + floor * d == 0:
-            return OPTIMAL, d
+            return d
         if dantzig and degenerate < DEGENERATE_RUN:
             enter = min(columns, key=bottom.__getitem__)
             if bottom[enter] >= 0:
-                return OPTIMAL, d
+                return d
         else:
             enter = next((j for j in columns if bottom[j] < 0), None)
             if enter is None:
-                return OPTIMAL, d
+                return d
         leave = None
         for r in range(constraints):
             row = tableau[r]
@@ -309,8 +298,8 @@ def _minimize(
                 rhs = num * coef
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave, num, den = r, row[-1], coef
-        if leave is None:
-            return UNBOUNDED, d
+        if leave is None:  # pragma: no cover - impossible
+            raise AssertionError("a bounded program has a leaving row")
         degenerate = degenerate + 1 if num == 0 else 0
         d = _pivot(tableau, basis, d, leave, enter)
         bottom = tableau[-1]

@@ -944,3 +944,45 @@ class TestExitCodes:
     def test_simulate_run_parameter(self, option, message):
         argv = ["simulate", "--pa", "1/2", "--pac", "1/4", "--seed", "1", option, "0"]
         assert run_in_process(argv) == (2, "", f"error: {message}\n")
+
+    # ``int`` alone reads "1_0" as 10 and "٣" (Arabic-Indic three) as 3;
+    # every integer the CLI reads from text takes ASCII digits only.
+    NON_ASCII_INTEGERS = pytest.mark.parametrize(
+        "text", ["1_0", "٣"], ids=["underscore", "arabic"]
+    )
+
+    @NON_ASCII_INTEGERS
+    def test_atom_cap_in_ascii_digits(self, tmp_path, monkeypatch, text):
+        monkeypatch.setenv(ATOM_CAP_ENV, text)
+        path = write_doc(tmp_path, coherent_pair_payload())
+        message = f"error: {ATOM_CAP_ENV} must be an integer, got {text!r}\n"
+        assert run_in_process(["check", path]) == (2, "", message)
+
+    @NON_ASCII_INTEGERS
+    def test_target_indices_in_ascii_digits(self, tmp_path, text):
+        path = write_doc(tmp_path, coherent_pair_payload())
+        argv = ["extend", path, "--target", f"conjunction:0,{text}"]
+        message = "error: --target 'operands' must be two member indices\n"
+        assert run_in_process(argv) == (2, "", message)
+
+    @NON_ASCII_INTEGERS
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            (["conjoin", "FILE", "--i", "0", "--j", "1"], "--i"),
+            (["conjoin", "FILE", "--i", "0", "--j", "1"], "--j"),
+            (["simulate", "--pa", "1/2", "--pac", "1/4", "--seed", "1"], "--trials"),
+            (["simulate", "--pa", "1/2", "--pac", "1/4", "--seed", "1"], "--max-len"),
+            (["simulate", "--pa", "1/2", "--pac", "1/4", "--seed", "1"], "--seed"),
+        ],
+        ids=["i", "j", "trials", "max-len", "seed"],
+    )
+    def test_integer_options_in_ascii_digits(self, tmp_path, capsys, text, command, option):
+        path = write_doc(tmp_path, coherent_pair_payload())
+        argv = [path if arg == "FILE" else arg for arg in command] + [option, text]
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")

@@ -517,18 +517,18 @@ def kernel_vector(rows):
 
 
 def negative_weight(w, rows):
-    """Move the witness along the kernel of all rows, total mass row
-    included, until one weight is -1/97: the same mass and points."""
-    v = kernel_vector(rows)
+    """Move the witness along the kernel of the member rows and the total
+    mass row until one weight is -1/97: the same mass and points."""
+    v = kernel_vector([*rows, [1] * len(w)])
     j = next(j for j, x in enumerate(v) if x)
     t = -(w[j] + F(1, 97)) / v[j]
     return tuple(a + t * b for a, b in zip(w, v))
 
 
 def extra_mass(w, rows):
-    """Add 1/97 at a column where every member's row is zero (the last
-    row is the total mass row): the right points, mass above one."""
-    j = next(j for j in range(len(w)) if not any(row[j] for row in rows[:-1]))
+    """Add 1/97 at a column where every member's row is zero: the right
+    points, mass above one."""
+    j = next(j for j in range(len(w)) if not any(row[j] for row in rows))
     return w[:j] + (w[j] + F(1, 97),) + w[j + 1 :]
 
 
