@@ -1,9 +1,9 @@
 """Exact linear programming over the rationals, on the probability simplex.
 
-A dense two-phase primal simplex for ``A x = b, sum(x) = 1, x >= 0``,
-with no tolerances anywhere.  Every program the library poses weights
-points on the simplex, so callers pass ``A`` and ``b`` alone and
-:func:`solve` appends ``sum(x) = 1`` as the last row, which bounds them.
+A two-phase primal simplex for ``A x = b, sum(x) = 1, x >= 0``, with no
+tolerances anywhere.  Every program the library poses weights points on
+the simplex, so callers pass ``A`` and ``b`` alone and :func:`solve`
+appends ``sum(x) = 1`` as the last row, which bounds them.
 
 The two phases are separate calls.  :func:`solve` runs phase 1 on the
 constraints alone: it minimizes the sum of one artificial variable per
@@ -26,47 +26,53 @@ least cost (greatest, to maximize), so phase 2 stops as soon as the
 objective reaches that cost, at once and with no reduced-cost row if the
 phase-1 point already does.
 
-Equal columns take one tableau column.  :func:`solve` groups equal
-columns of its integer rows and keeps the first of each group.  A
-pivot updates a column from its own entries, the pivot row and the
-pivot column alone, so at every step a repeated column would have the
-same tableau column and reduced cost as its first copy.  Bland's rule
-and the drive-out of the artificials both take the first eligible
-column, so neither would ever pick a repeat: the phase-1 pivots, the
-feasible point (0 at every repeat) and the Farkas certificate are those
-of the full tableau.  In phase 2 the copies of a column differ only in
-cost, and weight moved within a group to a cheapest copy stays feasible
-and costs no more; so :func:`optimize` prices each group by its
-cheapest copy, the first among equals, and puts the group's weight
-there.  The optimal value is the full problem's.  A mass objective thus
-gives each group the union of its copies' memberships, and an interval
-endpoint gives each group its extreme value.
+Equal columns take one tableau column, the first of their group: a
+repeat would keep its first copy's tableau column and reduced cost, and
+Bland's rule and the drive-out take the first eligible column, so the
+phase-1 pivots, point (0 at every repeat) and certificate are those of
+the full tableau.  Copies differ only in cost, so :func:`optimize`
+prices each group by its cheapest copy, the first among equals, and
+puts the group's weight there.
 
 Inputs are integers, each row with its positive scale: ``rows[i]`` and
 ``rhs[i]`` are ``scales[i]`` times the rational row and right-hand side,
-and an objective's costs are ``scale`` times the rational costs, taken
-as they are; ``sum(x) = 1`` comes at scale 1.  The tableau is kept
-fraction-free: an integer matrix ``M`` over one common positive
-denominator ``d``, so that the rational tableau is exactly ``M / d``
-after every pivot.  ``d`` starts at the product of the scales, so the
-first tableau is ``d`` times the oriented rational rows: a scale changes
-``d`` and the integers, never the rational tableau, the pivots, the
-point or the certificate.  A pivot on ``M[r][c]`` replaces every other
-entry by ``(M[r][c] * M[i][j] - M[i][c] * M[r][j]) / d`` and makes
-``M[r][c]`` the new ``d`` (Edmonds' all-integer form of Bareiss's
-elimination); the division is always exact because each entry is a
-minor of the scaled input.  A negative pivot, which only the step that
-drives artificial variables out of the basis can meet, negates the
-whole matrix so that ``d`` stays positive.  The integer reduced costs
-are the rational ones times a positive factor, so both entering rules
-read them directly, and the ratio test compares ``M[i][rhs] / M[i][c]``
-by cross-multiplication; the pivot sequence is the one the rational
-tableau would take.  Pivots replace rows rather than edit them, so a
-copy of the row list is a copy of the tableau.  Only the returned
-solution, objective and certificate are built as
-:class:`fractions.Fraction`\\ s, and :func:`optimize` builds the optimal
-point only when asked.  Input that is not integers with positive scales,
-such as a missing scale or a ``Fraction`` entry, raises ``ValueError``.
+and an objective's costs ``scale`` times the rational costs; ``sum(x) =
+1`` comes at scale 1.  The tableau is an integer matrix ``M`` over one
+common positive denominator ``d``, the rational tableau ``M / d``;
+``d`` starts at the product of the scales, which so change no pivot,
+point or certificate.  A pivot on ``M[r][c]`` replaces every other entry
+by ``(M[r][c] * M[i][j] - M[i][c] * M[r][j]) / d`` and makes ``M[r][c]``
+the new ``d`` (Edmonds' all-integer form of Bareiss's elimination); the
+division is exact.  A negative pivot, which only the drive-out can meet,
+negates the whole matrix so that ``d`` stays positive.  Both entering
+rules read the integer reduced costs, ``d`` times the rational ones, and
+the ratio test cross-multiplies: the pivots are the rational tableau's.
+Input that is not integers with positive scales raises ``ValueError``.
+
+Each row of ``M``, the reduced costs included, is one Python int:
+column ``k`` is a signed field of ``W`` bits at bit ``k * W``, the
+right-hand side the next field.  Packing is linear, so a pivot is a few
+whole-int operations per row, ``(p * R - f * P) // d``, ``p * R // d``
+if ``f`` is 0, or ``-P`` on a negative pivot: the product packs ``d``
+times the new entries, its fields overflowing or not, so ``//`` is exact
+and leaves their packing.  Adding ``2**(W - 1)`` to every field makes
+each nonnegative, so no carry crosses a field: a field minus that bias is
+the entry, and its top bit is clear exactly where the entry is negative.
+Bland's rule takes the lowest clear top bit of the biased reduced costs,
+Dantzig's their least.
+
+``W`` is the least multiple of 64 whose fields hold a bound proven per
+:func:`solve`.  Let ``S`` have the ``m`` rows ``[scaled row i | s_i e_i
+| scaled rhs i]``, ``sum(x) = 1`` among them, so ``S / s_i`` row by row
+is the oriented rational system.  At a basis ``B``, ``d = |det S_B|``
+and ``M = +-adj(S_B) S``: by Cramer's rule every entry, ``d`` included,
+is +- an ``m``-minor of ``S``, and ``d`` times a reduced cost one of
+``S`` with the cost row ``c`` appended (0 on the artificials in phase
+2).  Such a minor's rows have at most ``m + 1`` entries, so by
+Hadamard's inequality no entry exceeds the product over ``i`` of
+``sqrt(m + 1) * max|S_i|``, times ``sqrt(m + 1) * max|c|`` for a reduced
+cost.  Phase 1's costs are 0 and 1; :func:`optimize` widens the rows
+once if an objective's costs exceed that headroom.
 
 When a system is infeasible the solver returns a Farkas certificate: a
 vector ``y``, one entry per row and the last for ``sum(x) = 1``, with
@@ -76,8 +82,10 @@ vector ``y``, one entry per row and the last for ``sum(x) = 1``, with
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import Sequence
 
@@ -109,6 +117,47 @@ class LPResult:
         return self.status == OPTIMAL
 
 
+class _Layout:
+    """Rows of ``count`` fields of ``bits`` bits, the right-hand side last."""
+
+    def __init__(self, bits: int, count: int):
+        self.bits, self.count, self.size = bits, count, count * bits // 8
+        self.half, self.mask, self.rhs = 1 << (bits - 1), (1 << bits) - 1, (count - 1) * bits
+        self.bias = (1 << count * bits) // self.mask * self.half  # half in every field
+        self.tops = self.bias - (self.half << self.rhs)  # the columns' top bits
+        self.signed = struct.Struct(f"<{count - 1}q") if bits == 64 else None  # the columns
+        self.struct = struct.Struct(f"<{count - 1}Q") if bits == 64 else None  # biased
+
+    def pack(self, values: Sequence[int], rhs: int = 0) -> int:
+        """The row of the column entries ``values`` and right-hand side ``rhs``."""
+        if self.signed:
+            data = self.signed.pack(*values)
+        else:
+            data = b"".join(v.to_bytes(self.bits // 8, "little", signed=True) for v in values)
+        word = int.from_bytes(data, "little")  # 2**W too much above each negative field
+        return word - ((word & self.bias) << 1) + (rhs << self.rhs)
+
+    def columns(self, word: int) -> Sequence[int]:
+        """The fields of ``word`` but its right-hand side; none is negative."""
+        data, size = word.to_bytes(self.size, "little"), self.bits // 8
+        if self.struct:
+            return self.struct.unpack_from(data)
+        return [int.from_bytes(data[k : k + size], "little") for k in range(0, self.rhs // 8, size)]
+
+    def unpack(self, row: int) -> list[int]:
+        """The entries of a row, the right-hand side last."""
+        word = row + self.bias
+        return [v - self.half for v in (*self.columns(word), word >> self.rhs)]
+
+
+_layout = lru_cache(maxsize=64)(_Layout)  # one per width and field count
+
+
+def _bits(square: int) -> int:
+    """The least multiple of 64 whose signed fields hold ``isqrt(square)``."""
+    return 64 * ((square.bit_length() + 1) // 128 + 1)  # isqrt(square) has half the bits
+
+
 def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[int]) -> LPResult:
     """Phase 1 for ``rows . x = rhs, sum(x) = 1, x >= 0``, the last row
     appended here, where ``rows[i]`` and ``rhs[i]`` are ``scales[i] > 0``
@@ -136,8 +185,7 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[in
     # scaling a row is one-to-one, so equal scaled columns are equal ones,
     # and the sum row is 1 in every column.
     index: dict[tuple[int, ...], int] = {}
-    firsts = []
-    repeats = []
+    firsts, repeats = [], []
     for j, column in enumerate(zip(*rows)):
         g = index.setdefault(column, len(firsts))
         if g < len(firsts):
@@ -145,49 +193,63 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[in
         else:
             firsts.append(j)
     width = len(firsts)
+    if repeats:
+        rows = list(zip(*index))  # the kept columns, row by row
 
-    # Phase 1 tableau d * [A | I | b], rows oriented, the sum row last, one
-    # artificial variable per row; below it the reduced costs, also times d.
-    d = prod(scales)
+    # Hadamard's bound, squared, with m = neq + 1 rows (the sum row's 1s).
     neq += 1
     total = width + neq
-    tableau = []
-    for i, (row, b, s, sign) in enumerate(zip(rows, rhs, scales, signs)):
-        k = sign * (d // s)
-        unit = [0] * neq
-        unit[i] = d
-        tableau.append([k * row[j] for j in firsts] + unit + [k * b])
-    tableau.append([d] * width + [0] * (neq - 1) + [d, d])
-    bottom = [-sum(col) for col in zip(*tableau)]
-    # Each entry sums a kept column (a repeat equals one) or the right-hand
-    # side: a Fraction among them, which "//" would floor, makes it no int.
-    if not all(isinstance(v, int) for v in bottom):
-        raise ValueError("constraint entries must be ints")
-    bottom[width:total] = [0] * neq
-    tableau.append(bottom)
-    basis = [width + i for i in range(neq)]
+    square = (neq + 1) ** (neq + 1)
+    for row, b, s in zip(rows, rhs, scales):
+        if not isinstance(sum(row, b), int):  # an int only if every entry is one
+            raise ValueError("constraint entries must be ints")
+        ordered = sorted(row)  # sorted compares ints faster than max does
+        square *= max(ordered[-1], -ordered[0], s, abs(b)) ** 2
+    layout = _layout(_bits(square), total + 1)
+    bits, bias, half = layout.bits, layout.bias, layout.half
+    out = _layout(bits, width + 1)  # phase 2's
 
-    d = _minimize(tableau, basis, d)
-    bottom = tableau[-1]
-    if bottom[total] != 0:
+    # Phase 1 tableau d * [A | I | b], rows oriented, the sum row last, one
+    # artificial variable per row; below it the reduced costs, also times
+    # d, 0 on the artificial columns.
+    d = prod(scales)
+    ones = (out.tops >> bits - 1) + (1 << layout.rhs)
+    tableau, bottom = [], -d * ones
+    for i, (row, b, s, sign) in enumerate(zip(rows, rhs, scales, signs)):
+        word = sign * (d // s) * (out.pack(row) + (b << layout.rhs))
+        tableau.append(word + (d << (width + i) * bits))
+        bottom -= word
+    tableau += [d * ones + (d << (total - 1) * bits), bottom]
+    basis = list(range(width, total))
+
+    d = _minimize(tableau, basis, d, layout)
+    bottom = tableau.pop()
+    if (bottom + bias) >> layout.rhs != half:
         # Infeasible; read the simplex multipliers off the artificial columns.
-        certificate = tuple(Fraction(signs[i] * (d - bottom[width + i]), d) for i in range(neq))
+        ys = layout.unpack(bottom)[width:total]
+        certificate = tuple(Fraction(sign * (d - y), d) for sign, y in zip(signs, ys))
         return LPResult(INFEASIBLE, certificate=certificate)
 
     # Drive leftover artificial variables out of the basis; rows where that
     # is impossible are redundant (all-zero over the structural columns).
+    # Those fields come first and the row's own artificial entry is d != 0,
+    # so its lowest set bit is in its first nonzero structural column, if any.
     for r in range(neq):
         if basis[r] >= width:
-            for j in range(width):
-                if tableau[r][j] != 0:
-                    d = _pivot(tableau, basis, d, r, j)
-                    break
+            j = ((tableau[r] & -tableau[r]).bit_length() - 1) // bits
+            if 0 <= j < width:
+                column = [((row + bias) >> j * bits & layout.mask) - half for row in tableau]
+                d = _pivot(tableau, basis, d, r, j, column)
 
-    keep = [r for r in range(neq) if basis[r] < width]
-    tableau = tuple(tuple(tableau[r][:width]) + (tableau[r][total],) for r in keep)
-    basis = tuple(basis[r] for r in keep)
-    solution = _extract(tableau, [firsts[bv] for bv in basis], nvar, d)
-    return LPResult(OPTIMAL, solution=solution, _tableau=(tableau, basis, d, firsts, repeats))
+    # Phase 2's rows: the structural columns and the right-hand side.
+    words = [row + bias for row, bv in zip(tableau, basis) if bv < width]
+    values = [(word >> layout.rhs) - half for word in words]
+    low = (1 << out.rhs) - 1
+    rows = tuple((word & low) - out.tops + (v << out.rhs) for word, v in zip(words, values))
+    basis = tuple(bv for bv in basis if bv < width)
+    solution = _extract(values, [firsts[bv] for bv in basis], nvar, d)
+    first = (rows, basis, d, firsts, repeats, out, values, square)
+    return LPResult(OPTIMAL, solution=solution, _tableau=first)
 
 
 def optimize(
@@ -210,7 +272,7 @@ def optimize(
         return first
     if first._tableau is None:
         raise ValueError("optimize needs the feasible result of solve(rows, rhs, scales)")
-    rows, basis, d, firsts, repeats = first._tableau
+    rows, basis, d, firsts, repeats, layout, values, square = first._tableau
     if len(costs) != len(firsts) + len(repeats):
         raise ValueError("objective length does not match variable count")
     try:  # one type check of the sum, an int only if every cost is one
@@ -231,104 +293,102 @@ def optimize(
             chosen[g] = j
     # On the simplex sign * scale * (c . x) is at least the least cost; a
     # phase-1 point at it is optimal, read off the right-hand sides alone.
-    width = len(firsts)
-    at = sum(group[bv] * row[width] for row, bv in zip(rows, basis))
+    at = sum(group[bv] * value for value, bv in zip(values, basis))
     floor = min(group)
     if at != floor * d:
-        # The reduced-cost row below the tableau is d times those costs
-        # reduced by the basis.
-        bottom = [d * v for v in group] + [-at]
-        for row, bv in zip(rows, basis):
-            coef = group[bv]
-            if coef != 0:
-                for j in range(width):
-                    bottom[j] -= coef * row[j]
-        tableau = [*rows, bottom]
-        basis = list(basis)
-        d = _minimize(tableau, basis, d, dantzig=True, floor=floor)
-        rows, at = tableau, -tableau[-1][width]
+        top = max(max(group), -floor)
+        if top > 1 and _bits(square * top * top) > layout.bits:  # phase 1's headroom is 1
+            wide = _layout(_bits(square * top * top), layout.count)
+            rows, layout = [wide.pack(v[:-1], v[-1]) for v in map(layout.unpack, rows)], wide
+        # Below the rows, d times the costs reduced by the basis, and -at.
+        rows_cost = sum(group[bv] * row for row, bv in zip(rows, basis) if group[bv])
+        bottom = d * layout.pack(group) - rows_cost
+        tableau, basis = [*rows, bottom], list(basis)
+        d = _minimize(tableau, basis, d, layout, dantzig=True, floor=floor)
+        at = layout.half - (tableau.pop() + layout.bias >> layout.rhs)
+        if point:
+            values = [(row + layout.bias >> layout.rhs) - layout.half for row in tableau]
     value = Fraction(sign * at, d * scale)
-    solution = None
-    if point:
-        solution = _extract(rows, [chosen[bv] for bv in basis], width + len(repeats), d)
+    solution = _extract(values, [chosen[bv] for bv in basis], len(costs), d) if point else None
     return LPResult(OPTIMAL, solution=solution, objective=value)
 
 
 def _minimize(
-    tableau: list[list[int]],
+    tableau: list[int],
     basis: list[int],
     d: int,
+    layout: _Layout,
     dantzig: bool = False,
     floor: int | None = None,
 ) -> int:
-    """Run simplex iterations until optimal; the program must be bounded.
-
-    The last row of ``tableau`` holds the reduced costs, its last entry
-    ``-d`` times the objective.  Enters on Bland's rule, or on Dantzig's
-    until :data:`DEGENERATE_RUN` consecutive degenerate pivots; stops
-    early once the objective equals ``floor``.  Returns the final common
-    denominator.
-    """
-    bottom = tableau[-1]
-    width = len(bottom) - 1
-    columns = range(width)
-    constraints = len(basis)
+    """Pivot the bounded program ``tableau``, rows in ``layout`` and last
+    the reduced costs, its right-hand side ``-d`` times the objective,
+    until optimal or the objective equals ``floor``, on Bland's rule or
+    on Dantzig's until :data:`DEGENERATE_RUN` degenerate pivots in a
+    row.  Returns the final common denominator."""
+    bits, bias, mask, half, rhs = layout.bits, layout.bias, layout.mask, layout.half, layout.rhs
+    constraints = range(len(basis))
     degenerate = 0
     while True:
-        if floor is not None and bottom[-1] + floor * d == 0:
+        bottom = tableau[-1] + bias
+        if floor is not None and (bottom >> rhs) - half + floor * d == 0:
             return d
         if dantzig and degenerate < DEGENERATE_RUN:
-            enter = min(columns, key=bottom.__getitem__)
-            if bottom[enter] >= 0:
+            costs = layout.columns(bottom)
+            least = min(costs)
+            if least >= half:
                 return d
+            enter = costs.index(least)
         else:
-            enter = next((j for j in columns if bottom[j] < 0), None)
-            if enter is None:
+            clear = layout.tops & ~bottom
+            if not clear:
                 return d
+            enter = ((clear & -clear).bit_length() - 1) // bits
+        # The pivot column, read once per row for the ratio test and the
+        # update, and each candidate row's right-hand side.
+        shift = enter * bits
+        column = [(((row + bias) >> shift) & mask) - half for row in tableau]
         leave = None
-        for r in range(constraints):
-            row = tableau[r]
-            coef = row[enter]
+        for r in constraints:
+            coef = column[r]
             if coef > 0:
+                value = ((tableau[r] + bias) >> rhs) - half
                 if leave is None:
-                    leave, num, den = r, row[-1], coef
+                    leave, num, den = r, value, coef
                     continue
-                # row[-1] / coef against num / den, both denominators positive.
-                lhs = row[-1] * den
-                rhs = num * coef
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    leave, num, den = r, row[-1], coef
+                # value / coef against num / den, both denominators positive.
+                lhs, right = value * den, num * coef
+                if lhs < right or (lhs == right and basis[r] < basis[leave]):
+                    leave, num, den = r, value, coef
         if leave is None:  # pragma: no cover - impossible
             raise AssertionError("a bounded program has a leaving row")
         degenerate = degenerate + 1 if num == 0 else 0
-        d = _pivot(tableau, basis, d, leave, enter)
-        bottom = tableau[-1]
+        d = _pivot(tableau, basis, d, leave, enter, column)
 
 
-def _pivot(tableau: list[list[int]], basis: list[int], d: int, r: int, c: int) -> int:
-    """Fraction-free pivot on ``tableau[r][c]``; returns the new denominator."""
+def _pivot(tableau: list[int], basis: list[int], d: int, r: int, c: int, column: list[int]) -> int:
+    """Fraction-free pivot on entry ``c`` of row ``r``, ``column`` holding
+    every row's entry ``c``; returns the new denominator."""
     pivot_row = tableau[r]
-    p = pivot_row[c]
+    p = column[r]
     if p < 0:
         # Negating the pivot row first yields the negated update, so the
         # new denominator -p stays positive.
-        pivot_row = tableau[r] = [-v for v in pivot_row]
+        pivot_row = tableau[r] = -pivot_row
         p = -p
-    for i, row in enumerate(tableau):
-        if i == r:
-            continue
-        f = row[c]
+    for i, f in enumerate(column):
         if f:
-            tableau[i] = [(p * v - f * w) // d for v, w in zip(row, pivot_row)]
+            if i != r:
+                tableau[i] = (p * tableau[i] - f * pivot_row) // d
         elif p != d:
-            tableau[i] = [p * v // d for v in row]
+            tableau[i] = p * tableau[i] // d
     basis[r] = c
     return p
 
 
-def _extract(tableau, columns, nvar: int, d: int) -> tuple[Fraction, ...]:
-    """The basic solution, row ``r``'s value at input column ``columns[r]``."""
+def _extract(values, columns, nvar: int, d: int) -> tuple[Fraction, ...]:
+    """The basic solution: ``values[r] / d`` at input column ``columns[r]``."""
     x = [Fraction(0)] * nvar
     for r, j in enumerate(columns):
-        x[j] = Fraction(tableau[r][-1], d)
+        x[j] = Fraction(values[r], d)
     return tuple(x)

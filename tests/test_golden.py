@@ -125,10 +125,10 @@ def count_calls(name, monkeypatch):
         counts["optimizes"].append(costs)
         return optimize(first, costs, scale, maximize, point)
 
-    def counting_minimize(tableau, basis, d, dantzig=False, floor=None):
+    def counting_minimize(tableau, basis, d, layout, dantzig=False, floor=None):
         if dantzig:  # phase 2
             counts["reduced"].append(len(basis))
-        return minimize(tableau, basis, d, dantzig, floor)
+        return minimize(tableau, basis, d, layout, dantzig, floor)
 
     for module in (coherence, cli, bounds):
         monkeypatch.setattr(module, "check_coherence", counting_check)

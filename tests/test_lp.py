@@ -1,12 +1,13 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import isqrt, lcm
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dense_lp
 from previsions import lp
 from previsions.coherence import LinearSystem, _reproduces, _scaled, upper_conditioning_masses
 from oracles import brute_masses, brute_reproduces, polytope_vertices
@@ -429,16 +430,20 @@ class TestSharedPhaseOne:
         #   x2 + x5 = 1
         # times d = 8, the product of their scales 4, 2 and 1, and below
         # them d times the reduced costs at scale 4, -3/4 x3 + 20 x4 - 1/2
-        # x5 + 6 x6, at the objective 0.
+        # x5 + 6 x6, at the objective 0; each row packed as the kernel packs it.
         def beale():
+            layout = lp._layout(64, 8)
             tableau = [
-                [8, 0, 0, 2, -64, -8, 72, 0],
-                [0, 8, 0, 4, -96, -4, 24, 0],
-                [0, 0, 8, 0, 0, 8, 0, 8],
-                [0, 0, 0, -24, 640, -16, 192, 0],
+                layout.pack(row[:-1], row[-1])
+                for row in [
+                    [8, 0, 0, 2, -64, -8, 72, 0],
+                    [0, 8, 0, 4, -96, -4, 24, 0],
+                    [0, 0, 8, 0, 0, 8, 0, 8],
+                    [0, 0, 0, -24, 640, -16, 192, 0],
+                ]
             ]
-            d = lp._minimize(tableau, [0, 1, 2], 8, dantzig=True)
-            return F(-tableau[-1][-1], 4 * d)
+            d = lp._minimize(tableau, [0, 1, 2], 8, layout, dantzig=True)
+            return F(-layout.unpack(tableau[-1])[-1], 4 * d)
 
         pivot = lp._pivot
 
@@ -680,6 +685,180 @@ class TestIntegerEntry:
         least = solve(rows, target)
         member = lp.solve([[6, -3]], [-3], [12])
         assert member.solution == least.solution == (F(0), F(1))
+
+
+def hadamard_square(rows, rhs, scales, costs=(), maximize=False):
+    """The square of the bound that ``lp``'s docstring proves on every
+    tableau entry of ``lp.solve(rows, rhs, scales)`` and of an
+    ``lp.optimize`` with ``costs``: with ``m`` rows, ``sum(x) = 1``
+    appended as ``[1 ... 1 | 1 | 1]``, the product over the rows ``S_i``
+    of ``(m + 1) * max|S_i|**2``, times ``(m + 1) * max|c|**2`` with
+    ``|c|`` at least 1 (phase 1's costs).  Each group of equal columns
+    is priced at its cheapest copy, as the tableau prices it."""
+    m = len(rows) + 1
+    sign = -1 if maximize else 1
+    group = {}
+    for column, cost in zip(zip(*rows), costs):
+        group[column] = min(group.get(column, sign * cost), sign * cost)
+    square = (m + 1) ** (m + 1) * max([1, *map(abs, group.values())]) ** 2
+    for row, b, s in zip(rows, rhs, scales):
+        square *= max(*map(abs, row), s, abs(b)) ** 2
+    return square
+
+
+def stepped(module, run):
+    """``run()`` and, after each of ``module``'s pivots, its new
+    denominator, basis and tableau rows."""
+    steps = []
+    pivot = module._pivot
+
+    def recording(tableau, basis, *args):
+        d = pivot(tableau, basis, *args)
+        steps.append((d, list(basis), list(tableau)))
+        return d
+
+    with mock.patch.object(module, "_pivot", recording):
+        return run(), steps
+
+
+def assert_same_steps(dense_steps, packed_steps, square):
+    """Pivot by pivot, the packed tableau unpacks to the dense one, with
+    fields of the least multiple of 64 bits that holds ``sqrt(square)``,
+    and no entry exceeds that bound.  Only the drive-out of the
+    artificials runs without the reduced-cost row in the packed kernel."""
+    bits = 64 * (isqrt(square).bit_length() // 64 + 1)
+    assert len(packed_steps) == len(dense_steps)
+    for (d, basis, rows), (packed_d, packed_basis, packed) in zip(dense_steps, packed_steps):
+        assert (packed_d, packed_basis) == (d, basis)
+        assert len(packed) in (len(rows), len(basis))
+        layout = lp._layout(bits, len(rows[0]))
+        assert [layout.unpack(word) for word in packed] == list(map(list, rows[: len(packed)]))
+        assert d * d <= square
+        assert all(v * v <= square for row in rows for v in row)
+
+
+def assert_kernels_agree(rows, rhs, scales, objectives=()):
+    """``lp`` and the dense reference kernel in ``dense_lp`` take the same
+    pivots through the same tableaux and return the same outcomes, for
+    phase 1 and for each ``(costs, scale, maximize)`` objective; returns
+    the packed kernel's phase-1 result and optimal values."""
+    dense, dense_steps = stepped(dense_lp, lambda: dense_lp.solve(rows, rhs, scales))
+    first, steps = stepped(lp, lambda: lp.solve(rows, rhs, scales))
+    assert_same_steps(dense_steps, steps, hadamard_square(rows, rhs, scales))
+    assert (first.status, first.solution, first.certificate) == (
+        dense.status, dense.solution, dense.certificate
+    )
+    values = []
+    for costs, scale, maximize in objectives:
+        run = lambda module, start: module.optimize(start, costs, scale, maximize, point=True)
+        want, dense_steps = stepped(dense_lp, lambda: run(dense_lp, dense))
+        got, steps = stepped(lp, lambda: run(lp, first))
+        square = hadamard_square(rows, rhs, scales, costs, maximize)
+        assert_same_steps(dense_steps, steps, square)
+        assert (got.status, got.objective, got.solution) == (want.status, want.objective, want.solution)
+        values.append(got.objective)
+    return first, values
+
+
+def boundary_system(bits, above):
+    """One member row ``[M, 1 - M, 3] . x = 2`` at scale 1, two rows with
+    ``sum(x) = 1``, so the documented bound is ``isqrt(27 * M**2)``: ``M``
+    puts it just below ``2**(bits - 1)``, or just above when ``above``."""
+    top = isqrt(((1 << 2 * (bits - 1)) - 1) // 27) + above
+    return [[top, 1 - top, 3]], [2], [1]
+
+
+def assert_matches_the_oracle(rows, rhs, scales, objectives=()):
+    """Both kernels agree, and their outcome is the vertex oracle's."""
+    first, values = assert_kernels_agree(rows, rhs, scales, objectives)
+    points = [tuple(F(v, s) for v, s in zip(column, scales)) for column in zip(*rows)]
+    target = tuple(F(b, s) for b, s in zip(rhs, scales))
+    vertices = polytope_vertices(points, target)
+    assert first.feasible == bool(vertices)
+    if not first.feasible:
+        check_certificate([list(p) for p in zip(*points)], list(target), first.certificate)
+    for (costs, scale, maximize), value in zip(objectives, values):
+        if vertices:
+            totals = [sum(F(c, scale) * w for c, w in zip(costs, v)) for v in vertices]
+            assert value == (max(totals) if maximize else min(totals))
+
+
+class TestPackedRows:
+    """The packed kernel against the list-of-lists kernel it replaced
+    (``tests/dense_lp.py``) pivot by pivot, every entry under the
+    documented bound, and at the field widths' edges against the vertex
+    oracle."""
+
+    def test_seeded_systems_step_as_the_dense_kernel(self):
+        rng = random.Random(26)
+        for rows, rhs in seeded_systems(1, 400):
+            ints, target, scales = scaled(rows, rhs)
+            costs = [rng.randint(-3, 3) for _ in ints[0]]
+            masses = [rng.randint(0, 1) for _ in ints[0]]
+            assert_kernels_agree(
+                ints, target, scales, [(costs, 1, False), (costs, 2, True), (masses, 1, True)]
+            )
+
+    @settings(
+        max_examples=250,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(hull_problems())
+    def test_hull_problems_step_as_the_dense_kernel(self, problem):
+        _, _, rows, rhs, cost, maximize = problem
+        scale, costs = _scaled(cost)
+        assert_kernels_agree(*scaled(rows, rhs), [(costs, scale, maximize)])
+
+    def test_field_width(self):
+        # The least multiple of 64 bits whose signed fields hold sqrt(square).
+        for bits in (64, 128, 192):
+            limit = 1 << (bits - 1)
+            assert lp._bits((limit - 1) ** 2) == bits
+            assert lp._bits(limit**2 - 1) == bits
+            assert lp._bits(limit**2) == bits + 64
+
+    @pytest.mark.parametrize(
+        "bits, above", [(64, False), (64, True), (128, False), (128, True)],
+        ids=["below-2**63", "above-2**63", "below-2**127", "above-2**127"],
+    )
+    def test_bound_at_a_width_boundary(self, bits, above):
+        rows, rhs, scales = boundary_system(bits, above)
+        assert (isqrt(hadamard_square(rows, rhs, scales)) >= 1 << (bits - 1)) == above
+        with mock.patch.object(lp, "_layout", wraps=lp._layout) as layouts:
+            first = lp.solve(rows, rhs, scales)
+        assert layouts.call_args_list[0].args[0] == bits + 64 * above
+        objectives = [([0, 1, 0], 1, True), ([1, 0, 1], 1, False), ([2, -1, 1], 3, True)]
+        assert_matches_the_oracle(rows, rhs, scales, objectives)
+        assert first.feasible
+
+    def test_optimize_widens_the_rows_for_large_costs(self):
+        # Phase 1 fits 64-bit fields with a bound just below 2**63; costs
+        # of 7 need 128 bits, and phase 2 pivots at that width from phase
+        # 1's point on the first two columns to the vertex on the last two.
+        rows, rhs, scales = boundary_system(64, 0)
+        top = rows[0][0]
+        first = lp.solve(rows, rhs, scales)
+        with mock.patch.object(lp, "_layout", wraps=lp._layout) as layouts:
+            result, pivots = counted(lambda: lp.optimize(first, [0, -5, 7], 1, True))
+        assert [call.args[0] for call in layouts.call_args_list] == [128]
+        assert pivots > 0 and result.objective == F(7 * (top + 1) - 5, top + 2)
+        objectives = [([0, -5, 7], 1, True), ([0, 5, -7], 1, False), ([0, 5, -7], 1, True)]
+        assert_matches_the_oracle(rows, rhs, scales, objectives)
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["feasible", "infeasible"])
+    def test_a_300_digit_scale(self, inside):
+        q, r = 10**299 + 7, 10**299 + 9
+        points = [(F(1, q), F(2, r)), (F(-3, q), F(1, r)), (F(2, q), F(-5, r)), (F(1, 7), F(0))]
+        weights = [F(1, 4), F(1, 4), F(1, 2), F(0)] if inside else [F(2), F(0), F(-1), F(0)]
+        target = [sum(w * p[i] for w, p in zip(weights, points)) for i in range(2)]
+        rows = [[p[i] for p in points] for i in range(2)]
+        ints, rhs, scales = scaled(rows, target)
+        assert max(scales) > 10**299
+        objectives = [([1, -1, 2, 0], 1, True), ([1, -1, 2, 0], 1, False), ([0, 0, 0, 1], 1, True)]
+        assert_matches_the_oracle(ints, rhs, scales, objectives)
 
 
 @st.composite
