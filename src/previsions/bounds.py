@@ -4,26 +4,26 @@ Given a coherent base assessment and a target quantity whose
 conditioning event covers every constituent inside the base
 conditioning events, the coherent previsions for the target form a
 closed interval (Biazzo & Gilio, IJAR 2000, on extending a coherent
-assessment).  The extended family's events are folded at most once, and
-the base is checked in full as a sub-assessment of the extended family,
-on its slice of the family's truth tables.
+assessment).  Base and target are folded at most once, over one frame, and
+the base is checked in full on its slice of those truth tables.
 
 The endpoints need no recursive re-check.  The target carries mass one
 in every solution, so it never joins a zero-mass set: every deeper level
-of the extended check is a subfamily of the base, and every subfamily of
-a coherent base is coherent.  A prevision ``z`` for the target is thus
-coherent exactly when the base is and level 1 of the extended system is
-solvable at ``z``.
+of the check of the base plus the target is a subfamily of the base, and
+every subfamily of a coherent base is coherent.  A prevision ``z`` for
+the target is thus coherent exactly when the base is and level 1 of that
+check's system is solvable at ``z``.
 
-Nor do they need a phase 1 of their own.  The extended blocks that one
-base block merges share its base point, so an endpoint puts the block's
-mass on its least (greatest) target value: it is optimized on the base
-check's level-1 system, with those per-block extremes as the objective,
-which stops at once if it reaches their least (greatest).
-Lifting each block's weight onto its extreme block makes the optimal
-point an extended level-1 solution, checked exactly on the base rows
-plus the extremes as a row.  A block outside every base conditioning has
-the previsions as its point, so its target value is coherent and covered.
+Nor do they need a phase 1 or a partition of their own.  A base block
+of the check's level 1 takes the values of the target cells that meet
+it, all at its one base point, so an endpoint puts the block's mass on
+its least (greatest) target value: it is optimized on the base check's
+level-1 system, with those per-block extremes as the objective, which
+stops at once if it reaches their least (greatest).  Lifting each
+block's weight onto its extreme cell makes the optimal point a level-1
+solution for the base plus the target, checked exactly on the base rows
+plus the extremes as a row.  The base's outside block has the previsions
+as its point, so the target's values there are coherent and covered.
 
 The classic two-event bounds (conjunction, disjunction, quasi
 conjunction) are also available in closed form; for logically
@@ -96,32 +96,32 @@ def extension_interval(
 def _extend(
     base: Assessment, target: ConditionalRandomQuantity
 ) -> tuple[CoherenceReport, ExtensionInterval | None]:
-    """The base's coherence report and, when the base is coherent, the
-    target's interval: at most one fold, one check and one phase 1.
+    """The base's report and, when it is coherent, the target's interval:
+    at most one fold, check and phase 1, and no partition but its levels.
 
     The base is checked before the target's coverage, so an incoherent
     base is reported whatever the target.
     """
     n = len(base)
     extended = Assessment(base.members + (target,), base.previsions + (_ZERO,))
-    blocks = extended.partition.inside
     base = extended.sub(range(n))  # the same base, on a slice of the tables
     report = check_coherence(base)
     if not report.coherent:
         return report, None
-    if any(block.labels[n] is None for block in blocks):
+    given, raw = extended._frame[1][n]  # the target's tables, over the base's frame
+    inside, outside = base.partition.inside, base.partition.outside
+    if any(block.mask & ~given for block in inside):
         raise InputError("target conditioning must cover every base conditioning event")
-    # The target's values on each base block, and outside them all.
-    values = {block.labels: [] for block in base.partition.inside}
-    outside: list[Fraction] = []
-    for block in blocks:
-        values.get(block.labels[:n], outside).append(target.cells[block.labels[n]][1])
+    # The target's values on each base block, all inside ``given``, and outside them all.
+    masks = [*(block.mask for block in inside), outside.mask & given if outside else 0]
+    cells = [(table, value) for table, (_, value) in zip(raw, target.cells)]
+    *values, outside = [[value for table, value in cells if table & mask] for mask in masks]
     system, interval = base.system, []
     for maximize, extreme in ((False, min), (True, max)):
-        scale, costs = _scaled([extreme(v) for v in values.values()])
+        scale, costs = _scaled([extreme(v) for v in values])
         endpoint = lp.optimize(system.feasibility, costs, scale, maximize, True)  # and its point
-        # Lifted onto the extreme blocks, the optimal point must solve
-        # level 1 of the extended system priced at the endpoint.
+        # Lifted onto each block's extreme target cell, the optimal point
+        # must solve level 1 of the base plus the target, priced at the endpoint.
         rows = (*system.scaled_rows, costs)
         if not endpoint.feasible or not _reproduces(
             rows, (*system.scaled_target, scale * endpoint.objective), endpoint.solution

@@ -104,7 +104,7 @@ def _compound_spec(entry: Any, member_count: int, where: str) -> CompoundSpec:
     if not isinstance(entry, Mapping):
         raise DocumentError(f"{where} must be an object")
     kind = entry.get("kind")
-    if kind not in _COMPOUND_BUILDERS:
+    if not isinstance(kind, str) or kind not in _COMPOUND_BUILDERS:
         raise DocumentError(f"{where} kind must be one of {sorted(_COMPOUND_BUILDERS)}")
     operands = entry.get("operands")
     if (

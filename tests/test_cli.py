@@ -736,7 +736,7 @@ def hostile_documents(draw):
 
     def compound():
         entry = {
-            "kind": piece(KINDS, ["nand", 5]),
+            "kind": piece(KINDS, ["nand", 5, [], {"kind": "conjunction"}]),
             "operands": piece([[0, 1], [1, 2], [0, 0]], [[0], [0, 5], ["0", 1], [True, 0]]),
         }
         if draw(st.booleans()):
@@ -793,6 +793,11 @@ class TestHostileDocuments:
     @example(document={"members": [{**VALID_MEMBER, "given": 2}]}, command=("check",), cap=None)
     @example(
         document={"members": [VALID_MEMBER], "compounds": [5]}, command=("check",), cap=None
+    )
+    @example(
+        document={"members": [VALID_MEMBER] * 2, "compounds": [{"kind": [], "operands": [0, 1]}]},
+        command=("extend", "--target", "conjunction:0,1"),
+        cap=None,
     )
     @example(document={"members": [VALID_MEMBER]}, command=("check",), cap="x")
     @example(document={"members": [VALID_MEMBER]}, command=("check",), cap="0")

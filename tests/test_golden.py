@@ -12,8 +12,12 @@ value-map and 20-atom three-level cases, and ``conjoin`` and
 member uses.  ``conjoin-third-member`` conjoins two members that leave
 out an atom a third member uses, and ``constituents-empty-cell`` has a
 member whose cell empty inside its conditioning is the only one to use
-an atom.  Each command also runs as a real ``python -m previsions.cli``
-process, so the entry point is held to the same exit status and bytes.
+an atom.  ``extend-two-level-base`` extends a base whose check has two
+levels, and ``extend-incoherent-base`` a base incoherent at its second
+level, with a target that does not cover the base, so the incoherent
+base is reported before the coverage error.  Each command also runs as
+a real ``python -m previsions.cli`` process, so the entry point is held
+to the same exit status and bytes.
 
 To re-record after an intended change of output, run the command in
 ``REPORTS`` on the document and write its standard output to the
@@ -46,6 +50,8 @@ CASES = {
     "extend-conjunction": (["extend", "--target", "conjunction:0,1"], 0),
     "extend-disjunction": (["extend", "--target", "disjunction:0,1"], 0),
     "extend-quasi-conjunction": (["extend", "--target", "quasi-conjunction:0,1"], 0),
+    "extend-two-level-base": (["extend", "--target", "conjunction:1,2"], 0),
+    "extend-incoherent-base": (["extend", "--target", "conjunction:0,1"], 1),
 }
 
 # Every golden command; the work counts below run on the check and extend ones.
@@ -152,6 +158,8 @@ def count_calls(name, monkeypatch):
         ("extend-conjunction", 1),
         ("extend-disjunction", 1),
         ("extend-quasi-conjunction", 1),
+        ("extend-two-level-base", 1),
+        ("extend-incoherent-base", 1),
     ],
 )
 def test_check_count(name, checks, monkeypatch, capsys):
@@ -176,9 +184,11 @@ REFINEMENTS = {
     "conjoin-value-map": 1,
     "constituents-empty-cell": 1,
     "constituents-value-map": 1,
-    "extend-conjunction": 2,
-    "extend-disjunction": 2,
-    "extend-quasi-conjunction": 2,
+    "extend-conjunction": 1,
+    "extend-disjunction": 1,
+    "extend-incoherent-base": 2,
+    "extend-quasi-conjunction": 1,
+    "extend-two-level-base": 2,
 }
 
 
@@ -186,10 +196,11 @@ REFINEMENTS = {
 def test_enumeration_count(name, monkeypatch, capsys):
     """One refinement per partition a command reads: each level of each
     check refines its own blocks from its members' slice of the family's
-    tables, ``extend`` refines the base with its target once more, and
-    ``constituents`` refines the members' without checking them."""
+    tables, and ``extend`` reads its target's values off its base check's
+    level-1 blocks.  Only ``constituents`` refines a partition besides,
+    the members', without checking them."""
     counts = count_calls(name, monkeypatch)
-    extra = REPORTS[name][0][0] in ("extend", "constituents")
+    extra = REPORTS[name][0][0] == "constituents"
     assert len(counts["enumerations"]) == REFINEMENTS[name] == sum(counts["levels"]) + extra
 
 
@@ -207,9 +218,11 @@ def test_phase_one_count(name, monkeypatch, capsys):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_phase_two_count(name, monkeypatch, capsys):
     """One phase 2 per member of each solvable level, for its mass, and
-    for ``extend`` two more, the interval's endpoints."""
+    for an ``extend`` that exits 0 two more, the interval's endpoints;
+    one that exits 1 reports its incoherent base and optimizes no endpoint."""
     counts = count_calls(name, monkeypatch)
-    endpoints = 2 if CASES[name][0][0] == "extend" else 0
+    (command, *_), code = CASES[name]
+    endpoints = 2 if command == "extend" and code == 0 else 0
     assert len(counts["optimizes"]) == sum(counts["solvable"]) + endpoints
 
 
@@ -227,7 +240,9 @@ REDUCED = {
     "check-zero-mass-incoherent": 6,
     "extend-conjunction": 4,
     "extend-disjunction": 6,
+    "extend-incoherent-base": 2,
     "extend-quasi-conjunction": 6,
+    "extend-two-level-base": 3,
 }
 
 
