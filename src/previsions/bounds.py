@@ -4,8 +4,8 @@ Given a coherent base assessment and a target quantity whose
 conditioning event covers every constituent inside the base
 conditioning events, the coherent previsions for the target form a
 closed interval (Biazzo & Gilio, IJAR 2000, on extending a coherent
-assessment).  Base and target are folded at most once, over one frame, and
-the base is checked in full on its slice of those truth tables.
+assessment).  Base and target are put on one frame, with at most one
+fold, and the base is checked in full on its members' truth tables.
 
 The endpoints need no recursive re-check.  The target carries mass one
 in every solution, so it never joins a zero-mass set: every deeper level
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp
+from . import crq, lp
 from .coherence import (
     Assessment,
     CoherenceReport,
@@ -102,13 +102,12 @@ def _extend(
     The base is checked before the target's coverage, so an incoherent
     base is reported whatever the target.
     """
-    n = len(base)
-    extended = Assessment(base.members + (target,), base.previsions + (_ZERO,))
-    base = extended.sub(range(n))  # the same base, on a slice of the tables
+    *members, target = crq._shared((*base.members, target))
+    base = Assessment(members, base.previsions)
     report = check_coherence(base)
     if not report.coherent:
         return report, None
-    given, raw = extended._frame[1][n]  # the target's tables, over the base's frame
+    given, raw = target._given, target._raw
     inside, outside = base.partition.inside, base.partition.outside
     if any(block.mask & ~given for block in inside):
         raise InputError("target conditioning must cover every base conditioning event")

@@ -15,13 +15,13 @@ Members whose conditioning events carry zero mass in *every* solution
 are then re-checked recursively on their own; the assessment is
 coherent when each level is solvable and the zero-mass set empties out.
 
-The constituents depend only on the members, not on the previsions, so
-an :class:`Assessment` refines them at most once, from the members'
-truth tables over the one frame :mod:`previsions.crq` picks; members
-that share a frame, as a document's members and their compounds do,
-fold no event at all.  Every level of a check is a sub-assessment of the
-checked one, refining its own blocks from its members' slice of those
-tables, so no level below the first folds either.
+An :class:`Assessment` puts its members on one frame when it is built:
+members that share one, as a document's members and their compounds
+do, are kept as they are, and any others are rebuilt from one fold of
+all their events.  The constituents depend only on the members, not on
+the previsions, so an assessment refines them at most once, from its
+members' own truth tables.  Every level of a check is a sub-assessment
+of the checked one, on some of the same members, so no level folds.
 An assessment owns its feasibility system too, built at most once, so
 ``extend`` optimizes on its base check's level 1.
 
@@ -75,11 +75,9 @@ class Assessment:
     """An ordered family of conditional random quantities with previsions.
 
     Previsions can be passed explicitly or taken from the members'
-    prevision slots.  The members' truth tables over one frame are taken
-    on first use, and each sub-assessment refines its blocks from a slice.
+    prevision slots.  The members are kept on one frame (see the module
+    docstring), so a family that mixes two universes raises here.
     """
-
-    __slots__ = ("_members", "_previsions", "_frame", "_partition", "_system")
 
     def __init__(
         self,
@@ -98,11 +96,8 @@ class Assessment:
             values = tuple(Fraction(p) for p in previsions)
             if len(values) != len(resolved):
                 raise ValueError("previsions and members must have equal length")
-        self._members = resolved
+        self._members = crq._shared(resolved)
         self._previsions = values
-        self._frame: tuple[tuple[str, ...], list] | None = None
-        self._partition: ConstituentPartition | None = None
-        self._system: LinearSystem | None = None
 
     @property
     def members(self) -> tuple[ConditionalRandomQuantity, ...]:
@@ -115,39 +110,27 @@ class Assessment:
     def __len__(self) -> int:
         return len(self._members)
 
-    @property
+    @cached_property
     def partition(self) -> ConstituentPartition:
         """The constituents generated by the members, refined once from
-        their truth tables over one frame: those :func:`previsions.crq._frame`
-        gives them, or in a sub-assessment its members' slice of the
-        tables of the assessment it came from."""
-        if self._partition is None:
-            self._frame = self._frame or crq._frame(self._members)
-            self._partition = crq._constituents(self._members, *self._frame)
-        return self._partition
+        their truth tables over their shared frame."""
+        return crq._constituents(self._members)
 
-    @property
+    @cached_property
     def system(self) -> "LinearSystem":
         """The feasibility system on the partition, built once."""
-        if self._system is None:
-            self._system = build_system(self)
-        return self._system
+        return build_system(self)
 
     def sub(self, indices: Sequence[int]) -> "Assessment":
-        """The sub-assessment on the given member indices, in order, on
-        their slice of this one's tables (taken now if not yet): its
-        partition folds no event, and its blocks are the unions of this
-        one's that agree on its labels.  Its previsions are this one's,
-        taken as they are."""
+        """The sub-assessment on the given member indices, in order: the
+        same members, on the same frame, so its partition folds no event,
+        and its blocks are the unions of this one's that agree on its
+        labels.  Its previsions are this one's, taken as they are."""
         if not indices:
             raise ValueError("family must be nonempty")
         sub = Assessment.__new__(Assessment)
         sub._members = tuple(self._members[i] for i in indices)
         sub._previsions = tuple(self._previsions[i] for i in indices)
-        sub._partition = sub._system = None
-        self._frame = self._frame or crq._frame(self._members)
-        atoms, tables = self._frame
-        sub._frame = atoms, [tables[i] for i in indices]
         return sub
 
 
@@ -263,12 +246,12 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
 
     Level by level: take the feasibility system of the current
     subfamily, a sub-assessment of ``assessment`` on the constituents it
-    refines from its slice of the family's tables (see
-    :meth:`Assessment.sub`); if unsolvable the assessment is incoherent
-    (and a Dutch Book is extracted from the Farkas certificate);
-    otherwise recurse on the members whose maximal conditioning mass is
-    exactly zero, until that set is empty.  The zero-mass set is always a proper subset, so
-    at most ``len(assessment)`` levels occur.
+    refines from its members' tables (see :meth:`Assessment.sub`); if
+    unsolvable the assessment is incoherent (and a Dutch Book is
+    extracted from the Farkas certificate); otherwise recurse on the
+    members whose maximal conditioning mass is exactly zero, until that
+    set is empty.  The zero-mass set is always a proper subset, so at
+    most ``len(assessment)`` levels occur.
 
     Every witness and Dutch Book is re-checked exactly before the report
     is returned; :class:`CertificateVerificationError` is raised if one

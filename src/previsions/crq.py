@@ -20,7 +20,8 @@ the operand previsions themselves.
 Every quantity keeps the truth tables of its conditioning event and kept
 cell events over its *frame*, a tuple of atoms holding every atom they
 use.  Whatever combines several quantities' tables (a compound, their
-constituents) takes them over the one frame :func:`_frame` chooses.
+constituents) reads them off quantities on one frame, as
+:func:`_shared` gives them.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def _joint_values(first, second):
     """The constituents of two quantities and, per inside block, the pair
     of amounts they pay there (each prevision filling in outside its own
     conditioning event)."""
-    partition = _constituents((first, second), *_frame((first, second)))
+    partition = _constituents(_shared((first, second)))
     paid = [tuple(map(_filled, (first, second), block.labels)) for block in partition.inside]
     return partition, paid
 
@@ -367,15 +368,16 @@ def _compound(first, second, cases) -> ConditionalRandomQuantity:
 
 
 def _event_parts(first, second):
-    """The frame of two conditional events (see :func:`_frame`), then where
-    each holds and its conditioning, as events and as truth tables over it."""
+    """The frame two conditional events share (see :func:`_shared`), then
+    where each holds and its conditioning, as events and as truth tables
+    over it."""
     if not (first.is_event and second.is_event):
         raise InputError("operand must be a conditional event (values in {0, 1})")
-    atoms, stored = _frame((first, second))
+    shared = _shared((first, second))
     events, tables = (), ()
-    for quantity, (given, raw) in zip((first, second), stored):
-        conditioning, ones, table = quantity.conditioning, None, 0
-        for (event, value), cell in zip(quantity.cells, raw):
+    for quantity in shared:
+        conditioning, given, ones, table = quantity.conditioning, quantity._given, None, 0
+        for (event, value), cell in zip(quantity.cells, quantity._raw):
             if value == _ONE:
                 ones = event if ones is None else ones | event
                 table |= cell
@@ -385,24 +387,25 @@ def _event_parts(first, second):
             ones, table = ones & conditioning, table & given
         events += (ones, conditioning)
         tables += (table, given)
-    return atoms, events, tables
+    return shared[0]._atoms, events, tables
 
 
-def _frame(quantities: Sequence[ConditionalRandomQuantity]):
-    """A frame and each quantity's conditioning and kept cell tables over
-    it: the stored ones if all share a frame and a universe, else one fold
-    of all their events over the atoms they use (or a universe error)."""
+def _shared(quantities: Sequence[ConditionalRandomQuantity]):
+    """The quantities themselves if all share a frame and a universe, else
+    the same quantities rebuilt by :func:`_family` from one fold of all
+    their events over the atoms they use (or a universe error)."""
     atoms, universe = quantities[0]._atoms, quantities[0].universe
     if all(q._atoms == atoms and q.universe is universe for q in quantities):
-        return atoms, [(q._given, q._raw) for q in quantities]
-    return split([([event for event, _ in q.cells], q.conditioning) for q in quantities])
+        return tuple(quantities)
+    return tuple(_family([(q.conditioning, q.cells, q.prevision) for q in quantities]))
 
 
-def _constituents(quantities: Sequence[ConditionalRandomQuantity], atoms, tables):
-    """The constituents the quantities generate, from their conditioning
-    and kept cell tables over the frame ``atoms`` (see :func:`_frame`)."""
+def _constituents(quantities: Sequence[ConditionalRandomQuantity]):
+    """The constituents that quantities sharing a frame (see
+    :func:`_shared`) generate, from their conditioning and kept cell tables."""
     family = tuple((tuple(event for event, _ in q.cells), q.conditioning) for q in quantities)
-    return refine(atoms, [(given, [cell & given for cell in raw]) for given, raw in tables], family)
+    tables = [(q._given, [cell & q._given for cell in q._raw]) for q in quantities]
+    return refine(quantities[0]._atoms, tables, family)
 
 
 def _require_coherent_operands(first, second) -> None:

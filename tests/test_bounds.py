@@ -137,7 +137,15 @@ class TestExtensionInterval:
             Assessment([first, second]), conjunction(first, second)
         )
         assert (interval.lower, interval.upper) == (F(3, 10), F(3, 5))
-        assert calls == [(first, second)]
+        # The operands' frames differ, so the base's members are rebuilt
+        # on the shared frame, from the operands' own events and values.
+        (members,) = calls
+        for member, operand in zip(members, (first, second), strict=True):
+            assert member.conditioning is operand.conditioning
+            assert member.prevision is operand.prevision
+            assert len(member.cells) == len(operand.cells)
+            for cell, original in zip(member.cells, operand.cells):
+                assert cell[0] is original[0] and cell[1] is original[1]
 
     def test_uncovered_target_conditioning_rejected(self):
         # The target must be conditioned on something covering the base

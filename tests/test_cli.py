@@ -873,15 +873,16 @@ class TestExitCodes:
     def test_input_errors_are_one_type(self, error):
         assert issubclass(error, InputError) and issubclass(InputError, ValueError)
 
-    # ``crq._frame`` runs inside every compound builder, after the operand
-    # check; ``simulate._sample`` runs inside the simulation.
+    # ``crq._shared`` runs inside every compound builder, before the
+    # operand check, and inside every ``Assessment``; ``simulate._sample``
+    # runs inside the simulation.
     @pytest.mark.parametrize(
         "command",
         [("extend", "--target", "conjunction:0,1"), ("conjoin", "--i", "0", "--j", "1")],
         ids=["extend", "conjoin"],
     )
     def test_compound_builder_value_error_is_internal(self, tmp_path, monkeypatch, command):
-        monkeypatch.setattr(crq, "_frame", self.fault)
+        monkeypatch.setattr(crq, "_shared", self.fault)
         path = write_doc(tmp_path, coherent_pair_payload())
         code, out, err = run_in_process([command[0], path, *command[1:]])
         assert (code, out, err) == (3, "", "internal error: ValueError: injected fault\n")

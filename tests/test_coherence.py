@@ -342,12 +342,11 @@ class TestRandomGain:
 
     def test_dutch_book_reuses_the_level_system(self, monkeypatch):
         # Level 1 puts all mass outside H; level 2 prices A|H twice,
-        # differently, and fails.  The members' events are folded once (their
-        # frames differ), each level builds its system once, and the Dutch
-        # Book comes from that system.
+        # differently, and fails.  The members' events are folded once, when
+        # the assessment is built (their frames differ), each level builds
+        # its system once, and the Dutch Book comes from that system.
         u, a, h, b, k = four_atoms()
         members = [conditional_event(h, u.true())] + [conditional_event(a, h)] * 2
-        assessment = Assessment(members, [F(0), F(1, 2), F(1, 3)])
         folds, systems = [], []
         fold, build = events._fold, coherence.build_system
 
@@ -361,6 +360,7 @@ class TestRandomGain:
 
         monkeypatch.setattr(events, "_fold", counting_folds)
         monkeypatch.setattr(coherence, "build_system", counting_systems)
+        assessment = Assessment(members, [F(0), F(1, 2), F(1, 3)])
         report = check_coherence(assessment)
         assert not report.coherent
         assert len(report.levels) == 2

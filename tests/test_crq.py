@@ -510,6 +510,7 @@ def two_universes():
 
 
 COMBINATIONS = {
+    "Assessment": lambda p, q: Assessment([p, q]),
     "partition": lambda p, q: Assessment([p, q]).partition,
     "check_coherence": lambda p, q: check_coherence(Assessment([p, q])),
     "values_agree_on_union": values_agree_on_union,
@@ -785,3 +786,47 @@ class TestSharedTables:
         assert found.atoms == ("A", "H", "B", "K")
         family = [([e for e, _ in m.cells], m.conditioning) for m in mixed]
         same_partition(found, constituents(family))
+
+    def test_document_members_and_a_compound_stay_as_they_are(self):
+        """A document's members and a compound of two of them share a frame,
+        so an assessment keeps the very objects and neither it nor its
+        partition folds an event."""
+        document = {
+            "atoms": ["A", "H", "B", "K", "C"],
+            "members": [
+                {"quantity": "A", "given": "H", "prevision": "1/2"},
+                {"quantity": "B", "given": "K", "prevision": "1/3"},
+                {"quantity": {"C": "2", "~C": "0"}, "given": "H | K", "prevision": "1"},
+            ],
+        }
+        _, members = realize(AssessmentDocument.from_payload(document))
+        family = [*members, crq._conjoin(members[0], members[1]).with_prevision(F(1, 6))]
+        with counting_folds() as fold:
+            assessment = Assessment(family)
+            assessment.partition
+        assert fold.call_count == 0
+        assert all(kept is given for kept, given in zip(assessment.members, family, strict=True))
+
+    def test_members_on_separate_frames_fold_once_when_assessed(self):
+        """Members on frames of their own are rebuilt on one frame, from one
+        fold when the assessment is built, with the same events and values;
+        its partition, a sub-assessment's and a two-level check fold nothing
+        more."""
+        u, a, h, b, k = four_atoms()
+        family = [
+            conditional_event(h, u.true(), 0),
+            conditional_event(a, h, F(1, 2)),
+            conditional_event(b, k, F(1, 3)),
+        ]
+        with counting_folds() as fold:
+            assessment = Assessment(family)
+        assert fold.call_count == 1
+        for kept, given in zip(assessment.members, family, strict=True):
+            assert kept.conditioning is given.conditioning
+            assert kept.cells == given.cells and kept.prevision == given.prevision
+        with counting_folds() as fold:
+            found = assessment.partition
+            assessment.sub([1, 2]).partition
+            report = check_coherence(assessment)
+        assert fold.call_count == 0
+        assert found.atoms == ("A", "H", "B", "K") and len(report.levels) == 2

@@ -10,14 +10,17 @@ multi-level families, ``extend`` families) plus hand-written compound,
 value-map and 20-atom three-level cases, and ``conjoin`` and
 ``constituents`` on a document with a value-map member and an atom no
 member uses.  ``conjoin-third-member`` conjoins two members that leave
-out an atom a third member uses, and ``constituents-empty-cell`` has a
-member whose cell empty inside its conditioning is the only one to use
-an atom.  ``extend-two-level-base`` extends a base whose check has two
-levels, and ``extend-incoherent-base`` a base incoherent at its second
-level, with a target that does not cover the base, so the incoherent
-base is reported before the coverage error.  Each command also runs as
-a real ``python -m previsions.cli`` process, so the entry point is held
-to the same exit status and bytes.
+out an atom a third member uses, and ``conjoin-incoherent-operands``
+conjoins two previsions of one conditional event that no assessment
+can hold together, so its operand check exits 1.
+``constituents-empty-cell`` has a member whose cell empty inside its
+conditioning is the only one to use an atom.  ``extend-two-level-base``
+extends a base whose check has two levels, and
+``extend-incoherent-base`` a base incoherent at its second level, with
+a target that does not cover the base, so the incoherent base is
+reported before the coverage error.  Each command also runs as a real
+``python -m previsions.cli`` process, so the entry point is held to the
+same exit status and bytes.
 
 To re-record after an intended change of output, run the command in
 ``REPORTS`` on the document and write its standard output to the
@@ -59,6 +62,7 @@ REPORTS = {
     **CASES,
     "conjoin-value-map": (["conjoin", "--i", "0", "--j", "1"], 0),
     "conjoin-third-member": (["conjoin", "--i", "0", "--j", "1"], 0),
+    "conjoin-incoherent-operands": (["conjoin", "--i", "0", "--j", "1"], 1),
     "constituents-value-map": (["constituents"], 0),
     "constituents-empty-cell": (["constituents"], 0),
 }
@@ -180,6 +184,7 @@ REFINEMENTS = {
     "check-value-map": 1,
     "check-zero-mass-coherent": 2,
     "check-zero-mass-incoherent": 3,
+    "conjoin-incoherent-operands": 1,
     "conjoin-third-member": 1,
     "conjoin-value-map": 1,
     "constituents-empty-cell": 1,
@@ -195,8 +200,8 @@ REFINEMENTS = {
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_enumeration_count(name, monkeypatch, capsys):
     """One refinement per partition a command reads: each level of each
-    check refines its own blocks from its members' slice of the family's
-    tables, and ``extend`` reads its target's values off its base check's
+    check refines its own blocks from its members' tables, on the
+    family's frame, and ``extend`` reads its target's values off its base check's
     level-1 blocks.  Only ``constituents`` refines a partition besides,
     the members', without checking them."""
     counts = count_calls(name, monkeypatch)
