@@ -5,7 +5,9 @@ conditioning event covers every constituent inside the base
 conditioning events, the coherent previsions for the target form a
 closed interval (Biazzo & Gilio, IJAR 2000, on extending a coherent
 assessment).  Base and target are put on one frame, with at most one
-fold, and the base is checked in full on its members' truth tables.
+fold, and the base is checked in full on its members' truth tables,
+before the target's coverage.  A base that shares the target's frame,
+as a document's members do, keeps its check for any number of targets.
 
 The endpoints need no recursive re-check.  The target carries mass one
 in every solution, so it never joins a zero-mass set: every deeper level
@@ -39,7 +41,6 @@ from fractions import Fraction
 from . import crq, lp
 from .coherence import (
     Assessment,
-    CoherenceReport,
     IncoherentAssessmentError,
     _reproduces,
     _scaled,
@@ -82,31 +83,19 @@ def extension_interval(
     The target's conditioning event must cover every constituent inside
     the base conditioning events; the bounds are then a linear minimum
     and maximum over the base check's level-1 solutions, each certified
-    by its optimal point (see the module docstring).
+    by its optimal point (see the module docstring).  It costs at most
+    one fold, check and phase 1, and reuses a check ``base`` already has
+    when the target shares its members' frame.
 
-    An incoherent base raises :class:`IncoherentAssessmentError`, also
-    when only a deeper level of its check fails.
-    """
-    _, interval = _extend(base, target)
-    if interval is None:
-        raise IncoherentAssessmentError("base assessment is incoherent")
-    return interval
-
-
-def _extend(
-    base: Assessment, target: ConditionalRandomQuantity
-) -> tuple[CoherenceReport, ExtensionInterval | None]:
-    """The base's report and, when it is coherent, the target's interval:
-    at most one fold, check and phase 1, and no partition but its levels.
-
-    The base is checked before the target's coverage, so an incoherent
-    base is reported whatever the target.
+    An incoherent base raises :class:`IncoherentAssessmentError` before
+    the target's coverage is looked at, also when only a deeper level of
+    its check fails.
     """
     *members, target = crq._shared((*base.members, target))
-    base = Assessment(members, base.previsions)
-    report = check_coherence(base)
-    if not report.coherent:
-        return report, None
+    if any(m is not b for m, b in zip(members, base.members)):
+        base = Assessment(members, base.previsions)
+    if not check_coherence(base).coherent:
+        raise IncoherentAssessmentError("base assessment is incoherent")
     given, raw = target._given, target._raw
     inside, outside = base.partition.inside, base.partition.outside
     if any(block.mask & ~given for block in inside):
@@ -129,7 +118,7 @@ def _extend(
                 f"endpoint {endpoint.objective} failed its exact certificate"
             )
         interval.append(extreme([endpoint.objective, *outside]))
-    return report, ExtensionInterval(*interval, attained=True)
+    return ExtensionInterval(*interval, attained=True)
 
 
 def frechet_conjunction_bounds(x: Rational, y: Rational) -> tuple[Fraction, Fraction]:

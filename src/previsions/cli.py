@@ -326,11 +326,13 @@ def cmd_extend(args: argparse.Namespace) -> int:
     document = AssessmentDocument.load(args.file)
     _, members = realize(document)
     target = build_compound(members, _parse_target(args.target, len(members)))
-    report, interval = bounds._extend(Assessment(members), target)
-    if interval is None:
-        _emit(report_payload(report, diagnostics=("base assessment is incoherent",)))
+    base = Assessment(members)
+    try:
+        interval = bounds.extension_interval(base, target)
+    except IncoherentAssessmentError:
+        _emit(report_payload(base.report, diagnostics=("base assessment is incoherent",)))
         return 1
-    _emit(report_payload(report, interval))
+    _emit(report_payload(base.report, interval))
     return 0
 
 

@@ -22,8 +22,9 @@ all their events.  The constituents depend only on the members, not on
 the previsions, so an assessment refines them at most once, from its
 members' own truth tables.  Every level of a check is a sub-assessment
 of the checked one, on some of the same members, so no level folds.
-An assessment owns its feasibility system too, built at most once, so
-``extend`` optimizes on its base check's level 1.
+An assessment owns its feasibility system and its report too, each
+decided at most once: a second check of it does no work, and ``extend``
+optimizes on its base check's level 1.
 
 Everything runs in exact rational arithmetic.  The recursion hinges on
 deciding whether a maximal conditioning mass is exactly zero, which no
@@ -76,7 +77,8 @@ class Assessment:
 
     Previsions can be passed explicitly or taken from the members'
     prevision slots.  The members are kept on one frame (see the module
-    docstring), so a family that mixes two universes raises here.
+    docstring), so a family that mixes two universes raises here.  Its
+    partition, system and report are each decided once.
     """
 
     def __init__(
@@ -120,6 +122,40 @@ class Assessment:
     def system(self) -> "LinearSystem":
         """The feasibility system on the partition, built once."""
         return build_system(self)
+
+    @cached_property
+    def report(self) -> "CoherenceReport":
+        """The verdict of :func:`check_coherence`, decided once."""
+        indices = tuple(range(len(self)))
+        levels: list[CoherenceLevel] = []
+        family = self
+        while True:
+            system = family.system
+            result = system.feasibility
+            if not result.feasible:
+                levels.append(CoherenceLevel(indices, False, None, None, ()))
+                stakes = result.certificate[: len(indices)]
+                gains, denominator = _gains(system, stakes)
+                if not all(g < 0 for g in gains):
+                    raise CertificateVerificationError(
+                        f"Dutch Book on members {list(indices)} has a gain that is not negative"
+                    )
+                gains = tuple(Fraction(g, denominator) for g in gains)
+                book = DutchBook(indices, tuple(stakes), gains)
+                return CoherenceReport(False, tuple(levels), book)
+            if not _reproduces(system.scaled_rows, system.scaled_target, result.solution):
+                raise CertificateVerificationError(
+                    f"witness on members {list(indices)} does not reproduce the previsions"
+                )
+            masses = upper_conditioning_masses(system)
+            zero_mass = tuple(indices[j] for j, m in enumerate(masses) if m == 0)
+            levels.append(CoherenceLevel(indices, True, result.solution, masses, zero_mass))
+            if not zero_mass:
+                return CoherenceReport(True, tuple(levels))
+            if len(zero_mass) >= len(indices):  # pragma: no cover - impossible
+                raise AssertionError("zero-mass set must shrink")
+            indices = zero_mass
+            family = self.sub(zero_mass)
 
     def sub(self, indices: Sequence[int]) -> "Assessment":
         """The sub-assessment on the given member indices, in order: the
@@ -255,38 +291,10 @@ def check_coherence(assessment: Assessment) -> CoherenceReport:
 
     Every witness and Dutch Book is re-checked exactly before the report
     is returned; :class:`CertificateVerificationError` is raised if one
-    fails.
+    fails.  The report is kept (:attr:`Assessment.report`): a second call
+    returns it and does no work, and a check that raised runs again.
     """
-    indices = tuple(range(len(assessment)))
-    levels: list[CoherenceLevel] = []
-    family = assessment
-    while True:
-        system = family.system
-        result = system.feasibility
-        if not result.feasible:
-            levels.append(CoherenceLevel(indices, False, None, None, ()))
-            stakes = result.certificate[: len(indices)]
-            gains, denominator = _gains(system, stakes)
-            if not all(g < 0 for g in gains):
-                raise CertificateVerificationError(
-                    f"Dutch Book on members {list(indices)} has a gain that is not negative"
-                )
-            gains = tuple(Fraction(g, denominator) for g in gains)
-            book = DutchBook(indices, tuple(stakes), gains)
-            return CoherenceReport(False, tuple(levels), book)
-        if not _reproduces(system.scaled_rows, system.scaled_target, result.solution):
-            raise CertificateVerificationError(
-                f"witness on members {list(indices)} does not reproduce the previsions"
-            )
-        masses = upper_conditioning_masses(system)
-        zero_mass = tuple(indices[j] for j, m in enumerate(masses) if m == 0)
-        levels.append(CoherenceLevel(indices, True, result.solution, masses, zero_mass))
-        if not zero_mass:
-            return CoherenceReport(True, tuple(levels))
-        if len(zero_mass) >= len(indices):  # pragma: no cover - impossible
-            raise AssertionError("zero-mass set must shrink")
-        indices = zero_mass
-        family = assessment.sub(zero_mass)
+    return assessment.report
 
 
 def random_gain(

@@ -1,13 +1,15 @@
+import contextlib
 import itertools
 import json
 from fractions import Fraction as F
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_coherent, brute_rows, polytope_vertices
-from previsions import bounds, lp
+from previsions import bounds, crq, lp
 from previsions.bounds import (
     ExtensionVerificationError,
     disjunction_bounds,
@@ -24,6 +26,7 @@ from previsions.crq import (
     conditional_event,
     conjunction,
     disjunction,
+    negation,
     quasi_conjunction,
 )
 from previsions.events import Universe
@@ -35,6 +38,16 @@ def pair(x, y):
     first = conditional_event(a, h, x)
     second = conditional_event(b, k, y)
     return first, second
+
+
+@contextlib.contextmanager
+def counted_work():
+    """Count refinements, phase 1s and phase 2s inside the block: the
+    yielded function returns the three counts so far."""
+    with mock.patch.object(crq, "refine", wraps=crq.refine) as refine, mock.patch.object(
+        lp, "solve", wraps=lp.solve
+    ) as solve, mock.patch.object(lp, "optimize", wraps=lp.optimize) as optimize:
+        yield lambda: (refine.call_count, solve.call_count, optimize.call_count)
 
 
 class TestClosedForms:
@@ -146,6 +159,34 @@ class TestExtensionInterval:
             assert len(member.cells) == len(operand.cells)
             for cell, original in zip(member.cells, operand.cells):
                 assert cell[0] is original[0] and cell[1] is original[1]
+
+    def test_readme_tour_checks_its_base_once(self):
+        # The tour checks ``base`` and extends it twice; the check is the
+        # base's own, so the extensions reuse it and optimize only endpoints.
+        first, second = pair(F(7, 10), F(3, 5))
+        either = disjunction(first, second)
+        neither = negation(either)
+        base = Assessment([first, second])
+        with counted_work() as work:
+            report = check_coherence(base)
+            interval = extension_interval(base, either)
+            assert (interval.lower, interval.upper) == (F(7, 10), 1)
+            interval = extension_interval(base, neither)
+            assert (interval.lower, interval.upper) == (0, F(3, 10))
+        assert work() == (1, 1, 6)
+        assert check_coherence(base) is report
+
+    def test_checked_base_is_not_checked_again(self):
+        # The operands' own check runs when the conjunction is built; the
+        # base is then checked once, and its extension reuses that check.
+        first, second = pair(F(7, 10), F(3, 5))
+        target = conjunction(first, second)
+        base = Assessment([first, second])
+        with counted_work() as work:
+            assert check_coherence(base).coherent
+            interval = extension_interval(base, target)
+        assert (interval.lower, interval.upper) == (F(3, 10), F(3, 5))
+        assert work() == (1, 1, 4)
 
     def test_uncovered_target_conditioning_rejected(self):
         # The target must be conditioned on something covering the base

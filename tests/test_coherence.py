@@ -214,6 +214,17 @@ class TestPhaseOneCount:
         assert in_base_check == [1]
         assert len(calls) == 1
 
+    def test_a_second_check_solves_nothing(self):
+        # The report is kept on the assessment; checking it again costs no LP.
+        u, a, h, b, k = four_atoms()
+        members = [conditional_event(a, h), conditional_event(b, a & h)]
+        assessment = Assessment(members, [F(0), F(1, 3)])
+        report = check_coherence(assessment)
+        with mock.patch.object(lp, "solve", side_effect=AssertionError), mock.patch.object(
+            lp, "optimize", side_effect=AssertionError
+        ):
+            assert check_coherence(assessment) is report
+
     def test_masses_build_no_point(self):
         # The witness is the only optimal point built per level.
         u, a, h, b, k = four_atoms()
@@ -581,6 +592,19 @@ class TestCertificateVerification:
         self.patch_solver(monkeypatch, perturb)
         with pytest.raises(CertificateVerificationError, match="witness"):
             check_coherence(self.coherent_pair())
+
+    def test_a_refused_check_keeps_no_report(self, monkeypatch):
+        # The witness is re-verified, and refused, on every call.
+        def perturb(result, rows):
+            return lp.LPResult(lp.OPTIMAL, solution=tuple(-v for v in result.solution))
+
+        self.patch_solver(monkeypatch, perturb)
+        assessment = self.coherent_pair()
+        with mock.patch.object(coherence, "_reproduces", wraps=coherence._reproduces) as spy:
+            for _ in range(2):
+                with pytest.raises(CertificateVerificationError, match="witness"):
+                    check_coherence(assessment)
+        assert spy.call_count == 2
 
     @pytest.mark.parametrize(
         "shift",

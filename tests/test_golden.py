@@ -103,13 +103,17 @@ def count_calls(name, monkeypatch):
     ``lp._minimize`` from ``lp.optimize``) and the root counts of its
     truth-table folds.  The LP is counted at ``lp.solve`` and
     ``lp.optimize``, patched positional-only: the benchmark's tracer reads
-    ``lp.solve``'s arguments by position, so a keyword call fails here."""
+    ``lp.solve``'s arguments by position, so a keyword call fails here.
+    ``extensions`` holds the base size of each ``bounds.extension_interval``
+    call."""
     kinds = (
-        "checks", "enumerations", "levels", "solves", "solvable", "optimizes", "reduced", "folds"
+        "checks", "enumerations", "levels", "solves", "solvable", "optimizes", "reduced", "folds",
+        "extensions",
     )
     counts = {kind: [] for kind in kinds}
     check, refine, fold = coherence.check_coherence, crq.refine, events._fold
     solve, optimize, minimize = lp.solve, lp.optimize, lp._minimize
+    extend = bounds.extension_interval
 
     def counting_check(assessment):
         counts["checks"].append(len(assessment))
@@ -140,6 +144,10 @@ def count_calls(name, monkeypatch):
             counts["reduced"].append(len(basis))
         return minimize(tableau, basis, d, layout, dantzig, floor)
 
+    def counting_extension(base, target):
+        counts["extensions"].append(len(base))
+        return extend(base, target)
+
     for module in (coherence, cli, bounds):
         monkeypatch.setattr(module, "check_coherence", counting_check)
     monkeypatch.setattr(crq, "refine", counting_refinement)
@@ -147,6 +155,7 @@ def count_calls(name, monkeypatch):
     monkeypatch.setattr(lp, "solve", counting_solve)
     monkeypatch.setattr(lp, "optimize", counting_optimize)
     monkeypatch.setattr(lp, "_minimize", counting_minimize)
+    monkeypatch.setattr(bounds, "extension_interval", counting_extension)
     (command, *options), code = REPORTS[name]
     assert main([command, str(GOLDEN / f"{name}.json"), *options]) == code
     return counts
@@ -172,6 +181,15 @@ def test_check_count(name, checks, monkeypatch, capsys):
     since the interval endpoints are certified rather than re-checked and
     there is no separate operand pair check."""
     assert len(count_calls(name, monkeypatch)["checks"]) == checks
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_extension_count(name, monkeypatch, capsys):
+    """``extend`` runs the public ``bounds.extension_interval`` once, on
+    the document's members; no other command runs it."""
+    (command, *_), _ = REPORTS[name]
+    calls = 1 if command == "extend" else 0
+    assert len(count_calls(name, monkeypatch)["extensions"]) == calls
 
 
 # Partitions each golden command refines, in sorted order of the goldens.
