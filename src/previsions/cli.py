@@ -329,8 +329,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
     base = Assessment(members)
     try:
         interval = bounds.extension_interval(base, target)
-    except IncoherentAssessmentError:
-        _emit(report_payload(base.report, diagnostics=("base assessment is incoherent",)))
+    except IncoherentAssessmentError as error:
+        _emit(report_payload(base.report, diagnostics=(str(error),)))
         return 1
     _emit(report_payload(base.report, interval))
     return 0

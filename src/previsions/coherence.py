@@ -158,16 +158,12 @@ class Assessment:
             family = self.sub(zero_mass)
 
     def sub(self, indices: Sequence[int]) -> "Assessment":
-        """The sub-assessment on the given member indices, in order: the
-        same members, on the same frame, so its partition folds no event,
-        and its blocks are the unions of this one's that agree on its
-        labels.  Its previsions are this one's, taken as they are."""
-        if not indices:
-            raise ValueError("family must be nonempty")
-        sub = Assessment.__new__(Assessment)
-        sub._members = tuple(self._members[i] for i in indices)
-        sub._previsions = tuple(self._previsions[i] for i in indices)
-        return sub
+        """The sub-assessment on the given member indices, in order, built
+        by the constructor, which keeps members already on one frame: the
+        same members, so its partition folds no event, and its blocks are
+        the unions of this one's that agree on its labels.  Its previsions
+        are this one's."""
+        return Assessment([self._members[i] for i in indices], [self._previsions[i] for i in indices])
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,7 @@ def optimize(
         rows_cost = sum(group[bv] * row for row, bv in zip(rows, basis) if group[bv])
         bottom = d * layout.pack(group) - rows_cost
         tableau, basis = [*rows, bottom], list(basis)
-        d = _minimize(tableau, basis, d, layout, dantzig=True, floor=floor)
+        d = _minimize(tableau, basis, d, layout, floor)
         at = layout.half - (tableau.pop() + layout.bias >> layout.rhs)
         if point:
             values = [(row + layout.bias >> layout.rhs) - layout.half for row in tableau]
@@ -318,14 +318,14 @@ def _minimize(
     basis: list[int],
     d: int,
     layout: _Layout,
-    dantzig: bool = False,
     floor: int | None = None,
 ) -> int:
     """Pivot the bounded program ``tableau``, rows in ``layout`` and last
-    the reduced costs, its right-hand side ``-d`` times the objective,
-    until optimal or the objective equals ``floor``, on Bland's rule or
-    on Dantzig's until :data:`DEGENERATE_RUN` degenerate pivots in a
-    row.  Returns the final common denominator."""
+    the reduced costs, its right-hand side ``-d`` times the objective.
+    With no ``floor`` this is phase 1: Bland's rule until optimal.  A
+    ``floor`` makes it phase 2: Dantzig's rule until :data:`DEGENERATE_RUN`
+    degenerate pivots in a row, then Bland's, until optimal or the
+    objective equals ``floor``.  Returns the final common denominator."""
     bits, bias, mask, half, rhs = layout.bits, layout.bias, layout.mask, layout.half, layout.rhs
     constraints = range(len(basis))
     degenerate = 0
@@ -333,7 +333,7 @@ def _minimize(
         bottom = tableau[-1] + bias
         if floor is not None and (bottom >> rhs) - half + floor * d == 0:
             return d
-        if dantzig and degenerate < DEGENERATE_RUN:
+        if floor is not None and degenerate < DEGENERATE_RUN:
             costs = layout.columns(bottom)
             least = min(costs)
             if least >= half:

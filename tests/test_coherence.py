@@ -249,6 +249,8 @@ class TestAssessmentValidation:
         u, a, h, b, k = four_atoms()
         with pytest.raises(ValueError, match="nonempty"):
             Assessment([])
+        with pytest.raises(ValueError, match="nonempty"):
+            Assessment([conditional_event(a, h, F(1, 2))]).sub([])
         with pytest.raises(ValueError, match=r"members \[1\] have no prevision"):
             Assessment([conditional_event(a, h, F(1, 2)), conditional_event(b, k)])
         with pytest.raises(ValueError, match="equal length"):
@@ -669,6 +671,7 @@ class TestSharedPartition:
         family = Assessment(members, previsions)
         family.partition  # folded here, and nowhere below
         sub = family.sub(indices)
+        assert all(sub.members[k] is family.members[i] for k, i in enumerate(indices))
         with mock.patch.object(events, "_fold", side_effect=AssertionError):
             shared = check_coherence(sub)
         alone = Assessment([members[i] for i in indices], [previsions[i] for i in indices])

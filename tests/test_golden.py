@@ -100,8 +100,8 @@ def count_calls(name, monkeypatch):
     of each check, the row counts of its phase-1 solves, the summed sizes
     of each check's solvable levels, the integer costs of its phase-2
     solves, the row counts of those that build a reduced-cost row (call
-    ``lp._minimize`` from ``lp.optimize``) and the root counts of its
-    truth-table folds.  The LP is counted at ``lp.solve`` and
+    ``lp._minimize`` with a floor, from ``lp.optimize``) and the root
+    counts of its truth-table folds.  The LP is counted at ``lp.solve`` and
     ``lp.optimize``, patched positional-only: the benchmark's tracer reads
     ``lp.solve``'s arguments by position, so a keyword call fails here.
     ``extensions`` holds the base size of each ``bounds.extension_interval``
@@ -139,10 +139,10 @@ def count_calls(name, monkeypatch):
         counts["optimizes"].append(costs)
         return optimize(first, costs, scale, maximize, point)
 
-    def counting_minimize(tableau, basis, d, layout, dantzig=False, floor=None):
-        if dantzig:  # phase 2
+    def counting_minimize(tableau, basis, d, layout, floor=None):
+        if floor is not None:  # phase 2
             counts["reduced"].append(len(basis))
-        return minimize(tableau, basis, d, layout, dantzig, floor)
+        return minimize(tableau, basis, d, layout, floor)
 
     def counting_extension(base, target):
         counts["extensions"].append(len(base))

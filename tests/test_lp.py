@@ -431,6 +431,8 @@ class TestSharedPhaseOne:
         # times d = 8, the product of their scales 4, 2 and 1, and below
         # them d times the reduced costs at scale 4, -3/4 x3 + 20 x4 - 1/2
         # x5 + 6 x6, at the objective 0; each row packed as the kernel packs it.
+        # A floor makes it phase 2; at scale 4 the optimum is -5, so the
+        # floor -6 is never reached and only optimality stops it.
         def beale():
             layout = lp._layout(64, 8)
             tableau = [
@@ -442,7 +444,7 @@ class TestSharedPhaseOne:
                     [0, 0, 0, -24, 640, -16, 192, 0],
                 ]
             ]
-            d = lp._minimize(tableau, [0, 1, 2], 8, layout, dantzig=True)
+            d = lp._minimize(tableau, [0, 1, 2], 8, layout, floor=-6)
             return F(-layout.unpack(tableau[-1])[-1], 4 * d)
 
         pivot = lp._pivot
