@@ -339,11 +339,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
 def cmd_conjoin(args: argparse.Namespace) -> int:
     document = AssessmentDocument.load(args.file)
     _, members = realize(document)
-    for index in (args.i, args.j):
-        if not 0 <= index < len(members):
-            raise DocumentError(f"member index {index} out of range")
+    entry = {"kind": "conjunction", "operands": [args.i, args.j]}
+    i, j = _compound_spec(entry, len(members), "conjoin").operands
     try:
-        compound = crq.conjunction(members[args.i], members[args.j])
+        compound = crq.conjunction(members[i], members[j])
     except IncoherentAssessmentError:
         _emit({"verdict": "incoherent", "detail": "operand previsions are incoherent"})
         return 1
@@ -351,7 +350,7 @@ def cmd_conjoin(args: argparse.Namespace) -> int:
         cases = [{"on": e.to_text(), "value": str(value)} for e, value in compound.cells]
     payload = {
         "kind": "conjunction",
-        "operands": [args.i, args.j],
+        "operands": [i, j],
         "given": compound.conditioning.to_text(),
         "cases": cases,
     }

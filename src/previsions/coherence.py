@@ -95,7 +95,7 @@ class Assessment:
                 raise ValueError(f"members {missing} have no prevision set")
             values = tuple(m.prevision for m in resolved)
         else:
-            values = tuple(Fraction(p) for p in previsions)
+            values = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in previsions)
             if len(values) != len(resolved):
                 raise ValueError("previsions and members must have equal length")
         self._members = crq._shared(resolved)

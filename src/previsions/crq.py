@@ -135,9 +135,7 @@ class ConditionalRandomQuantity:
         """
         if self._conditioning.evaluate(assignment):
             return next(value for event, value in self._cells if event.evaluate(assignment))
-        if self._prevision is None:
-            raise ValueError("prevision is not set")
-        return self._prevision
+        return _filled(self, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{e.to_text()}: {v}" for e, v in self._cells)
@@ -193,14 +191,12 @@ def add(
     event fails, so both previsions must be set.  The result's prevision
     is the sum of the previsions, as coherence demands.
     """
-    if first.prevision is None or second.prevision is None:
-        raise ValueError("both previsions must be set to add conditional quantities")
+    prevision = _filled(first, None) + _filled(second, None)
     partition, paid = _joint_values(first, second)
     cells = [(partition.region(block), a + b) for block, (a, b) in zip(partition.inside, paid)]
     # The blocks' masks are their regions' tables, and together the conditioning event's.
     masks = [block.mask for block in partition.inside]
     conditioning = first.conditioning | second.conditioning
-    prevision = first.prevision + second.prevision
     return ConditionalRandomQuantity._from_tables(
         conditioning, cells, prevision, partition.atoms, sum(masks), masks
     )
@@ -220,11 +216,10 @@ def iterated(
     When the operand's frame holds the new event's atoms, only that event
     is folded, over the frame, and the result stays on it.
     """
-    if quantity.prevision is None:
-        raise ValueError("prevision must be set before iterating the conditioning")
+    prevision = _filled(quantity, None)
     old = quantity.conditioning
     cells = [(event & old & new_condition, value) for event, value in quantity.cells]
-    cells.append((~old & new_condition, quantity.prevision))
+    cells.append((~old & new_condition, prevision))
     atoms = quantity._atoms
     if new_condition.universe is not quantity.universe or not new_condition.atoms <= set(atoms):
         return ConditionalRandomQuantity(new_condition, cells)
@@ -254,6 +249,8 @@ def _joint_values(first, second):
 
 
 def _filled(quantity, label):
+    """What ``quantity`` pays in its cell ``label``, or outside its
+    conditioning event (``label`` None) its prevision, which must be set."""
     if label is not None:
         return quantity.cells[label][1]
     if quantity.prevision is None:
@@ -334,9 +331,7 @@ def _conjoin(
 ) -> ConditionalRandomQuantity:
     """The cells of :func:`conjunction`, without its operand pair check;
     for operands coherent by construction or checked in a larger family."""
-    x, y = first.prevision, second.prevision
-    if x is None or y is None:
-        raise ValueError("both operand previsions must be set")
+    x, y = _filled(first, None), _filled(second, None)
 
     def cases(a, a_cond, b, b_cond):
         return a_cond | b_cond, [

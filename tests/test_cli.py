@@ -531,7 +531,10 @@ class TestConjoinCommand:
 
     def test_index_out_of_range(self, tmp_path, capsys):
         path = write_doc(tmp_path, coherent_pair_payload())
-        assert main(["conjoin", path, "--i", "0", "--j", "7"]) == 2
+        for i, j in (("0", "7"), ("-1", "1")):
+            assert main(["conjoin", path, "--i", i, "--j", j]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1
 
     def test_incoherent_pair(self, tmp_path, capsys):
         payload = {

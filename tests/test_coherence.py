@@ -672,6 +672,7 @@ class TestSharedPartition:
         family.partition  # folded here, and nowhere below
         sub = family.sub(indices)
         assert all(sub.members[k] is family.members[i] for k, i in enumerate(indices))
+        assert all(sub.previsions[k] is family.previsions[i] for k, i in enumerate(indices))
         with mock.patch.object(events, "_fold", side_effect=AssertionError):
             shared = check_coherence(sub)
         alone = Assessment([members[i] for i in indices], [previsions[i] for i in indices])

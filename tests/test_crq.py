@@ -270,8 +270,17 @@ class TestConjunction:
 
     def test_operands_need_previsions(self):
         u, a, h, b, k = four_atoms()
-        with pytest.raises(ValueError):
-            conjunction(conditional_event(a, h), conditional_event(b, k, F(1, 2)))
+        unpriced, priced = conditional_event(a, h), conditional_event(b, k, F(1, 2))
+        outside = {"A": True, "H": False, "B": True, "K": True}
+        for call in (
+            lambda: conjunction(unpriced, priced),
+            lambda: disjunction(priced, unpriced),
+            lambda: add(priced, unpriced),
+            lambda: iterated(unpriced, h | b),
+            lambda: unpriced.value_at(outside),
+        ):
+            with pytest.raises(ValueError, match="^prevision is not set$"):
+                call()
 
     def test_operands_must_be_events(self):
         u, a, h, b, k = four_atoms()
