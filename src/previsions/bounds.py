@@ -98,7 +98,7 @@ def extension_interval(
         raise IncoherentAssessmentError("base assessment is incoherent")
     given, raw = target._given, target._raw
     inside, outside = base.partition.inside, base.partition.outside
-    if any(block.mask & ~given for block in inside):
+    if any(block.mask & given != block.mask for block in inside):
         raise InputError("target conditioning must cover every base conditioning event")
     # The target's values on each base block, all inside ``given``, and outside them all.
     masks = [*(block.mask for block in inside), outside.mask & given if outside else 0]

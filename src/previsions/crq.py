@@ -224,8 +224,8 @@ def iterated(
     if new_condition.universe is not quantity.universe or not new_condition.atoms <= set(atoms):
         return ConditionalRandomQuantity(new_condition, cells)
     (new,) = truth_tables([new_condition], atoms)
-    given = quantity._given
-    raw = [table & given & new for table in quantity._raw] + [new & ~given]
+    inside = quantity._given & new
+    raw = [table & inside for table in quantity._raw] + [new ^ inside]
     return ConditionalRandomQuantity._from_tables(new_condition, cells, None, atoms, new, raw)
 
 
@@ -268,8 +268,8 @@ def gn_inclusion(
     the first false.
     """
     _, _, (first_true, first_cond, second_true, second_cond) = _event_parts(first, second)
-    first_false, second_false = first_cond & ~first_true, second_cond & ~second_true
-    return not first_true & ~second_true and not second_false & ~first_false
+    first_false, second_false = first_cond ^ first_true, second_cond ^ second_true
+    return first_true & second_true == first_true and second_false & first_false == second_false
 
 
 def conjunction(
@@ -378,7 +378,7 @@ def _event_parts(first, second):
                 table |= cell
         if ones is None:
             ones = conditioning.universe.false()
-        elif table & ~given:  # the cells reach outside the conditioning event
+        elif table & given != table:  # the cells reach outside the conditioning event
             ones, table = ones & conditioning, table & given
         events += (ones, conditioning)
         tables += (table, given)

@@ -11,10 +11,17 @@ whose bit ``i`` is its value at assignment ``i`` in
 significant.  Tables and text are built without recursion, so formula
 depth is not limited by the interpreter's stack; the universe's atom
 cap bounds the tables' width.
+
+A table query costs what it reads: each atom's table is one shift and
+one XOR of the one before it, a block meets a conditioning event in one
+``&``, subsets are tested as ``x & y == x`` rather than through a negated
+operand, and a least assignment is sought in growing windows of the
+first assignments, so its cost follows its index, not the table's width.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
@@ -170,7 +177,7 @@ class Event:
     def implies(self, other: "Event") -> bool:
         """True when no assignment makes this event true and ``other`` false."""
         mine, theirs = _tables(self, other)
-        return not mine & ~theirs
+        return mine & theirs == mine
 
     def equivalent(self, other: "Event") -> bool:
         """True when both events evaluate identically on all assignments."""
@@ -298,22 +305,30 @@ def refine(
     and its parts inside the cells (see :func:`cut`), truth tables over
     ``atoms``, a frame holding every atom the family uses: starting from
     one block of every assignment, each member splits every block by
-    those, so over one frame a subfamily's blocks merge the family's."""
-    full = _full(len(atoms))
-    blocks = {(): full}
+    those, so over one frame a subfamily's blocks merge the family's.
+    A block meets a member's conditioning event in one ``&``; the rest of
+    the block is the ``^`` of the two, and only a nonempty meet is split
+    by the parts, which lie inside the conditioning event.  Blocks are
+    ordered by their least assignment (see :func:`_least`)."""
+    blocks = {(): _full(len(atoms))}
     for conditioning, parts in members:
         finer: dict[tuple[int | None, ...], int] = {}
         for labels, block in blocks.items():
-            for label, part in ((None, full ^ conditioning), *enumerate(parts)):
-                piece = block & part
-                if piece:
-                    finer[labels + (label,)] = piece
+            within = block & conditioning
+            beyond = block ^ within
+            if beyond:
+                finer[labels + (None,)] = beyond
+            if within:
+                for label, part in enumerate(parts):
+                    piece = within & part
+                    if piece:
+                        finer[labels + (label,)] = piece
         blocks = finer
     outside = blocks.pop((None,) * len(family), 0)
     inside = [Constituent(labels, mask, len(atoms)) for labels, mask in blocks.items()]
     # Bit order is assignment order, so a block's least set bit is its
     # least assignment; sorting by it makes reports deterministic.
-    inside.sort(key=lambda block: block.mask & -block.mask)
+    inside.sort(key=lambda block: _least(block.mask))
     outside = Constituent((None,) * len(family), outside, len(atoms)) if outside else None
     return ConstituentPartition(atoms, outside, tuple(inside), family)
 
@@ -337,7 +352,10 @@ def cut(
     over ``atoms``.  ImpossibleConditioningError for an impossible
     conditioning event; InputError unless the cells partition it, naming
     the least offending assignment restricted to the atoms in ``shown``:
-    if they hold the events' atoms, the least offending one over them."""
+    if they hold the events' atoms, the least offending one over them.
+    The parts lie inside the conditioning event, so what they leave
+    uncovered is the ``^`` of it and their union, and the least offending
+    assignment is found by :func:`_least`."""
     if not conditioning:
         raise ImpossibleConditioningError("conditioning event is impossible")
     parts = tuple(cell & conditioning for cell in cells)
@@ -345,9 +363,9 @@ def cut(
     for part in parts:
         overlap |= covered & part
         covered |= part
-    bad = overlap | (conditioning & ~covered)
+    bad = overlap | (conditioning ^ covered)
     if bad:
-        index = (bad & -bad).bit_length() - 1
+        index = _least(bad)
         bits = zip(atoms, _decode(index, len(atoms)))
         assignment = {name: bit for name, bit in bits if name in shown}
         hits = sum(part >> index & 1 for part in parts)
@@ -362,25 +380,27 @@ def truth_tables(events: Sequence[Event], atoms: Sequence[str]) -> tuple[int, ..
     """Each event's truth table over ``atoms``, which must include every
     atom the events use (see the module docstring for the bit order).
 
-    Atom ``k`` is false on the first ``half = 2**(width-1-k)`` assignments
-    and true on the next ``half``; that period is doubled by shift-and-or
-    until it covers all ``2**width`` bits.  Each step costs time linear in
-    the bits built so far, so an atom costs ``O(2**width)`` and the
-    connectives then act bitwise: at the default cap of 20 atoms every
-    table is a 128 KiB integer.
+    Atom ``k`` is false on the first ``half = 2**(width-1-k)``
+    assignments, true on the next ``half``, and so on.  Shifting its table
+    down by ``half // 2`` and XORing it back gives atom ``k + 1``, and the
+    same step takes the sure event (``half = 2**width``) to atom 0.  The
+    chain is built within the call as far as the last atom the events
+    use, so each table costs one shift and one XOR, linear in
+    ``2**width``; the connectives then act bitwise.  At the default cap of
+    20 atoms every table is a 128 KiB integer.
     """
     width = len(atoms)
     position = {name: k for k, name in enumerate(atoms)}
+    chain = [_full(width)]  # the sure event, then atoms 0, 1, ... as needed
 
     def atom(name: str) -> int:
-        half = 1 << (width - 1 - position[name])
-        table, span = (1 << half) - 1 << half, 2 * half
-        while span < 1 << width:
-            table |= table << span
-            span *= 2
-        return table
+        k = position[name] + 1
+        while len(chain) <= k:
+            table = chain[-1]
+            chain.append(table ^ table >> (1 << (width - len(chain))))
+        return chain[k]
 
-    return _fold(events, atom, _full(width))
+    return _fold(events, atom, chain[0])
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -404,38 +424,49 @@ def _fold(roots: Sequence[Event], atom: Callable[[str], int], full: int) -> tupl
 
     One walk lists each distinct subformula after its operands, the
     operand of larger ``_need`` first, and counts its readers: each
-    parent, plus one per root.  One pass then evaluates the list and
-    drops each value after its last reader, so a long chain holds a few
-    values at a time, whichever side it grows on.  Readers and values are
-    keyed by the node itself, since an event hashes by identity.
+    parent, plus one per root.  A connective waits on the walk's stack
+    under a ``None`` marker until its operands are listed.  One pass then
+    evaluates the list and drops each value after its last reader, so a
+    long chain holds a few values at a time, whichever side it grows on.
+    Readers and values are keyed by the node itself, since an event
+    hashes by identity.
     """
     reads: dict[Event, int] = {}
-    order: list[tuple[Event, tuple[Event, ...]]] = []
+    order: list[Event] = []
     pending: list = list(roots)
     while pending:
         node = pending.pop()
-        if isinstance(node, tuple):  # a node and its operands, all listed
-            order.append(node)
+        if node is None:  # the node below has all its operands listed
+            order.append(pending.pop())
         elif node in reads:
             reads[node] += 1
         else:
             reads[node] = 1
-            args = node._args if node._op in ("not", "and", "or") else ()
-            pending.append((node, args))
-            pending += args[::-1] if args and args[0]._need > args[-1]._need else args
+            op = node._op
+            if op == "and" or op == "or":
+                later, sooner = node._args
+                if later._need > sooner._need:  # the needier operand goes first
+                    later, sooner = sooner, later
+                pending += (node, None, later, sooner)
+            elif op == "not":
+                pending += (node, None, node._args[0])
+            else:
+                order.append(node)
     values: dict[Event, int] = {}
-    for node, args in order:
-        op = node._op
+    for node in order:
+        op, args = node._op, node._args
         if op == "atom":
-            value = atom(node._args)
-        elif op == "const":
-            value = full if node._args else 0
-        elif op == "not":
-            value = full ^ values[args[0]]
+            values[node] = atom(args)
+            continue
+        if op == "const":
+            values[node] = full if args else 0
+            continue
+        if op == "not":
+            values[node] = full ^ values[args[0]]
+        elif op == "and":
+            values[node] = values[args[0]] & values[args[1]]
         else:
-            left, right = (values[child] for child in args)
-            value = left & right if op == "and" else left | right
-        values[node] = value
+            values[node] = values[args[0]] | values[args[1]]
         for child in args:
             reads[child] -= 1
             if not reads[child]:
@@ -447,9 +478,33 @@ def _tables(*events: Event) -> tuple[int, ...]:
     return truth_tables(events, used_atoms(events))
 
 
+@functools.cache
 def _full(width: int) -> int:
-    """The truth table of the sure event over ``width`` atoms."""
+    """The truth table of the sure event over ``width`` atoms, built once
+    per width and kept for the life of the process."""
     return (1 << (1 << width)) - 1
+
+
+# The truth tables of the first ``2**k`` assignments, k = 6, 8, ..., 18,
+# that :func:`_least` looks in; the widest is a quarter of a table at the
+# default atom cap.
+_WINDOWS = tuple(_full(k) for k in range(6, 20, 2))
+
+
+def _least(mask: int) -> int:
+    """The index of the least set bit of a nonzero truth table: its least
+    assignment.  ``mask & -mask`` negates the whole table; this looks in
+    the windows first, each ``&`` costing the window's width, so the
+    search costs time linear in the index, not in the table's width, up
+    to the widest window."""
+    bits = mask.bit_length()
+    for window in _WINDOWS:
+        if window.bit_length() >= bits:
+            break
+        found = mask & window
+        if found:
+            return (found & -found).bit_length() - 1
+    return (mask & -mask).bit_length() - 1
 
 
 def _decode(index: int, width: int) -> tuple[bool, ...]:

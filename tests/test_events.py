@@ -13,6 +13,7 @@ from previsions.events import (
     EventSyntaxError,
     Universe,
     _fold,
+    _least,
     constituents,
     logically_independent,
     truth_tables,
@@ -406,6 +407,77 @@ class TestConstituents:
         with pytest.raises(ValueError):
             constituents([([a, a], h)])
 
+    # Families over sixteen atoms: their truth tables are 8 KiB, and the
+    # least assignment of a block is looked up window by window (see
+    # ``events._least``).
+    WIDE = tuple(f"a{k}" for k in range(16))
+
+    def test_blocks_past_the_first_windows(self):
+        # Every conditioning implies a0 & a1, so every inside block starts
+        # at assignment 3 * 2**14 or later, past the windows of 64 to
+        # 2**14 assignments.
+        u, a = fresh(*self.WIDE)
+        members = [
+            (a[2] | a[7] & ~a[15] | a[6] & a[9], a[0] & a[1]),
+            (a[5] & a[11] | a[12] & ~a[13], a[0] & a[1] & ~a[3]),
+            (a[14] | ~a[8], a[0] & a[1] & (a[4] | a[10])),
+        ]
+        predicates = [
+            (
+                lambda v: v["a2"] or v["a7"] and not v["a15"] or v["a6"] and v["a9"],
+                lambda v: v["a0"] and v["a1"],
+            ),
+            (
+                lambda v: v["a5"] and v["a11"] or v["a12"] and not v["a13"],
+                lambda v: v["a0"] and v["a1"] and not v["a3"],
+            ),
+            (
+                lambda v: v["a14"] or not v["a8"],
+                lambda v: v["a0"] and v["a1"] and (v["a4"] or v["a10"]),
+            ),
+        ]
+        brute = [
+            ([lambda v, p=p, q=q: p(v) and q(v), lambda v, p=p, q=q: not p(v) and q(v)], q)
+            for p, q in predicates
+        ]
+        part = constituents([([e & h, ~e & h], h) for e, h in members])
+        outside, inside = brute_constituents(brute, self.WIDE)
+        assert part.atoms == self.WIDE
+        assert part.outside.assignments == outside
+        assert [(c.labels, c.assignments) for c in part.inside] == inside
+        assert len(inside) > 8 and all(_least(c.mask) >= 3 << 14 for c in part.inside)
+
+    def test_wide_non_partition_names_the_least_assignment(self):
+        # The cells overlap first at assignment 2**12 + 2**10 + 1 (a3, a5
+        # and a15 true), past the windows of 64, 256, 1024 and 4096.
+        u, a = fresh(*self.WIDE)
+        first = a[3]
+        for k in range(16):
+            if k not in (3, 5, 15):
+                first = first & ~a[k]
+        second = ~first | a[3] & a[5] & a[15]
+        with pytest.raises(ValueError) as expected:
+            brute_constituents([([first.evaluate, second.evaluate], lambda v: True)], self.WIDE)
+        with pytest.raises(ValueError, match="matched 2 cells") as raised:
+            constituents([([first, second], u.true())])
+        assert str(raised.value) == str(expected.value)
+
+
+class TestLeastAssignment:
+    """``_least`` is the index of the least set bit, as the negation
+    ``(mask & -mask).bit_length() - 1`` finds it."""
+
+    @pytest.mark.parametrize("width", range(1, 21))
+    def test_agrees_with_negation(self, width):
+        size = 1 << width
+        rng = random.Random(width)
+        edges = [1 << k for k in range(6, 21, 2)]  # window widths 64, 256, ...
+        spots = {0, size - 1} | {e + d for e in edges for d in (-1, 0) if e + d < size}
+        for i in sorted(spots):
+            above = rng.getrandbits(size) >> (i + 1) << (i + 1)
+            for mask in (1 << i, 1 << i | above, 1 << i | 1 << (size - 1)):
+                assert _least(mask) == (mask & -mask).bit_length() - 1 == i
+
 
 class TestAtomTables:
     """Atom ``k`` of ``width`` is true at assignment ``i`` exactly when bit
@@ -433,6 +505,32 @@ class TestAtomTables:
             assert table.bit_count() == 1 << (width - 1)
             for i in rng.sample(range(1 << width), 64):
                 assert table >> i & 1 == i >> (width - 1 - k) & 1
+
+    def test_last_of_twenty_atoms_alone(self):
+        # The chain of atom tables runs from the sure event to the one atom
+        # read, through the 19 before it.
+        u = Universe()
+        atoms = [u.atom(f"x{k}") for k in range(20)]
+        expected = int("".join("1" if i & 1 else "0" for i in reversed(range(1 << 20))), 2)
+        assert truth_tables([atoms[19]], u.atoms) == (expected,)
+
+    def test_frame_wider_than_the_events(self):
+        # As ``crq.iterated`` tables a new event over a quantity's frame:
+        # the events use three of eight atoms, and either root goes first.
+        u = Universe()
+        x = [u.atom(f"x{k}") for k in range(8)]
+        events = [x[6] & ~x[2], x[2] | x[4], ~x[4]]
+        predicates = [
+            lambda a: a["x6"] and not a["x2"],
+            lambda a: a["x2"] or a["x4"],
+            lambda a: not a["x4"],
+        ]
+        assignments = list(truth_assignments(u.atoms))
+        expected = tuple(
+            sum(1 << i for i, a in enumerate(assignments) if holds(a)) for holds in predicates
+        )
+        assert truth_tables(events, u.atoms) == expected
+        assert truth_tables(events[::-1], u.atoms) == expected[::-1]
 
 
 # Differential tests of the truth tables against per-assignment enumeration.
