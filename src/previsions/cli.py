@@ -51,7 +51,9 @@ class DocumentError(InputError):
 # versions (underscores, spaces around "/") and takes any Unicode digit.
 # Exponent notation is refused too: a ten-character "1e-3000000" expands
 # to a million-digit denominator that no check finishes with.
-_RATIONAL = re.compile(r"[-+]?(?:\d+(?:/\d+|\.\d*)?|\.\d+)", re.ASCII)
+# Its groups are the sign, the integer digits, the denominator, and the
+# decimals after the integer digits or after a bare point.
+_RATIONAL = re.compile(r"([-+]?)(?:(\d+)(?:/(\d+)|\.(\d*))?|\.(\d+))", re.ASCII)
 
 
 def _integer(text: str) -> int:
@@ -75,12 +77,16 @@ def parse_rational(text: Any) -> Fraction:
     if 0 < limit < len(source) and max(map(len, re.findall(r"\d+", source)), default=0) > limit:
         shown = reprlib.repr(text)  # at most a few dozen characters
         raise DocumentError(f"rational {shown} has over {limit} digits in a row, Python's limit")
-    try:
-        if not _RATIONAL.fullmatch(source.strip()):
-            raise ValueError(source)
-        return Fraction(source)
-    except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"malformed rational {reprlib.repr(text)}") from None
+    match = _RATIONAL.fullmatch(source.strip())
+    if match:
+        sign, whole, below, decimals, bare = match.groups()
+        decimals = decimals or bare or ""  # read apart from ``whole``, within the limit
+        scale = 10 ** len(decimals)
+        numerator = int(whole or 0) * scale + int(decimals or 0)
+        denominator = scale if below is None else int(below)
+        if denominator:
+            return Fraction(-numerator if sign == "-" else numerator, denominator)
+    raise DocumentError(f"malformed rational {reprlib.repr(text)}")
 
 
 @dataclass(frozen=True)

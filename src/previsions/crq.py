@@ -80,15 +80,18 @@ class ConditionalRandomQuantity:
     def _fill(self, conditioning, cells, prevision, atoms, given, raw) -> None:
         """Check the cells on their tables and keep the nonempty ones; an
         error names an assignment over the atoms of the quantity's events."""
-        shown = conditioning.atoms.union(*(event.atoms for event, _ in cells))
-        parts = cut(given, raw, atoms, shown)
-        kept = [k for k, part in enumerate(parts) if part]
+        parts = cut(
+            given, raw, atoms, lambda: conditioning.atoms.union(*(e.atoms for e, _ in cells))
+        )
+        if not all(parts):
+            kept = [k for k, part in enumerate(parts) if part]
+            cells, raw = [cells[k] for k in kept], [raw[k] for k in kept]
         self._conditioning = conditioning
-        self._cells = tuple(cells[k] for k in kept)
+        self._cells = tuple(cells)
         self._prevision = prevision
         self._atoms = atoms
         self._given = given
-        self._raw = tuple(raw[k] for k in kept)
+        self._raw = tuple(raw)
 
     @property
     def conditioning(self) -> Event:

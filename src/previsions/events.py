@@ -157,8 +157,10 @@ class Event:
     def _combine(self, op: str, other: "Event") -> "Event":
         if not isinstance(other, Event):
             return NotImplemented
-        _require_same_universe(self, other)
-        need = max(self._need, other._need) + (self._need == other._need)
+        if self._universe is not other._universe:
+            raise ValueError("events belong to different universes")
+        mine, theirs = self._need, other._need
+        need = mine + 1 if mine == theirs else max(mine, theirs)
         return Event(self._universe, op, (self, other), self._atoms | other._atoms, need)
 
     def evaluate(self, assignment: Assignment) -> bool:
@@ -292,7 +294,7 @@ def constituents(
     if not family:
         raise ValueError("family must be nonempty")
     atoms, tables = split(family)
-    members = [(given, cut(given, cells, atoms, atoms)) for given, cells in tables]
+    members = [(given, cut(given, cells, atoms, lambda: atoms)) for given, cells in tables]
     return refine(atoms, members, family)
 
 
@@ -346,13 +348,17 @@ def split(
 
 
 def cut(
-    conditioning: int, cells: Sequence[int], atoms: Sequence[str], shown: Container[str]
+    conditioning: int,
+    cells: Sequence[int],
+    atoms: Sequence[str],
+    shown: Callable[[], Container[str]],
 ) -> tuple[int, ...]:
     """The part of a conditioning event inside each cell, all truth tables
     over ``atoms``.  ImpossibleConditioningError for an impossible
     conditioning event; InputError unless the cells partition it, naming
-    the least offending assignment restricted to the atoms in ``shown``:
-    if they hold the events' atoms, the least offending one over them.
+    the least offending assignment restricted to the atoms ``shown()``
+    gives, called only then: if they hold the events' atoms, the least
+    offending one over them.
     The parts lie inside the conditioning event, so what they leave
     uncovered is the ``^`` of it and their union, and the least offending
     assignment is found by :func:`_least`."""
@@ -367,7 +373,8 @@ def cut(
     if bad:
         index = _least(bad)
         bits = zip(atoms, _decode(index, len(atoms)))
-        assignment = {name: bit for name, bit in bits if name in shown}
+        named = shown()
+        assignment = {name: bit for name, bit in bits if name in named}
         hits = sum(part >> index & 1 for part in parts)
         raise InputError(
             "cells must partition the conditioning event "
@@ -493,11 +500,13 @@ _WINDOWS = tuple(_full(k) for k in range(6, 20, 2))
 
 def _least(mask: int) -> int:
     """The index of the least set bit of a nonzero truth table: its least
-    assignment.  ``mask & -mask`` negates the whole table; this looks in
-    the windows first, each ``&`` costing the window's width, so the
-    search costs time linear in the index, not in the table's width, up
-    to the widest window."""
+    assignment.  ``mask & -mask`` negates the whole table; past ``2**12``
+    assignments this looks in the windows first, each ``&`` costing the
+    window's width, so the search costs time linear in the index, not in
+    the table's width, up to the widest window."""
     bits = mask.bit_length()
+    if bits <= 1 << 12:  # one negation costs less than the windows here
+        return (mask & -mask).bit_length() - 1
     for window in _WINDOWS:
         if window.bit_length() >= bits:
             break

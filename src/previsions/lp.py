@@ -59,9 +59,12 @@ and leaves their packing.  Adding ``2**(W - 1)`` to every field makes
 each nonnegative, so no carry crosses a field: a field minus that bias is
 the entry, and its top bit is clear exactly where the entry is negative.
 Bland's rule takes the lowest clear top bit of the biased reduced costs,
-Dantzig's their least.
+Dantzig's their least: written big-endian, the biased fields are byte
+strings of one length that order as the fields do, so one ``struct``
+call cuts them out at any width and ``min`` and ``index`` compare them
+as bytes, ties going to the lowest column.
 
-``W`` is the least multiple of 64 whose fields hold a bound proven per
+``W`` is the least multiple of 32 whose fields hold a bound proven per
 :func:`solve`.  Let ``S`` have the ``m`` rows ``[scaled row i | s_i e_i
 | scaled rhs i]``, ``sum(x) = 1`` among them, so ``S / s_i`` row by row
 is the oriented rational system.  At a basis ``B``, ``d = |det S_B|``
@@ -125,8 +128,13 @@ class _Layout:
         self.half, self.mask, self.rhs = 1 << (bits - 1), (1 << bits) - 1, (count - 1) * bits
         self.bias = (1 << count * bits) // self.mask * self.half  # half in every field
         self.tops = self.bias - (self.half << self.rhs)  # the columns' top bits
-        self.signed = struct.Struct(f"<{count - 1}q") if bits == 64 else None  # the columns
-        self.struct = struct.Struct(f"<{count - 1}Q") if bits == 64 else None  # biased
+        code = {32: "i", 64: "q"}.get(bits)  # one struct packs such fields
+        self.signed = struct.Struct(f"<{count - 1}{code}") if code else None
+        self.struct = struct.Struct(f"<{count - 1}{code.upper()}") if code else None  # biased
+        # The biased columns as big-endian byte strings, last column first:
+        # unsigned fields of one width, they order as their strings do.
+        self.strings = struct.Struct(">" + f"{bits // 8}s" * (count - 1))
+        self.zero = self.half.to_bytes(bits // 8, "big")  # the string of the entry 0
 
     def pack(self, values: Sequence[int], rhs: int = 0) -> int:
         """The row of the column entries ``values`` and right-hand side ``rhs``."""
@@ -137,25 +145,31 @@ class _Layout:
         word = int.from_bytes(data, "little")  # 2**W too much above each negative field
         return word - ((word & self.bias) << 1) + (rhs << self.rhs)
 
-    def columns(self, word: int) -> Sequence[int]:
-        """The fields of ``word`` but its right-hand side; none is negative."""
-        data, size = word.to_bytes(self.size, "little"), self.bits // 8
-        if self.struct:
-            return self.struct.unpack_from(data)
-        return [int.from_bytes(data[k : k + size], "little") for k in range(0, self.rhs // 8, size)]
+    def entering(self, word: int) -> int | None:
+        """The column of the least field of ``word``, biased reduced costs,
+        the first among equals; None if no field is below the bias."""
+        keys = self.strings.unpack_from(word.to_bytes(self.size, "big"), self.bits // 8)[::-1]
+        least = min(keys)
+        return None if least >= self.zero else keys.index(least)
 
     def unpack(self, row: int) -> list[int]:
         """The entries of a row, the right-hand side last."""
         word = row + self.bias
-        return [v - self.half for v in (*self.columns(word), word >> self.rhs)]
+        data, size = word.to_bytes(self.size, "little"), self.bits // 8
+        if self.struct:
+            fields = self.struct.unpack_from(data)
+        else:
+            starts = range(0, self.rhs // 8, size)
+            fields = [int.from_bytes(data[k : k + size], "little") for k in starts]
+        return [v - self.half for v in (*fields, word >> self.rhs)]
 
 
 _layout = lru_cache(maxsize=64)(_Layout)  # one per width and field count
 
 
 def _bits(square: int) -> int:
-    """The least multiple of 64 whose signed fields hold ``isqrt(square)``."""
-    return 64 * ((square.bit_length() + 1) // 128 + 1)  # isqrt(square) has half the bits
+    """The least multiple of 32 whose signed fields hold ``isqrt(square)``."""
+    return 32 * ((square.bit_length() + 1) // 64 + 1)  # isqrt(square) has half the bits
 
 
 def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[int]) -> LPResult:
@@ -284,13 +298,14 @@ def optimize(
     # Integer costs (negated to maximize); each tableau column takes the
     # cheapest copy of its group, the first among equals.
     sign = -1 if maximize else 1
-    chosen = list(firsts)
+    chosen = list(firsts) if point else None  # read only to build the point
     group = [sign * costs[j] for j in firsts]
     for g, j in repeats:
         cost = sign * costs[j]
         if cost < group[g]:
             group[g] = cost
-            chosen[g] = j
+            if point:
+                chosen[g] = j
     # On the simplex sign * scale * (c . x) is at least the least cost; a
     # phase-1 point at it is optimal, read off the right-hand sides alone.
     at = sum(group[bv] * value for value, bv in zip(values, basis))
@@ -334,11 +349,9 @@ def _minimize(
         if floor is not None and (bottom >> rhs) - half + floor * d == 0:
             return d
         if floor is not None and degenerate < DEGENERATE_RUN:
-            costs = layout.columns(bottom)
-            least = min(costs)
-            if least >= half:
+            enter = layout.entering(bottom)
+            if enter is None:
                 return d
-            enter = costs.index(least)
         else:
             clear = layout.tops & ~bottom
             if not clear:

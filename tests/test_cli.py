@@ -95,6 +95,67 @@ class TestRationals:
         assert parse_rational(" " * limit + "1/2" + " " * limit) == F(1, 2)
 
 
+LIMIT = sys.get_int_max_str_digits()
+
+
+@st.composite
+def rational_texts(draw):
+    """Texts of the documented grammar: an optional sign, then ``p``,
+    ``p/q``, ``d.``, ``d.d`` or ``.d``, with leading zeros, digit runs up
+    to the digit limit, and whitespace around."""
+    def digits():
+        length = draw(st.one_of(st.integers(1, 6), st.sampled_from([LIMIT - 1, LIMIT])))
+        zeros = draw(st.integers(0, length - 1))
+        rest = draw(st.text("0123456789", min_size=length - zeros, max_size=length - zeros))
+        return "0" * zeros + rest
+
+    form = draw(st.sampled_from(["p", "p/q", "d.", "d.d", ".d"]))
+    body = {
+        "p": lambda: digits(),
+        "p/q": lambda: digits() + "/" + digits(),
+        "d.": lambda: digits() + ".",
+        "d.d": lambda: digits() + "." + digits(),
+        ".d": lambda: "." + digits(),
+    }[form]()
+    space = st.text(" \t\n\r\x0b\x0c\u2003", max_size=3)
+    return draw(space) + draw(st.sampled_from(["", "+", "-"])) + body + draw(space)
+
+
+class TestRationalGrammar:
+    """``parse_rational`` reads the documented grammar as ``Fraction``
+    reads it, and refuses what it refused before with the same errors."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(rational_texts())
+    @example("1/0")
+    @example("-0/0")
+    @example(" 00.000 ")
+    def test_values_are_fractions(self, text):
+        try:
+            want = F(text)
+        except ZeroDivisionError:
+            with pytest.raises(DocumentError) as refused:
+                parse_rational(text)
+            assert str(refused.value) == f"malformed rational {reprlib.repr(text)}"
+        else:
+            assert parse_rational(text) == want
+
+    def test_refusals_keep_their_messages(self):
+        malformed = (
+            "0.1.2", "1/0", "0/0", "one half", "1e-3", "1E5", "2.5e1", "1e-3000000",
+            "1_000", "1_0/20", "1 / 2", "1/ 2", "\u0661/2", "1/\u0662",
+            "", " ", ".", "-", "+.", "1/", "/2", "1/-2", "--1", ". 5",
+        )
+        for bad in malformed:
+            with pytest.raises(DocumentError) as refused:
+                parse_rational(bad)
+            assert str(refused.value) == f"malformed rational {reprlib.repr(bad)}"
+        for bad in (None, 1.5, True, F(1, 2)):
+            with pytest.raises(DocumentError) as refused:
+                parse_rational(bad)
+            assert str(refused.value) == f"expected a rational string, got {reprlib.repr(bad)}"
+
+
 class TestCheckCommand:
     def test_coherent_document(self, tmp_path, capsys):
         path = write_doc(tmp_path, coherent_pair_payload())

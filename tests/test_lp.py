@@ -725,10 +725,10 @@ def stepped(module, run):
 
 def assert_same_steps(dense_steps, packed_steps, square):
     """Pivot by pivot, the packed tableau unpacks to the dense one, with
-    fields of the least multiple of 64 bits that holds ``sqrt(square)``,
+    fields of the least multiple of 32 bits that holds ``sqrt(square)``,
     and no entry exceeds that bound.  Only the drive-out of the
     artificials runs without the reduced-cost row in the packed kernel."""
-    bits = 64 * (isqrt(square).bit_length() // 64 + 1)
+    bits = 32 * (isqrt(square).bit_length() // 32 + 1)
     assert len(packed_steps) == len(dense_steps)
     for (d, basis, rows), (packed_d, packed_basis, packed) in zip(dense_steps, packed_steps):
         assert (packed_d, packed_basis) == (d, basis)
@@ -815,37 +815,38 @@ class TestPackedRows:
         assert_kernels_agree(*scaled(rows, rhs), [(costs, scale, maximize)])
 
     def test_field_width(self):
-        # The least multiple of 64 bits whose signed fields hold sqrt(square).
-        for bits in (64, 128, 192):
+        # The least multiple of 32 bits whose signed fields hold sqrt(square).
+        for bits in (32, 64, 96, 128, 160, 192):
             limit = 1 << (bits - 1)
             assert lp._bits((limit - 1) ** 2) == bits
             assert lp._bits(limit**2 - 1) == bits
-            assert lp._bits(limit**2) == bits + 64
+            assert lp._bits(limit**2) == bits + 32
 
     @pytest.mark.parametrize(
-        "bits, above", [(64, False), (64, True), (128, False), (128, True)],
-        ids=["below-2**63", "above-2**63", "below-2**127", "above-2**127"],
+        "bits, above",
+        [(bits, above) for bits in (32, 64, 96, 128) for above in (False, True)],
+        ids=[f"{side}-2**{bits - 1}" for bits in (32, 64, 96, 128) for side in ("below", "above")],
     )
     def test_bound_at_a_width_boundary(self, bits, above):
         rows, rhs, scales = boundary_system(bits, above)
         assert (isqrt(hadamard_square(rows, rhs, scales)) >= 1 << (bits - 1)) == above
         with mock.patch.object(lp, "_layout", wraps=lp._layout) as layouts:
             first = lp.solve(rows, rhs, scales)
-        assert layouts.call_args_list[0].args[0] == bits + 64 * above
+        assert layouts.call_args_list[0].args[0] == bits + 32 * above
         objectives = [([0, 1, 0], 1, True), ([1, 0, 1], 1, False), ([2, -1, 1], 3, True)]
         assert_matches_the_oracle(rows, rhs, scales, objectives)
         assert first.feasible
 
     def test_optimize_widens_the_rows_for_large_costs(self):
         # Phase 1 fits 64-bit fields with a bound just below 2**63; costs
-        # of 7 need 128 bits, and phase 2 pivots at that width from phase
+        # of 7 need 96 bits, and phase 2 pivots at that width from phase
         # 1's point on the first two columns to the vertex on the last two.
         rows, rhs, scales = boundary_system(64, 0)
         top = rows[0][0]
         first = lp.solve(rows, rhs, scales)
         with mock.patch.object(lp, "_layout", wraps=lp._layout) as layouts:
             result, pivots = counted(lambda: lp.optimize(first, [0, -5, 7], 1, True))
-        assert [call.args[0] for call in layouts.call_args_list] == [128]
+        assert [call.args[0] for call in layouts.call_args_list] == [96]
         assert pivots > 0 and result.objective == F(7 * (top + 1) - 5, top + 2)
         objectives = [([0, -5, 7], 1, True), ([0, 5, -7], 1, False), ([0, 5, -7], 1, True)]
         assert_matches_the_oracle(rows, rhs, scales, objectives)
@@ -861,6 +862,68 @@ class TestPackedRows:
         assert max(scales) > 10**299
         objectives = [([1, -1, 2, 0], 1, True), ([1, -1, 2, 0], 1, False), ([0, 0, 0, 1], 1, True)]
         assert_matches_the_oracle(ints, rhs, scales, objectives)
+
+
+def least_entry(values):
+    """Dantzig's entering column over the reduced costs ``values``: the
+    first least one, or None if none is negative."""
+    least = min(values)
+    return values.index(least) if least < 0 else None
+
+
+class TestEnteringRead:
+    """``_Layout.entering``, Dantzig's read of the packed reduced costs as
+    big-endian byte strings, against ``min`` and ``.index`` over the
+    entries, and the packing it reads."""
+
+    WIDTHS = (32, 64, 96, 128, 160)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_random_rows_biased_to_ties(self, bits):
+        # Entries clustered around a few centres, each varied only in its
+        # lowest word or repeated as it is, so fields share their top words
+        # and equal fields come often; the extremes of the field included.
+        rng = random.Random(bits)
+        half = 1 << (bits - 1)
+        for _ in range(400):
+            centres = [rng.choice([-half, half - 1, 0, -1, rng.randrange(-half, half)])
+                       for _ in range(3)]
+            values = [
+                min(max(rng.choice(centres) + rng.choice([0, rng.randint(-9, 9)]), -half), half - 1)
+                for _ in range(rng.randint(1, 40))
+            ]
+            layout = lp._layout(bits, len(values) + 1)
+            row = layout.pack(values, rng.randrange(-half, half))
+            assert layout.entering(row + layout.bias) == least_entry(values)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_a_tie_on_the_top_word_goes_to_the_lower_words(self, bits):
+        # Every field below is negative and shares its top word; the least
+        # differs from the others only in its lowest byte, at index 1.
+        base = -(1 << (bits - 8))
+        values = [base - 1, base - 5, base - 2, base - 4]
+        layout = lp._layout(bits, len(values) + 1)
+        assert layout.entering(layout.pack(values) + layout.bias) == 1
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_equal_least_fields_go_to_the_lowest_index(self, bits):
+        low = -(1 << (bits - 1))
+        for values in ([3, -7, 5, -7, -7], [0, low, 1, low], [-1, -1]):
+            layout = lp._layout(bits, len(values) + 1)
+            assert layout.entering(layout.pack(values, -3) + layout.bias) == least_entry(values)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_a_row_with_no_negative_field_enters_none(self, bits):
+        # The right-hand side, negative here, is no column.
+        for values in ([0], [0, 0, 0], [5, 0, (1 << (bits - 1)) - 1]):
+            layout = lp._layout(bits, len(values) + 1)
+            assert layout.entering(layout.pack(values, -1) + layout.bias) is None
+
+    def test_32_bit_fields_round_trip(self):
+        top = (1 << 31) - 1
+        for values, rhs in [([top, -top, 0, -1, 1], top), ([-top, -top], -top), ([top], 0)]:
+            layout = lp._layout(32, len(values) + 1)
+            assert layout.unpack(layout.pack(values, rhs)) == [*values, rhs]
 
 
 @st.composite

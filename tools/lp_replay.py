@@ -1,22 +1,26 @@
-"""Replay the benchmark's LP calls through two ``lp.py`` files, interleaved.
+"""Replay the library's LP calls through two ``lp.py`` files, interleaved.
 
     python3 tools/lp_replay.py --baseline tests/dense_lp.py [--candidate PATH]
         [--repeats 5] [--check]
 
 Records every ``lp.solve`` and ``lp.optimize`` call that the library in
 ``src/`` makes while it runs the first 30 documents of seeds 1 and 2 of
-each benchmark workload (``bench/workloads.py``, loaded read-only).
-It then replays those calls through the two files, each loaded as a
-module of its own (``--candidate`` defaults to ``src/previsions/lp.py``),
-and compares status, solution, objective and certificate call by call:
-it prints the first call that differs and exits 1.  ``--check`` stops
-there.  Otherwise it also times ``--repeats`` passes, each document
-through both files in turn with the first of the two alternating, and
-prints per workload the fastest pass's milliseconds per document, split
-into ``solve`` and ``optimize``, with the candidate's ratio to the
-baseline.  Replaying in one process keeps the host's speed swings, which
-reach tens of percent between separate benchmark processes, out of the
-comparison.
+each benchmark workload (``bench/workloads.py``, loaded read-only), and
+while ``check_coherence`` checks the ``tools/ladder.py`` families of
+each rung in :data:`LADDER` at seeds 1 to 3, both lines of each: the
+benchmark's systems have at most about 60 columns and 96-bit fields,
+the ladder's hundreds of columns and wider fields.  It then replays
+those calls through the two files, each loaded as a module of its own
+(``--candidate`` defaults to ``src/previsions/lp.py``), and compares
+status, solution, objective and certificate call by call: it prints the
+first call that differs and exits 1.  ``--check`` stops there.
+Otherwise it also times ``--repeats`` passes, each document (a ladder
+family counts as one) through both files in turn with the first of the
+two alternating, and prints per workload and rung the fastest pass's
+milliseconds per document, split into ``solve`` and ``optimize``, with
+the candidate's ratio to the baseline.  Replaying in one process keeps
+the host's speed swings, which reach tens of percent between separate
+benchmark processes, out of the comparison.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from previsions import cli, lp  # noqa: E402
+from previsions import check_coherence, cli, lp  # noqa: E402
 
 SEEDS = (1, 2)
 DOCS = 30
+LADDER = ((8, 10), (10, 12))  # members/atoms
+LADDER_SEEDS = (1, 2, 3)
 
 
 def load(path: Path, name: str):
@@ -49,10 +55,11 @@ def load(path: Path, name: str):
     return module
 
 
-def record(workloads, workload: str, seed: int, docs: int) -> list[list[tuple]]:
-    """Per document, its LP calls in order: ``("solve", rows, rhs,
-    scales)`` and ``("optimize", k, costs, scale, maximize, point)``,
-    where ``k`` indexes the document's solve whose result it optimizes."""
+def record(runs) -> list[list[tuple]]:
+    """Per run, a function of no arguments, its LP calls in order:
+    ``("solve", rows, rhs, scales)`` and ``("optimize", k, costs, scale,
+    maximize, point)``, where ``k`` indexes the run's solve whose result
+    it optimizes."""
     solve, optimize = lp.solve, lp.optimize
     calls: list[tuple] = []
     solved: dict[int, int] = {}
@@ -72,17 +79,42 @@ def record(workloads, workload: str, seed: int, docs: int) -> list[list[tuple]]:
     documents = []
     lp.solve, lp.optimize = recording_solve, recording_optimize
     try:
-        with tempfile.TemporaryDirectory() as work:
-            for i, case in enumerate(workloads.generate(workload, seed, docs)):
-                path = Path(work) / f"{i}.json"
-                path.write_text(json.dumps(case.payload), encoding="utf-8")
-                calls, solved = [], {}
-                with contextlib.redirect_stdout(io.StringIO()):
-                    cli.main([case.command, str(path), *case.extra_args])
-                documents.append(calls)
+        for run in runs:
+            calls, solved = [], {}
+            run()
+            documents.append(calls)
     finally:
         lp.solve, lp.optimize = solve, optimize
     return documents
+
+
+def workload_calls(workloads, workload: str, seeds, docs: int) -> list[list[tuple]]:
+    """The LP calls of the first ``docs`` documents of ``workload`` at
+    each seed, each run through ``cli.main`` from a file."""
+    with tempfile.TemporaryDirectory() as work:
+
+        def run(i, case):
+            path = Path(work) / f"{i}.json"
+            path.write_text(json.dumps(case.payload), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main([case.command, str(path), *case.extra_args])
+
+        cases = [case for seed in seeds for case in workloads.generate(workload, seed, docs)]
+        return record([lambda i=i, case=case: run(i, case) for i, case in enumerate(cases)])
+
+
+def ladder_calls(ladder, members: int, atoms: int, seeds) -> list[list[tuple]]:
+    """The LP calls of checking the ladder family of ``members/atoms`` at
+    each seed, on its one-level line and then on its agreeing-pair line."""
+    pairs = [(seed, agreeing) for seed in seeds for agreeing in (False, True)]
+    return record(
+        [
+            lambda seed=seed, agreeing=agreeing: check_coherence(
+                ladder.family(members, atoms, seed, agreeing)[0]
+            )
+            for seed, agreeing in pairs
+        ]
+    )
 
 
 def replay(module, calls) -> tuple[list, float, float]:
@@ -117,10 +149,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     workloads = load(ROOT / "bench" / "workloads.py", "lp_replay_workloads")
+    ladder = load(ROOT / "tools" / "ladder.py", "lp_replay_ladder")
     baseline = load(args.baseline, "lp_replay_baseline")
     candidate = load(args.candidate, "lp_replay_candidate")
-    for name in workloads.WORKLOADS:
-        documents = [doc for seed in SEEDS for doc in record(workloads, name, seed, DOCS)]
+    sources = [(name, lambda name=name: workload_calls(workloads, name, SEEDS, DOCS))
+               for name in workloads.WORKLOADS]
+    sources += [(f"ladder {m}/{a}", lambda m=m, a=a: ladder_calls(ladder, m, a, LADDER_SEEDS))
+                for m, a in LADDER]
+    for name, source in sources:
+        documents = source()
         count = sum(map(len, documents))
         for d, calls in enumerate(documents):
             expected, _, _ = replay(baseline, calls)
