@@ -23,9 +23,10 @@ import os
 import re
 import reprlib
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from . import bounds, crq, simulate
 from .coherence import Assessment, CoherenceReport, IncoherentAssessmentError, check_coherence

@@ -69,13 +69,28 @@ as bytes, ties going to the lowest column.
 | scaled rhs i]``, ``sum(x) = 1`` among them, so ``S / s_i`` row by row
 is the oriented rational system.  At a basis ``B``, ``d = |det S_B|``
 and ``M = +-adj(S_B) S``: by Cramer's rule every entry, ``d`` included,
-is +- an ``m``-minor of ``S``, and ``d`` times a reduced cost one of
-``S`` with the cost row ``c`` appended (0 on the artificials in phase
-2).  Such a minor's rows have at most ``m + 1`` entries, so by
-Hadamard's inequality no entry exceeds the product over ``i`` of
-``sqrt(m + 1) * max|S_i|``, times ``sqrt(m + 1) * max|c|`` for a reduced
-cost.  Phase 1's costs are 0 and 1; :func:`optimize` widens the rows
-once if an objective's costs exceed that headroom.
+is +- an ``m``-minor of ``S``, and ``d`` times a reduced cost an ``(m +
+1)``-minor of ``S`` with the cost row ``c`` appended (0 on the
+artificials in phase 2).  Its ``n = m + 1`` rows have ``n`` entries, so
+by Hadamard's inequality it is at most the product of ``sqrt(n) *
+max|R|`` over its rows ``R``.  Bordering halves the factor of a row of
+one sign.  The minor is the determinant of order ``n + 1`` that puts a
+row of ones above it and 0s below that row's first entry.  Subtracting
+``+-max|R| / 2`` times the row of ones from a row ``R`` of one sign
+leaves entries of at most ``max|R| / 2``, so Hadamard's inequality at
+order ``n + 1`` bounds the minor by ``(n + 1)**((n + 1) / 2)`` times the
+product of the ``max|R|``, over ``2**h`` for ``h`` rows of one sign.
+The order-7 0/1 matrix taken from Sylvester's Hadamard matrix of order 8
+meets it, with determinant 32.  A member row of ``S`` has one sign
+exactly when its oriented scaled row is at least 0, since its ``s_i``
+and oriented right-hand side are; the sum row always has one sign, as do
+phase 1's costs, 0 and 1.
+``W`` holds the smaller of the two bounds, which also hold the
+``m``-minors.  The bordered bound's square is ``N / 4**h`` for an
+integer ``N``, so it is below ``2**(2W - 2)`` exactly when ``N >> 2 * h``
+is, and the comparison takes no rounding.  :func:`optimize` widens the
+rows once if an objective's costs exceed phase 1's headroom, being
+larger than 1 or of both signs.
 
 When a system is infeasible the solver returns a Farkas certificate: a
 vector ``y``, one entry per row and the last for ``sum(x) = 1``, with
@@ -210,16 +225,20 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[in
     if repeats:
         rows = list(zip(*index))  # the kept columns, row by row
 
-    # Hadamard's bound, squared, with m = neq + 1 rows (the sum row's 1s).
+    # Hadamard's bound and the bordered one, squared, with m = neq + 1 rows
+    # (the sum row's 1s); signed counts the rows of one sign, the sum row
+    # among them, and phase 1's costs, 0 and 1, make one more.
     neq += 1
     total = width + neq
-    square = (neq + 1) ** (neq + 1)
+    square, signed = 1, 1
     for row, b, s in zip(rows, rhs, scales):
         if not isinstance(sum(row, b), int):  # an int only if every entry is one
             raise ValueError("constraint entries must be ints")
         ordered = sorted(row)  # sorted compares ints faster than max does
         square *= max(ordered[-1], -ordered[0], s, abs(b)) ** 2
-    layout = _layout(_bits(square), total + 1)
+        signed += ordered[-1] <= 0 if b < 0 else ordered[0] >= 0  # oriented row >= 0
+    square, bordered = (neq + 1) ** (neq + 1) * square, (neq + 2) ** (neq + 2) * square
+    layout = _layout(_bits(min(square, bordered >> 2 * (signed + 1))), total + 1)
     bits, bias, half = layout.bits, layout.bias, layout.half
     out = _layout(bits, width + 1)  # phase 2's
 
@@ -262,7 +281,7 @@ def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int], scales: Sequence[in
     rows = tuple((word & low) - out.tops + (v << out.rhs) for word, v in zip(words, values))
     basis = tuple(bv for bv in basis if bv < width)
     solution = _extract(values, [firsts[bv] for bv in basis], nvar, d)
-    first = (rows, basis, d, firsts, repeats, out, values, square)
+    first = (rows, basis, d, firsts, repeats, out, values, (square, bordered, signed))
     return LPResult(OPTIMAL, solution=solution, _tableau=first)
 
 
@@ -286,7 +305,7 @@ def optimize(
         return first
     if first._tableau is None:
         raise ValueError("optimize needs the feasible result of solve(rows, rhs, scales)")
-    rows, basis, d, firsts, repeats, layout, values, square = first._tableau
+    rows, basis, d, firsts, repeats, layout, values, squares = first._tableau
     if len(costs) != len(firsts) + len(repeats):
         raise ValueError("objective length does not match variable count")
     try:  # one type check of the sum, an int only if every cost is one
@@ -311,10 +330,15 @@ def optimize(
     at = sum(group[bv] * value for value, bv in zip(values, basis))
     floor = min(group)
     if at != floor * d:
-        top = max(max(group), -floor)
-        if top > 1 and _bits(square * top * top) > layout.bits:  # phase 1's headroom is 1
-            wide = _layout(_bits(square * top * top), layout.count)
-            rows, layout = [wide.pack(v[:-1], v[-1]) for v in map(layout.unpack, rows)], wide
+        peak = max(group)
+        if peak > 1 or floor < -1 or floor < 0 < peak:  # beyond phase 1's costs, 0 and 1
+            square, bordered, signed = squares
+            top = max(peak, -floor) ** 2  # max|c|**2
+            signed += floor >= 0 or peak <= 0  # costs of one sign
+            bits = _bits(min(square * top, bordered * top >> 2 * signed))
+            if bits > layout.bits:
+                wide = _layout(bits, layout.count)
+                rows, layout = [wide.pack(v[:-1], v[-1]) for v in map(layout.unpack, rows)], wide
         # Below the rows, d times the costs reduced by the basis, and -at.
         rows_cost = sum(group[bv] * row for row, bv in zip(rows, basis) if group[bv])
         bottom = d * layout.pack(group) - rows_cost

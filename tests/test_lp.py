@@ -1,7 +1,8 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from unittest import mock
 
 import pytest
@@ -689,22 +690,66 @@ class TestIntegerEntry:
         assert member.solution == least.solution == (F(0), F(1))
 
 
+def bordered_square(matrix):
+    """The square of the bordered Hadamard bound ``lp``'s docstring proves
+    on ``|det matrix|``, an exact fraction: ``(n + 1)**(n + 1)`` times the
+    product of ``max|R|**2`` over the ``n`` rows ``R``, over ``4**h`` for
+    the ``h`` rows of one sign."""
+    n = len(matrix)
+    h = sum(min(row) >= 0 or max(row) <= 0 for row in matrix)
+    return F((n + 1) ** (n + 1) * prod(max(map(abs, row)) ** 2 for row in matrix), 4**h)
+
+
+def determinant(matrix):
+    """The determinant of a square integer matrix, by Bareiss's elimination."""
+    a, sign, d = [list(row) for row in matrix], 1, 1
+    n = len(a)
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // d
+        d = a[k][k]
+    return sign * a[-1][-1]
+
+
 def hadamard_square(rows, rhs, scales, costs=(), maximize=False):
     """The square of the bound that ``lp``'s docstring proves on every
     tableau entry of ``lp.solve(rows, rhs, scales)`` and of an
-    ``lp.optimize`` with ``costs``: with ``m`` rows, ``sum(x) = 1``
-    appended as ``[1 ... 1 | 1 | 1]``, the product over the rows ``S_i``
-    of ``(m + 1) * max|S_i|**2``, times ``(m + 1) * max|c|**2`` with
-    ``|c|`` at least 1 (phase 1's costs).  Each group of equal columns
-    is priced at its cheapest copy, as the tableau prices it."""
+    ``lp.optimize`` with ``costs``, rounded down to an integer.  With
+    ``m`` rows, ``sum(x) = 1`` appended as ``[1 ... 1 | 1 | 1]``, and the
+    cost row ``c`` it is the lesser of Hadamard's bound, the product over
+    the rows ``S_i`` of ``(m + 1) * max|S_i|**2`` times ``(m + 1) *
+    max|c|**2``, and the bordered bound, the same products with ``m + 2``
+    for ``m + 1``, over ``4**h`` for the ``h`` rows of one sign once each
+    member row is oriented to a nonnegative right-hand side.  Phase 1's
+    costs are 0 and 1; phase 2 keeps phase 1's width unless its own bound
+    needs more.  Each group of equal columns is priced at its cheapest
+    copy, as the tableau prices it."""
     m = len(rows) + 1
+    product, h = 1, 1  # the sum row has one sign
+    for row, b, s in zip(rows, rhs, scales):
+        product *= max(*map(abs, row), s, abs(b)) ** 2
+        orient = -1 if b < 0 else 1
+        h += min(orient * v for v in row) >= 0
+
+    def least(top, one_sign):
+        plain = (m + 1) ** (m + 1) * product * top**2
+        return min(plain, (m + 2) ** (m + 2) * product * top**2 // 4 ** (h + one_sign))
+
     sign = -1 if maximize else 1
     group = {}
     for column, cost in zip(zip(*rows), costs):
         group[column] = min(group.get(column, sign * cost), sign * cost)
-    square = (m + 1) ** (m + 1) * max([1, *map(abs, group.values())]) ** 2
-    for row, b, s in zip(rows, rhs, scales):
-        square *= max(*map(abs, row), s, abs(b)) ** 2
+    square = least(1, True)
+    if group:
+        values = group.values()
+        one_sign = min(values) >= 0 or max(values) <= 0
+        square = max(square, least(max(map(abs, values)), one_sign))
     return square
 
 
@@ -762,12 +807,30 @@ def assert_kernels_agree(rows, rhs, scales, objectives=()):
     return first, values
 
 
-def boundary_system(bits, above):
-    """One member row ``[M, 1 - M, 3] . x = 2`` at scale 1, two rows with
-    ``sum(x) = 1``, so the documented bound is ``isqrt(27 * M**2)``: ``M``
-    puts it just below ``2**(bits - 1)``, or just above when ``above``."""
-    top = isqrt(((1 << 2 * (bits - 1)) - 1) // 27) + above
-    return [[top, 1 - top, 3]], [2], [1]
+def boundary_system(bits, above, mixed=False):
+    """One member row ``[M, 1, 3] . x = 2`` at scale 1, of one sign, or
+    ``[M, 1 - M, 3]`` when ``mixed``, two rows with ``sum(x) = 1``: the
+    documented bound is the bordered one, ``2 * M``, or ``4 * M`` for the
+    mixed row.  ``M`` puts it just below ``2**(bits - 1)``, or at it when
+    ``above``."""
+    factor = 4 if mixed else 2
+    top = (1 << (bits - 1)) // factor - 1 + above
+    return [[top, 1 - top if mixed else 1, 3]], [2], [1]
+
+
+def phase_one_width(rows, rhs, scales):
+    """The field width ``lp.solve(rows, rhs, scales)`` runs phase 1 at."""
+    with mock.patch.object(lp, "_layout", wraps=lp._layout) as layouts:
+        lp.solve(rows, rhs, scales)
+    return layouts.call_args_list[0].args[0]
+
+
+def optimize_widths(first, costs, maximize):
+    """The widths ``lp.optimize`` widens phase 1's rows to, and whether it
+    pivoted."""
+    with mock.patch.object(lp, "_layout", wraps=lp._layout) as layouts:
+        _, pivots = counted(lambda: lp.optimize(first, costs, 1, maximize))
+    return [call.args[0] for call in layouts.call_args_list], pivots > 0
 
 
 def assert_matches_the_oracle(rows, rhs, scales, objectives=()):
@@ -828,28 +891,85 @@ class TestPackedRows:
         ids=[f"{side}-2**{bits - 1}" for bits in (32, 64, 96, 128) for side in ("below", "above")],
     )
     def test_bound_at_a_width_boundary(self, bits, above):
+        # The row of one sign sits at the bordered bound's edge, where
+        # Hadamard's bound, sqrt(27) * M, already needs 32 bits more.
         rows, rhs, scales = boundary_system(bits, above)
         assert (isqrt(hadamard_square(rows, rhs, scales)) >= 1 << (bits - 1)) == above
-        with mock.patch.object(lp, "_layout", wraps=lp._layout) as layouts:
-            first = lp.solve(rows, rhs, scales)
-        assert layouts.call_args_list[0].args[0] == bits + 32 * above
+        assert isqrt(27 * rows[0][0] ** 2) >= 1 << (bits - 1)
+        assert phase_one_width(rows, rhs, scales) == bits + 32 * above
         objectives = [([0, 1, 0], 1, True), ([1, 0, 1], 1, False), ([2, -1, 1], 3, True)]
         assert_matches_the_oracle(rows, rhs, scales, objectives)
-        assert first.feasible
+
+    @pytest.mark.parametrize("bits", (32, 64, 96, 128))
+    def test_a_mixed_row_keeps_its_full_factor(self, bits):
+        # Row 0, [M, 1, 3] . x = 2, has one sign.  Row 1 has one sign in
+        # the twin, [1, 1, 1] . x = 1, and both signs in the other, [1, -1,
+        # 1] . x = 0.  With m = 3 the bordered bound is sqrt(3125 / 64) * M,
+        # or half that in the twin: M puts the twin just below 2**(bits - 1)
+        # and the mixed system just above it.
+        top = isqrt(64 * 4 ** (bits - 1) // 3125) + 1
+        mixed = [[top, 1, 3], [1, -1, 1]], [2, 0], [1, 1]
+        twin = [[top, 1, 3], [1, 1, 1]], [2, 1], [1, 1]
+        assert isqrt(hadamard_square(*twin)) < 1 << (bits - 1) <= isqrt(hadamard_square(*mixed))
+        assert phase_one_width(*twin) == bits
+        assert phase_one_width(*mixed) == bits + 32
+        objectives = [([0, 1, 0], 1, True), ([1, 0, 2], 1, False)]
+        assert_matches_the_oracle(*mixed, objectives)
+        assert_matches_the_oracle(*twin, objectives)
+        # The boundary system's one row, mixed, at the same edges.
+        for above in (False, True):
+            rows, rhs, scales = boundary_system(bits, above, mixed=True)
+            assert phase_one_width(rows, rhs, scales) == bits + 32 * above
+            assert_matches_the_oracle(rows, rhs, scales, objectives)
 
     def test_optimize_widens_the_rows_for_large_costs(self):
-        # Phase 1 fits 64-bit fields with a bound just below 2**63; costs
-        # of 7 need 96 bits, and phase 2 pivots at that width from phase
-        # 1's point on the first two columns to the vertex on the last two.
-        rows, rhs, scales = boundary_system(64, 0)
-        top = rows[0][0]
-        first = lp.solve(rows, rhs, scales)
-        with mock.patch.object(lp, "_layout", wraps=lp._layout) as layouts:
-            result, pivots = counted(lambda: lp.optimize(first, [0, -5, 7], 1, True))
-        assert [call.args[0] for call in layouts.call_args_list] == [96]
-        assert pivots > 0 and result.objective == F(7 * (top + 1) - 5, top + 2)
-        objectives = [([0, -5, 7], 1, True), ([0, 5, -7], 1, False), ([0, 5, -7], 1, True)]
-        assert_matches_the_oracle(rows, rhs, scales, objectives)
+        # Phase 1 fits its fields with a bound just below 2**(bits - 1);
+        # costs of 7 need 32 bits more, of one sign or not, and phase 2
+        # pivots at that width from phase 1's point on the first two
+        # columns to the vertex (0, 1/2, 1/2).
+        for bits in (32, 64, 96, 128):
+            rows, rhs, scales = boundary_system(bits, False)
+            top = rows[0][0]
+            first = lp.solve(rows, rhs, scales)
+            assert first.solution == (F(1, top - 1), F(top - 2, top - 1), F(0))
+            for costs, value in (([0, -5, 7], 1), ([0, 5, 7], 6)):
+                assert optimize_widths(first, costs, True) == ([bits + 32], True)
+                assert lp.optimize(first, costs, 1, True).objective == value
+            objectives = [([0, -5, 7], 1, True), ([0, 5, -7], 1, False), ([0, 5, -7], 1, True)]
+            assert_matches_the_oracle(rows, rhs, scales, objectives)
+
+    def test_mixed_costs_widen_where_costs_of_one_sign_do_not(self):
+        # Costs of at most 1 in size fit phase 1's headroom only when they
+        # share a sign: mixed ones lose the cost row's halving.
+        for bits in (32, 64, 96, 128):
+            rows, rhs, scales = boundary_system(bits, False)
+            first = lp.solve(rows, rhs, scales)
+            for costs, maximize in (([1, 0, 1], True), ([0, 1, 0], False), ([-1, 0, -1], False)):
+                assert optimize_widths(first, costs, maximize) == ([], True)
+            for costs, maximize in (([1, 0, -1], False), ([-1, 1, 0], False)):
+                assert optimize_widths(first, costs, maximize) == ([bits + 32], True)
+            objectives = [([1, 0, -1], 1, False), ([-1, 1, 0], 1, False), ([1, 0, 1], 1, True)]
+            assert_matches_the_oracle(rows, rhs, scales, objectives)
+
+    def test_the_bordered_inequality(self):
+        # |det A| <= sqrt(bordered_square(A)) on every 0/1 matrix of order
+        # at most 4 and on seeded integer matrices whose rows have one
+        # sign or both.
+        for n in range(1, 5):
+            for entries in itertools.product((0, 1), repeat=n * n):
+                matrix = [entries[i * n : (i + 1) * n] for i in range(n)]
+                assert determinant(matrix) ** 2 <= bordered_square(matrix)
+        rng = random.Random(34)
+        for _ in range(2000):
+            n, top = rng.randint(1, 7), rng.choice([1, 2, 3, 10, 1000])
+            ranges = [rng.choice([(0, top), (-top, 0), (-top, top)]) for _ in range(n)]
+            matrix = [[rng.randint(*ranges[i]) for _ in range(n)] for i in range(n)]
+            assert determinant(matrix) ** 2 <= bordered_square(matrix)
+        # The order-7 core of Sylvester's Hadamard matrix of order 8, read
+        # as 0/1, meets the bound: determinant 32 against sqrt(8**8 / 4**7).
+        core = [[bin(i & j).count("1") % 2 for j in range(1, 8)] for i in range(1, 8)]
+        assert abs(determinant(core)) == 32
+        assert bordered_square(core) == 32**2
 
     @pytest.mark.parametrize("inside", [True, False], ids=["feasible", "infeasible"])
     def test_a_300_digit_scale(self, inside):

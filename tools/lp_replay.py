@@ -9,11 +9,16 @@ each benchmark workload (``bench/workloads.py``, loaded read-only), and
 while ``check_coherence`` checks the ``tools/ladder.py`` families of
 each rung in :data:`LADDER` at seeds 1 to 3, both lines of each: the
 benchmark's systems have at most about 60 columns and 96-bit fields,
-the ladder's hundreds of columns and wider fields.  It then replays
+the ladder's thousands of columns and wider fields.  It then replays
 those calls through the two files, each loaded as a module of its own
 (``--candidate`` defaults to ``src/previsions/lp.py``), and compares
 status, solution, objective and certificate call by call: it prints the
 first call that differs and exits 1.  ``--check`` stops there.
+When both files are packed kernels it also prints, per workload and
+rung, how many phase-1 runs (one per ``solve``) and phase-2 runs (one
+per ``optimize`` that does not return at its start) run at each field
+width in bits, call by call as ``baseline->candidate``, and how many of
+them run wider in the candidate.
 Otherwise it also times ``--repeats`` passes, each document (a ladder
 family counts as one) through both files in turn with the first of the
 two alternating, and prints per workload and rung the fastest pass's
@@ -32,6 +37,7 @@ import io
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
@@ -42,7 +48,7 @@ from previsions import check_coherence, cli, lp  # noqa: E402
 
 SEEDS = (1, 2)
 DOCS = 30
-LADDER = ((8, 10), (10, 12))  # members/atoms
+LADDER = ((8, 10), (10, 12), (12, 14))  # members/atoms
 LADDER_SEEDS = (1, 2, 3)
 
 
@@ -136,6 +142,28 @@ def replay(module, calls) -> tuple[list, float, float]:
     return results, solve_s, optimize_s
 
 
+@contextlib.contextmanager
+def field_widths(module):
+    """While it runs, the phase, ``"solve"`` or ``"phase 2"``, and the
+    field width of each run of ``module``'s simplex loop, ``_minimize``;
+    none if ``module`` is no packed kernel."""
+    runs: list[tuple[str, int]] = []
+    if not hasattr(module, "_Layout"):
+        yield runs
+        return
+    minimize = module._minimize
+
+    def recording(tableau, basis, d, layout, floor=None):
+        runs.append(("solve" if floor is None else "phase 2", layout.bits))
+        return minimize(tableau, basis, d, layout, floor)
+
+    module._minimize = recording
+    try:
+        yield runs
+    finally:
+        module._minimize = minimize
+
+
 def outcome(result) -> tuple:
     return result.status, result.solution, result.objective, result.certificate
 
@@ -159,9 +187,13 @@ def main(argv=None) -> int:
     for name, source in sources:
         documents = source()
         count = sum(map(len, documents))
+        widths: Counter = Counter()
         for d, calls in enumerate(documents):
-            expected, _, _ = replay(baseline, calls)
-            found, _, _ = replay(candidate, calls)
+            with field_widths(baseline) as was:
+                expected, _, _ = replay(baseline, calls)
+            with field_widths(candidate) as now:
+                found, _, _ = replay(candidate, calls)
+            widths.update(zip(was, now))
             for c, (want, got) in enumerate(zip(expected, found)):
                 if outcome(want) != outcome(got):
                     print(f"{name} document {d} call {c} ({calls[c][0]}): "
@@ -188,6 +220,11 @@ def main(argv=None) -> int:
                 f", both {bs + bo:.4f} -> {cs + co:.4f} (x{(cs + co) / (bs + bo):.3f})"
             )
         print(line, flush=True)
+        for phase in ("solve", "phase 2") if widths else ():
+            pairs = sorted((a[1], b[1], n) for (a, b), n in widths.items() if a[0] == phase)
+            wider = sum(n for a, b, n in pairs if b > a)
+            runs = ", ".join(f"{a}->{b} {n}" for a, b, n in pairs)
+            print(f"{'':16s} {phase} field widths: {runs or 'none'}; {wider} wider", flush=True)
     return 0
 
 
